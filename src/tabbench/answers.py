@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .relation import Relation, normalize
 from .requestgen import RequestType
-from .structurer import NoTableError, parse_table
+from .structurer import NoTableError, is_separator_row, parse_table, split_pipe_line
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,9 @@ def _entity_lines(block: str) -> tuple[str, ...]:
 
 
 def _pipe_tuples(block: str) -> tuple[tuple[str, ...], ...]:
-    rows: list[tuple[str, ...]] = []
-    for line in block.splitlines():
-        stripped = line.strip()
-        if "|" not in stripped:
-            continue
-        cells = [c.strip() for c in stripped.split("|")]
-        if stripped.startswith("|"):
-            cells = cells[1:]
-        if stripped.endswith("|"):
-            cells = cells[:-1]
-        if not any(cells):
-            continue
-        if all(re.fullmatch(r":?-+:?", c) for c in cells if c):
-            continue
-        rows.append(tuple(normalize(c) for c in cells))
-    return tuple(rows)
+    rows = (split_pipe_line(line) for line in block.splitlines())
+    return tuple(tuple(normalize(c) for c in cells) for cells in rows
+                 if cells and any(cells) and not is_separator_row(cells))
 
 
 def parse(response: str | None, request_type: RequestType) -> ParsedAnswer:

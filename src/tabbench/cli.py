@@ -32,16 +32,18 @@ from .gateway import (
 from .oracle import AND, CONNECTIVES, Condition, Delete, EQ, OR, evaluate
 from .relation import Relation, sample_entities
 from .requestgen import (
+    CORE_TYPES,
     RequestInstance,
     RequestType,
     SuiteConfig,
+    SuiteFormatError,
     dump_suite,
     load_suite,
     make_pre_instruction,
 )
 from .runio import ManifestError, config_hash, read_manifest, sha256_file, verify_manifest, write_manifest
 from .seeding import derive_seed
-from .structurer import PORTIONS, StructuringLevel, cell_fill_rate, parse_table, render
+from .structurer import PORTIONS, ParseError, StructuringLevel, cell_fill_rate, parse_table, render
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -61,8 +63,7 @@ class HarnessConfig:
     seed: int
     sample_n: int = 100
     pair_count: int = 100
-    request_types: tuple[str, ...] = tuple(t.value for t in RequestType if t not in
-                                           (RequestType.EXISTENCE, RequestType.PROJECTION))
+    request_types: tuple[str, ...] = tuple(t.value for t in CORE_TYPES)
     connectives: tuple[str, ...] = (AND, OR)
     n_conditions: tuple[int, ...] = (2,)
     levels: tuple[str, ...] = ("table",)
@@ -225,6 +226,33 @@ def generate(rel: Relation, config: HarnessConfig, pack: DatasetPack) -> list[Re
     return generate_suite(rel, suite_config(config), pack)
 
 
+def _read_suite(path: Path) -> list[RequestInstance]:
+    try:
+        return load_suite(path.read_text(encoding="utf-8"))
+    except SuiteFormatError as e:
+        raise ConfigError([f"{path}: {e}"]) from None
+
+
+RESULT_KEYS = ("attempts", "error", "id", "model", "text")
+
+
+def _read_results(path: Path) -> list[dict]:
+    """The result objects of a results JSONL file, in file order; a line that
+    is not one raises ConfigError naming the file and the line."""
+    records = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
+        if not isinstance(record, dict) or not all(k in record for k in RESULT_KEYS):
+            raise ConfigError([f"{path}: line {number}: not a result object with keys {', '.join(RESULT_KEYS)}"])
+        records.append(record)
+    return records
+
+
 @main.command("run")
 @click.option("--suite", "suite_path", required=True, type=click.Path(), help="suite.jsonl from generate.")
 @click.option("--model", "model_name", required=True, help="perfect | lossy:q=0.2 | configured remote name.")
@@ -240,21 +268,12 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
         manifest_path = suite_file.with_name("suite.manifest.json")
         if manifest_path.is_file():
             verify_manifest(read_manifest(manifest_path), suite_file.parent)
-        instances = load_suite(suite_file.read_text(encoding="utf-8"))
-    except (ConfigError, ManifestError) as e:
+        instances = _read_suite(suite_file)
+        out_file = Path(out_path)
+        existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
+    except (ConfigError, ManifestError, FileNotFoundError) as e:
         _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
         return
-    except FileNotFoundError as e:
-        _fail([str(e)], EXIT_CONFIG)
-        return
-
-    existing: dict[str, dict] = {}
-    out_file = Path(out_path)
-    if out_file.is_file():
-        for line in out_file.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                record = json.loads(line)
-                existing[record["id"]] = record
 
     try:
         out_file.parent.mkdir(parents=True, exist_ok=True)
@@ -280,22 +299,19 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
     try:
-        instances = {i.id: i for i in load_suite(Path(suite_path).read_text(encoding="utf-8"))}
-    except FileNotFoundError as e:
-        _fail([str(e)], EXIT_CONFIG)
+        instances = {i.id: i for i in _read_suite(Path(suite_path))}
+    except (ConfigError, FileNotFoundError) as e:
+        _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
         return
 
     records = []
     for results_path in results_paths:
         try:
-            lines = Path(results_path).read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError as e:
-            _fail([str(e)], EXIT_CONFIG)
+            payloads = _read_results(Path(results_path))
+        except (ConfigError, FileNotFoundError) as e:
+            _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
             return
-        for line in lines:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
+        for payload in payloads:
             instance = instances.get(payload["id"])
             if instance is None:
                 _fail([f"{results_path}: result id {payload['id']!r} is not in the suite"], EXIT_CONFIG)
@@ -322,7 +338,7 @@ def cmd_eval(suite_path, results_paths, out_dir):
              "request_type": str(r.key("request_type")), "variance": repr(r.variance)}
             for r in rows
         ]
-        (out / "variance.csv").write_text(_dict_csv(variance_rows), encoding="utf-8")
+        (out / "variance.csv").write_text(evaluator.dicts_to_csv(variance_rows), encoding="utf-8")
 
         comparison = _maybe_compare(rows)
         if comparison is not None:
@@ -333,7 +349,7 @@ def cmd_eval(suite_path, results_paths, out_dir):
         robustness = evaluator.existence_robustness(records)
         if robustness:
             (out / "existence.csv").write_text(
-                _dict_csv([dataclasses.asdict(r) for r in robustness]), encoding="utf-8"
+                evaluator.dicts_to_csv([dataclasses.asdict(r) for r in robustness]), encoding="utf-8"
             )
         produced = [p for p in out.iterdir() if p.suffix in (".csv", ".md", ".json") and "manifest" not in p.name]
         write_manifest(
@@ -349,28 +365,12 @@ def cmd_eval(suite_path, results_paths, out_dir):
     click.echo(f"scored {len(records)} records -> {out}")
 
 
-def _dict_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    import csv as _csv
-    import io as _io
-
-    names = sorted(rows[0])
-    buf = _io.StringIO()
-    writer = _csv.DictWriter(buf, fieldnames=names, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in names})
-    return buf.getvalue()
-
-
 def _maybe_compare(rows):
     """Text-vs-table summary when both a natural- and a table-level run exist."""
     def cells(level):
-        metric_for = {t.value: m for t, m in evaluator.METRIC_FOR_TYPE.items()}
         return [
             {"model": str(r.key("model")), "request_type": str(r.key("request_type")),
-             "metric": metric_for[str(r.key("request_type"))], "mean": r.mean}
+             "metric": evaluator.METRIC_FOR_TYPE[RequestType(r.key("request_type"))], "mean": r.mean}
             for r in rows
             if str(r.key("level")) == level
         ]
@@ -493,9 +493,8 @@ def cmd_convert_rate(model_name, dataset_names, seed, sample_n, config_path):
             rate = 0.0
             if response.text is not None:
                 try:
-                    predicted = parse_table(response.text)
-                    rate = cell_fill_rate(predicted, rel)
-                except Exception:
+                    rate = cell_fill_rate(parse_table(response.text), rel)
+                except ParseError:
                     rate = 0.0
             label = "given" if with_columns else "none"
             click.echo(f"dataset={pack.name} columns={label} cell_fill_rate={rate:.4f}")

@@ -147,22 +147,6 @@ def combine(conditions: tuple[Condition, ...], connective: str) -> ConditionExpr
     raise GenError(f"unknown connective {connective!r}")
 
 
-def sample_condition(rel: Relation, policy: ConditionPolicy, seed: int) -> Condition:
-    """One condition: uniform attribute among eligible ones, then op, then value."""
-    if not rel.rows:
-        raise GenError("cannot sample conditions from an empty relation")
-    eligible = eligible_attributes(rel, policy)
-    if not eligible:
-        raise NoEligibleAttributeError("no attribute is compatible with the policy ops")
-    rng = rng_for(seed, "condition")
-    spec = eligible[rng.randrange(len(eligible))]
-    ops = ops_for(spec, policy)
-    op = ops[rng.randrange(len(ops))]
-    pool = value_pool(rel, spec, op)
-    value = pool[rng.randrange(len(pool))]
-    return make_condition(rel, spec.name, op, value)
-
-
 def draw_condition_set(
     rel: Relation,
     policy: ConditionPolicy,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .condgen import GenError
 from .relation import AttributeSpec, Relation, load_csv, schema_from_json
-from .requestgen import RequestType, TemplatePack, template_pack_from_json
+from .requestgen import TARGETED_TYPES, RequestType, TemplatePack, template_pack_from_json
 from .structurer import PhraseBank, bank_from_json
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -38,7 +38,7 @@ class DatasetPack:
 
     def target_for(self, request_type: RequestType) -> tuple[str, ...]:
         """Default target attributes for plan shapes that need them."""
-        if request_type in (RequestType.UPDATE, RequestType.SUPERLATIVE, RequestType.SUM):
+        if request_type in TARGETED_TYPES:
             return (self.numeric_target,)
         if request_type is RequestType.PROJECTION:
             return self.projection_attrs

@@ -482,31 +482,40 @@ RECORD_FIELDS = (
 )
 
 
-def records_to_csv(records: list[EvalRecord]) -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_FIELDS)
-    for r in sorted(records, key=lambda r: r.request_id):
-        writer.writerow([
-            r.request_id, r.model, r.dataset, r.request_type, r.level, r.template_id,
-            r.connective, r.n_conditions, "" if r.portion is None else r.portion,
-            r.negated, r.metric, repr(r.value), r.unparsed, r.dropped_names, r.resamples,
-            json.dumps(r.extras, sort_keys=True),
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def records_to_csv(records: list[EvalRecord]) -> str:
+    return _csv(RECORD_FIELDS, (
+        [r.request_id, r.model, r.dataset, r.request_type, r.level, r.template_id,
+         r.connective, r.n_conditions, "" if r.portion is None else r.portion,
+         r.negated, r.metric, repr(r.value), r.unparsed, r.dropped_names, r.resamples,
+         json.dumps(r.extras, sort_keys=True)]
+        for r in sorted(records, key=lambda r: r.request_id)
+    ))
 
 
 def report_to_csv(rows: list[ReportRow]) -> str:
     if not rows:
         return ""
-    names = [k for k, _ in rows[0].group]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*names, "mean", "variance", "count", "templates"])
-    for row in rows:
-        writer.writerow([*(v for _, v in row.group), repr(row.mean), repr(row.variance),
-                         row.count, row.templates])
-    return buf.getvalue()
+    return _csv(
+        [*(k for k, _ in rows[0].group), "mean", "variance", "count", "templates"],
+        ([*(v for _, v in row.group), repr(row.mean), repr(row.variance), row.count, row.templates]
+         for row in rows),
+    )
+
+
+def dicts_to_csv(rows: list[dict]) -> str:
+    """One column per key of the first row, in sorted order; "" for no rows."""
+    if not rows:
+        return ""
+    names = sorted(rows[0])
+    return _csv(names, ([row.get(k, "") for k in names] for row in rows))
 
 
 def report_markdown(rows: list[ReportRow]) -> str:

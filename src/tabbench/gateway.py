@@ -1,9 +1,9 @@
 """Uniform completion interface: remote chat providers plus offline mock models.
 
 The mocks are first-class citizens so the whole pipeline, acceptance suite
-included, runs without credentials: the perfect mock echoes each instance's
-gold answer in the declared answer format, and the lossy mock degrades it with
-seeded omissions and perturbations.
+included, runs without credentials: the lossy mock writes each instance's gold
+answer in the declared answer format and degrades it with seeded omissions and
+perturbations; the perfect mock is its zero-noise case.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from pathlib import Path
 import requests as _requests
 
 from .oracle import EntitySet, Exists, Number, RelationSnapshot, TupleSet, Witnessed
+from .relation import Relation
 from .requestgen import RequestInstance
 from .seeding import rng_for
 from .structurer import render_table
@@ -73,56 +74,12 @@ def _format_number(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
-def _snapshot_table(snapshot: RelationSnapshot) -> str:
-    rel = snapshot.relation
-    if not rel.rows:
-        return "| " + " | ".join(rel.attribute_names) + " |"
-    return render_table(rel)
-
-
-def format_gold_response(instance: RequestInstance) -> str:
-    """The ideal response text for an instance, following its answer footer."""
-    gold = instance.gold
-    if isinstance(gold, EntitySet):
-        return "ANSWER:\n" + "\n".join(sorted(gold.keys))
-    if isinstance(gold, RelationSnapshot):
-        return "ANSWER:\n" + _snapshot_table(gold)
-    if isinstance(gold, Number):
-        return "ANSWER:\n" + _format_number(gold.value)
-    if isinstance(gold, TupleSet):
-        return "ANSWER:\n" + "\n".join(" | ".join(t) for t in sorted(gold.tuples))
-    if isinstance(gold, Witnessed):
-        negated = isinstance(instance.plan, Exists) and instance.plan.negated
-        spoken = gold.value if not negated else not gold.value
-        verdict = "Yes" if spoken else "No"
-        if gold.witnesses:
-            rationale = "The entities satisfying the conditions are: " + ", ".join(sorted(gold.witnesses)) + "."
-        else:
-            rationale = "Nothing in the table satisfies the conditions."
-        return f"ANSWER:\n{verdict}. {rationale}"
-    raise GatewayError(f"unknown gold answer {gold!r}")
-
-
-class PerfectOracle:
-    """Mock model that always answers with the gold, formatted per the footer."""
-
-    model_id = "perfect-oracle"
-
-    def complete(self, instance: RequestInstance) -> ModelResponse:
-        return ModelResponse(
-            request_id=instance.id,
-            text=format_gold_response(instance),
-            error=None,
-            latency_ms=0.0,
-            attempts=1,
-        )
-
-
 class LossyOracle:
-    """Perfect output degraded with seeded noise: each gold entity (or snapshot
-    row, or projected tuple) is omitted with probability q; each scalar is
-    perturbed and each judgement flipped with probability r. Never adds
-    entities, so precision of entity answers stays exact."""
+    """Mock model that answers with the gold, formatted per the footer, then
+    degraded with seeded noise: each gold entity (or snapshot row, or projected
+    tuple) is omitted with probability q; each scalar is perturbed and each
+    judgement flipped with probability r. Never adds entities, so precision of
+    entity answers stays exact."""
 
     def __init__(self, omission_prob: float = 0.0, flip_prob: float = 0.0, seed: int = 0):
         if not (0.0 <= omission_prob <= 1.0 and 0.0 <= flip_prob <= 1.0):
@@ -141,35 +98,43 @@ class LossyOracle:
         q, r = self.omission_prob, self.flip_prob
 
         if isinstance(gold, EntitySet):
-            kept = [k for k in sorted(gold.keys) if rng.random() >= q]
-            text = "ANSWER:\n" + "\n".join(kept)
+            body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
         elif isinstance(gold, RelationSnapshot):
             rel = gold.relation
-            rows = tuple(row for row in rel.rows if rng.random() >= q)
-            from .relation import Relation
-
-            text = "ANSWER:\n" + _snapshot_table(RelationSnapshot(Relation(rel.name, rel.schema, rows)))
+            body = render_table(Relation(rel.name, rel.schema, tuple(row for row in rel.rows if rng.random() >= q)))
         elif isinstance(gold, Number):
             value = gold.value
             if rng.random() < r:
                 value += 1 + rng.randrange(5)
-            text = "ANSWER:\n" + _format_number(value)
+            body = _format_number(value)
         elif isinstance(gold, TupleSet):
-            kept = [t for t in sorted(gold.tuples) if rng.random() >= q]
-            text = "ANSWER:\n" + "\n".join(" | ".join(t) for t in kept)
+            body = "\n".join(" | ".join(t) for t in sorted(gold.tuples) if rng.random() >= q)
         elif isinstance(gold, Witnessed):
-            perfect = format_gold_response(instance)
+            negated = isinstance(instance.plan, Exists) and instance.plan.negated
+            spoken = gold.value != negated
             if rng.random() < r:
-                body = perfect.split("ANSWER:\n", 1)[1]
-                verdict, rest = body.split(".", 1)
-                flipped = "No" if verdict.strip() == "Yes" else "Yes"
-                text = f"ANSWER:\n{flipped}.{rest}"
+                spoken = not spoken
+            if gold.witnesses:
+                rationale = "The entities satisfying the conditions are: " + ", ".join(sorted(gold.witnesses)) + "."
             else:
-                text = perfect
+                rationale = "Nothing in the table satisfies the conditions."
+            body = f"{'Yes' if spoken else 'No'}. {rationale}"
         else:
             raise GatewayError(f"unknown gold answer {gold!r}")
 
-        return ModelResponse(request_id=instance.id, text=text, error=None, latency_ms=0.0, attempts=1)
+        return ModelResponse(request_id=instance.id, text="ANSWER:\n" + body, error=None,
+                             latency_ms=0.0, attempts=1)
+
+
+class PerfectOracle(LossyOracle):
+    """The lossy mock without noise: always answers with the gold."""
+
+    model_id = "perfect-oracle"
+
+
+def format_gold_response(instance: RequestInstance) -> str:
+    """The ideal response text for an instance, following its answer footer."""
+    return PerfectOracle().complete(instance).text
 
 
 class RemoteModel:
@@ -242,7 +207,7 @@ class RemoteModel:
         )
 
 
-ModelKind = PerfectOracle | LossyOracle | RemoteModel
+ModelKind = LossyOracle | RemoteModel
 
 
 def compose_message(instance: RequestInstance) -> str:

@@ -23,6 +23,7 @@ from .oracle import (
     Diff,
     GoldAnswer,
     Or,
+    PlanError,
     QueryPlan,
     evaluate,
     expr_from_json,
@@ -32,7 +33,7 @@ from .oracle import (
     plan_from_json,
     plan_to_json,
 )
-from .relation import Relation
+from .relation import Relation, SchemaError
 from .seeding import derive_seed
 from .structurer import StructuringLevel, render, render_partial
 
@@ -42,6 +43,10 @@ if TYPE_CHECKING:
 
 class TemplateMismatchError(GenError):
     pass
+
+
+class SuiteFormatError(GenError):
+    """A suite line that does not decode to an instance."""
 
 
 class RequestType(Enum):
@@ -63,12 +68,17 @@ CORE_TYPES = (
     RequestType.SUM,
     RequestType.COUNT,
 )
-EXTENSION_TYPES = (RequestType.EXISTENCE, RequestType.PROJECTION)
 
 # request types whose plans carry a single numeric/target attribute
 TARGETED_TYPES = (RequestType.UPDATE, RequestType.SUPERLATIVE, RequestType.SUM)
 
 TEMPLATES_PER_TYPE = 3
+
+
+def negation_variants(request_type: RequestType) -> tuple[bool, ...]:
+    """The wordings a type is asked in: existence as an original and a negated
+    question, every other type as the original only."""
+    return (False, True) if request_type is RequestType.EXISTENCE else (False,)
 
 
 @dataclass(frozen=True)
@@ -320,7 +330,6 @@ class SuiteConfig:
     mode: str = "surrogate"
 
     def instances_per_type(self, request_type: RequestType) -> int:
-        variants = 2 if request_type is RequestType.EXISTENCE else 1
         return (
             self.pair_count
             * len(self.connectives)
@@ -328,7 +337,7 @@ class SuiteConfig:
             * len(self.levels)
             * len(self.n_conditions)
             * len(self.portions)
-            * variants
+            * len(negation_variants(request_type))
         )
 
 
@@ -357,8 +366,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                     for portion in config.portions:
                         for connective in config.connectives:
                             expr = exprs[connective]
-                            negated_variants = (False, True) if request_type is RequestType.EXISTENCE else (False,)
-                            for negated in negated_variants:
+                            for negated in negation_variants(request_type):
                                 for template in pack.templates.templates_for(request_type, negated):
                                     suffix = "-neg" if negated else ""
                                     instance_id = (
@@ -448,4 +456,12 @@ def dump_suite(instances: list[RequestInstance]) -> str:
 
 
 def load_suite(text: str) -> list[RequestInstance]:
-    return [instance_from_json(json.loads(line)) for line in text.splitlines() if line.strip()]
+    instances = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            instances.append(instance_from_json(json.loads(line)))
+        except (ValueError, KeyError, TypeError, PlanError, SchemaError) as e:
+            raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
+    return instances

@@ -209,7 +209,9 @@ def render_partial(rel: Relation, portion: float, seed: int, bank: PhraseBank | 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
 
 
-def _split_pipe_line(line: str) -> list[str] | None:
+def split_pipe_line(line: str) -> list[str] | None:
+    """Trimmed cells of one pipe-delimited line, without the boundary pipes;
+    None when the line has no pipe or no cells."""
     stripped = line.strip()
     if "|" not in stripped:
         return None
@@ -219,6 +221,11 @@ def _split_pipe_line(line: str) -> list[str] | None:
     if stripped.endswith("|"):
         cells = cells[:-1]
     return cells if cells else None
+
+
+def is_separator_row(cells: list[str]) -> bool:
+    """True for a markdown rule row such as `|---|:--:|`; an all-empty row is not one."""
+    return any(cells) and all(_SEPARATOR_CELL.match(c) for c in cells if c)
 
 
 def parse_table(text: str) -> Relation:
@@ -231,13 +238,13 @@ def parse_table(text: str) -> Relation:
     block: list[list[str]] = []
     in_block = False
     for line in text.splitlines():
-        cells = _split_pipe_line(line)
+        cells = split_pipe_line(line)
         if cells is None:
             if in_block:
                 break
             continue
         in_block = True
-        if all(_SEPARATOR_CELL.match(c) for c in cells if c) and any(cells):
+        if is_separator_row(cells):
             continue
         block.append(cells)
 

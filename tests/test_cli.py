@@ -253,3 +253,55 @@ def test_default_pair_count_yields_600_per_type(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "count: 600 instances" in result.output
     assert len((tmp_path / "gen" / "suite.jsonl").read_text().splitlines()) == 600
+
+
+def _generated_and_run(runner, tmp_path) -> tuple[Path, Path]:
+    config = write_config(tmp_path, request_types=["retrieval"], pair_count=1)
+    suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
+                                "--out", str(results)]).exit_code == 0
+    return suite, results
+
+
+def _truncate_last_line(path: Path) -> None:
+    """Cut the file 19 characters into its last line, as an interrupted write leaves it."""
+    text = path.read_text(encoding="utf-8").rstrip("\n")
+    path.write_text(text[: text.rfind("\n") + 20], encoding="utf-8")
+
+
+def _config_errors(result) -> list[str]:
+    assert result.exit_code == 2, result.output
+    return json.loads(result.stderr)["errors"]
+
+
+def test_eval_truncated_results_line_exits_2(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    _truncate_last_line(results)
+    lines = len(results.read_text().splitlines())
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(results) in error and f"line {lines}" in error
+
+
+def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    _truncate_last_line(results)
+    lines = len(results.read_text().splitlines())
+    result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)])
+    [error] = _config_errors(result)
+    assert str(results) in error and f"line {lines}" in error
+
+
+def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(lines[1])
+    del broken["gold"]
+    lines[1] = json.dumps(broken, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(suite) in error and "line 2" in error and "gold" in error

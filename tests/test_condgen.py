@@ -11,7 +11,6 @@ from tabbench.condgen import (
     eligible_attributes,
     make_condition,
     render_negated,
-    sample_condition,
     sample_condition_set,
     value_pool,
 )
@@ -87,24 +86,26 @@ def test_key_attribute_is_not_eligible(f1):
 
 
 def test_single_eligible_attribute_always_chosen(movies):
-    policy = ConditionPolicy(allowed_ops=(GT, LT))
+    policy = ConditionPolicy(allowed_ops=(GT, LT), n_conditions=1)
     for seed in range(10):
-        cond = sample_condition(movies, policy, seed)
+        cond = sample_condition_set(movies, policy, AND, seed)
+        assert isinstance(cond, Condition)
         assert cond.attr == "Rating"
 
 
 def test_sample_condition_deterministic(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,))
-    assert sample_condition(f2, policy, 5) == sample_condition(f2, policy, 5)
+    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=1)
+    assert sample_condition_set(f2, policy, AND, 5) == sample_condition_set(f2, policy, AND, 5)
 
 
 def test_sample_condition_no_eligible(f1):
-    policy = ConditionPolicy(allowed_ops=(GT, LT), connectives=(AND,))
+    policy = ConditionPolicy(allowed_ops=(GT, LT), n_conditions=1, connectives=(AND,))
     # Number is the only numeric attribute; with Eq excluded on it, only one
     # attribute is eligible, so asking for two distinct attributes must fail
     with pytest.raises(NoEligibleAttributeError):
         draw_condition_set(f1, ConditionPolicy(allowed_ops=(GT,), n_conditions=2), (AND,), 0)
-    cond = sample_condition(f1, policy, 3)
+    cond = sample_condition_set(f1, policy, AND, 3)
+    assert isinstance(cond, Condition)
     assert cond.attr == "Number"
 
 

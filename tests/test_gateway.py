@@ -21,7 +21,7 @@ from tabbench.gateway import (
     response_to_json,
     run_suite,
 )
-from tabbench.oracle import Condition, EQ, EntitySet
+from tabbench.oracle import Condition, EQ, GT, EntitySet
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.structurer import StructuringLevel
 
@@ -106,6 +106,42 @@ def test_lossy_is_deterministic(small_suite):
 def test_lossy_probability_validation():
     with pytest.raises(GatewayError):
         LossyOracle(omission_prob=1.5)
+
+
+def _instance(pack, f2, request_type, expr, negated=False):
+    from tabbench.requestgen import instantiate
+
+    template = pack.templates.templates_for(request_type, negated=negated)[0]
+    return instantiate(request_type, template, expr, (), f2, StructuringLevel.TABLE, 0, pack=pack)
+
+
+def test_lossy_flip_inverts_existence_verdict_and_keeps_rationale(pack, f2):
+    expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
+    rationale = " The entities satisfying the conditions are: Messi."
+    always_flip = LossyOracle(omission_prob=0.0, flip_prob=1.0, seed=4)
+    for negated, perfect_verdict, flipped_verdict in ((False, "Yes.", "No."), (True, "No.", "Yes.")):
+        instance = _instance(pack, f2, RequestType.EXISTENCE, expr, negated=negated)
+        assert format_gold_response(instance) == "ANSWER:\n" + perfect_verdict + rationale
+        assert always_flip.complete(instance).text == "ANSWER:\n" + flipped_verdict + rationale
+
+
+def test_lossy_flip_moves_number_by_one_to_five(pack, f2):
+    instance = _instance(pack, f2, RequestType.COUNT, Condition("Number", EQ, "10", "number is 10"))
+    offsets = {
+        int(LossyOracle(omission_prob=0.0, flip_prob=1.0, seed=seed).complete(instance).text.split("\n")[1]) - 2
+        for seed in range(40)
+    }
+    assert offsets <= set(range(1, 6))
+    assert len(offsets) > 1
+
+
+def test_deletion_of_every_row_renders_header_alone(pack, f2):
+    everyone = Condition("Number", GT, "0", "uniform number is higher than 0")
+    instance = _instance(pack, f2, RequestType.DELETION, everyone)
+    assert not instance.gold.relation.rows
+    header = "ANSWER:\n| Name | Number | Nationality | Club |"
+    assert PerfectOracle().complete(instance).text == header
+    assert LossyOracle(omission_prob=1.0, flip_prob=1.0, seed=2).complete(instance).text == header
 
 
 def test_compose_message_order(small_suite):
