@@ -233,12 +233,13 @@ def _read_suite(path: Path) -> list[RequestInstance]:
         raise ConfigError([f"{path}: {e}"]) from None
 
 
-RESULT_KEYS = ("attempts", "error", "id", "model", "text")
+RESULT_FIELDS = {"attempts": int, "error": str | None, "id": str, "model": str, "text": str | None}
 
 
 def _read_results(path: Path) -> list[dict]:
     """The result objects of a results JSONL file, in file order; a line that
-    is not one raises ConfigError naming the file and the line."""
+    is not one (a key missing or of the wrong type) raises ConfigError naming
+    the file and the line."""
     records = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -247,8 +248,10 @@ def _read_results(path: Path) -> list[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
-        if not isinstance(record, dict) or not all(k in record for k in RESULT_KEYS):
-            raise ConfigError([f"{path}: line {number}: not a result object with keys {', '.join(RESULT_KEYS)}"])
+        if not isinstance(record, dict) or not all(
+                k in record and isinstance(record[k], kind) for k, kind in RESULT_FIELDS.items()):
+            raise ConfigError([f"{path}: line {number}: not a result object with keys "
+                               f"{', '.join(RESULT_FIELDS)} of the right types"])
         records.append(record)
     return records
 

@@ -101,7 +101,8 @@ class LossyOracle:
             body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
         elif isinstance(gold, RelationSnapshot):
             rel = gold.relation
-            body = render_table(Relation(rel.name, rel.schema, tuple(row for row in rel.rows if rng.random() >= q)))
+            rows = tuple(row for row in rel.rows if rng.random() >= q)
+            body = render_table(rel if len(rows) == len(rel.rows) else Relation(rel.name, rel.schema, rows))
         elif isinstance(gold, Number):
             value = gold.value
             if rng.random() < r:
@@ -130,6 +131,9 @@ class PerfectOracle(LossyOracle):
     """The lossy mock without noise: always answers with the gold."""
 
     model_id = "perfect-oracle"
+
+    def __init__(self):
+        super().__init__()
 
 
 def format_gold_response(instance: RequestInstance) -> str:

@@ -294,6 +294,19 @@ def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
     assert str(results) in error and f"line {lines}" in error
 
 
+def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    lines = results.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(lines[0])
+    broken["text"] = 5
+    lines[0] = json.dumps(broken, sort_keys=True)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(results) in error and "line 1" in error
+
+
 def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
     suite, results = _generated_and_run(runner, tmp_path)
     lines = suite.read_text(encoding="utf-8").splitlines()

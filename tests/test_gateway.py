@@ -108,6 +108,12 @@ def test_lossy_probability_validation():
         LossyOracle(omission_prob=1.5)
 
 
+def test_perfect_oracle_takes_no_noise_arguments():
+    # noisy answers labelled perfect-oracle would pass for gold in reports
+    with pytest.raises(TypeError):
+        PerfectOracle(omission_prob=0.3)
+
+
 def _instance(pack, f2, request_type, expr, negated=False):
     from tabbench.requestgen import instantiate
 
