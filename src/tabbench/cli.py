@@ -41,7 +41,15 @@ from .requestgen import (
     load_suite,
     make_pre_instruction,
 )
-from .runio import ManifestError, config_hash, read_manifest, sha256_file, verify_manifest, write_manifest
+from .runio import (
+    ManifestError,
+    config_hash,
+    read_manifest,
+    read_text_and_digest,
+    sha256_file,  # noqa: F401  (bench/tracing.py wraps cli.sha256_file)
+    verify_manifest,
+    write_manifest,
+)
 from .seeding import derive_seed
 from .structurer import PORTIONS, ParseError, StructuringLevel, cell_fill_rate, parse_table, render
 
@@ -226,9 +234,16 @@ def generate(rel: Relation, config: HarnessConfig, pack: DatasetPack) -> list[Re
     return generate_suite(rel, suite_config(config), pack)
 
 
-def _read_suite(path: Path) -> list[RequestInstance]:
+def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
+    """A suite file's instances and the SHA-256 of its bytes, from one read.
+    When suite.manifest.json sits beside it, the file must match the digest
+    recorded there (ManifestError otherwise)."""
+    text, digest = read_text_and_digest(path)
+    manifest_path = path.with_name("suite.manifest.json")
+    if manifest_path.is_file():
+        verify_manifest(read_manifest(manifest_path), path.parent, known={path.name: digest})
     try:
-        return load_suite(path.read_text(encoding="utf-8"))
+        return load_suite(text), digest
     except SuiteFormatError as e:
         raise ConfigError([f"{path}: {e}"]) from None
 
@@ -268,10 +283,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     try:
         config = load_config(config_path) if config_path else None
         model = resolve_model(model_name, config)
-        manifest_path = suite_file.with_name("suite.manifest.json")
-        if manifest_path.is_file():
-            verify_manifest(read_manifest(manifest_path), suite_file.parent)
-        instances = _read_suite(suite_file)
+        instances, suite_digest = _read_suite(suite_file)
         out_file = Path(out_path)
         existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
     except (ConfigError, ManifestError, FileNotFoundError) as e:
@@ -285,7 +297,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
             out_file.with_name(out_file.name + ".manifest.json"),
             config_digest=config_hash(config.payload()) if config else "",
             files={out_file.name: out_file},
-            extra={"run": manifest, "suite_digest": sha256_file(suite_file)},
+            extra={"run": manifest, "suite_digest": suite_digest},
         )
     except SinkError as e:
         _fail([str(e)], EXIT_IO)
@@ -302,10 +314,11 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
     try:
-        instances = {i.id: i for i in _read_suite(Path(suite_path))}
-    except (ConfigError, FileNotFoundError) as e:
+        suite, suite_digest = _read_suite(Path(suite_path))
+    except (ConfigError, ManifestError, FileNotFoundError) as e:
         _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
         return
+    instances = {i.id: i for i in suite}
 
     records = []
     for results_path in results_paths:
@@ -359,7 +372,7 @@ def cmd_eval(suite_path, results_paths, out_dir):
             out / "eval.manifest.json",
             config_digest="",
             files={p.name: p for p in sorted(produced)},
-            extra={"suite_digest": sha256_file(Path(suite_path)), "records": len(records)},
+            extra={"suite_digest": suite_digest, "records": len(records)},
         )
     except OSError as e:
         _fail([f"cannot write reports: {e}"], EXIT_IO)

@@ -114,11 +114,17 @@ class Relation:
     dropped_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        keys = [a for a in self.schema if a.is_key]
+        keys = [i for i, a in enumerate(self.schema) if a.is_key]
         if len(keys) != 1:
             raise SchemaError(f"relation {self.name!r} needs exactly one key attribute, got {len(keys)}")
+        key_idx = keys[0]
+        # name -> first position, and the key column: lookups, not schema scans
+        positions: dict[str, int] = {}
+        for i, a in enumerate(self.schema):
+            positions.setdefault(a.name, i)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_key_index", key_idx)
         seen: set[str] = set()
-        key_idx = self.schema.index(keys[0])
         for i, row in enumerate(self.rows):
             if len(row.values) != len(self.schema):
                 raise SchemaError(f"row {i} arity {len(row.values)} != schema arity {len(self.schema)}")
@@ -135,29 +141,26 @@ class Relation:
 
     @property
     def key_attr(self) -> AttributeSpec:
-        return next(a for a in self.schema if a.is_key)
+        return self.schema[self._key_index]
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.schema)
 
     def attribute(self, name: str) -> AttributeSpec:
-        for a in self.schema:
-            if a.name == name:
-                return a
-        raise UnknownAttributeError(f"no attribute {name!r} in {self.name!r}")
+        return self.schema[self.index(name)]
 
     def index(self, name: str) -> int:
-        for i, a in enumerate(self.schema):
-            if a.name == name:
-                return i
-        raise UnknownAttributeError(f"no attribute {name!r} in {self.name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise UnknownAttributeError(f"no attribute {name!r} in {self.name!r}") from None
 
     def key_of(self, row: Row) -> str:
-        return row.values[self.index(self.key_attr.name)].strip()
+        return row.values[self._key_index].strip()
 
     def keys(self) -> tuple[str, ...]:
-        idx = self.index(self.key_attr.name)
+        idx = self._key_index
         return tuple(r.values[idx].strip() for r in self.rows)
 
     def value(self, row: Row, attr: str) -> str:

@@ -6,7 +6,6 @@ never has to re-derive what was asked.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -230,57 +229,44 @@ def _fill_pattern(pattern: str, *, conditions: str, target: tuple[str, ...],
     return out
 
 
-def _auto_id(payload: str) -> str:
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=6).hexdigest()
-
-
 def instantiate(
     request_type: RequestType,
     template: PromptTemplate,
-    expr: ConditionExpr,
     target: tuple[str, ...],
     rel: Relation,
     level: StructuringLevel,
-    seed: int,
+    context: str,
+    plan: QueryPlan,
+    gold: GoldAnswer,
     *,
     pack: "DatasetPack",
+    entity_keys: tuple[str, ...],
+    instance_id: str,
     portion: float | None = None,
     connective: str = AND,
     mode: str = "surrogate",
     pre_instruction: str | None = None,
-    instance_id: str | None = None,
     resamples: int = 0,
 ) -> RequestInstance:
-    """Render one benchmark instance: fill the template, render the context at
-    the requested level, and compute the gold answer."""
+    """Assemble one benchmark instance around a context, a plan and its gold
+    answer that the caller rendered, built and evaluated: check the template
+    and fill its wording. generate_suite renders each context once per
+    (level, portion) and evaluates each plan once per (connective, negation),
+    then calls this for every template."""
     if template.request_type is not request_type:
         raise TemplateMismatchError(
             f"template is for {template.request_type.value}, not {request_type.value}"
         )
-    plan = build_plan(request_type, expr, target, rel, negated=template.negated)
-    gold = evaluate(plan, rel)
-
-    conditions_text = expr_phrase(rel, expr)
+    expr = plan.expr
     body = _fill_pattern(
         template.pattern,
-        conditions=conditions_text,
+        conditions=expr_phrase(rel, expr),
         target=target,
         rel=rel,
         noun=pack.entity_noun,
         nouns=pack.entity_noun_plural,
     )
     prompt = body + "\n" + pack.templates.footer_for(request_type)
-
-    if portion is None:
-        context = render(rel, level, seed, pack.bank)
-    else:
-        context = render_partial(rel, portion, seed, pack.bank)
-
-    if instance_id is None:
-        instance_id = _auto_id(json.dumps(
-            [pack.name, request_type.value, template.template_id, plan_to_json(plan), level.value],
-            sort_keys=True,
-        ))
 
     return RequestInstance(
         id=instance_id,
@@ -299,7 +285,7 @@ def instantiate(
         context=context,
         pre_instruction=pre_instruction,
         gold=gold,
-        entity_keys=rel.keys(),
+        entity_keys=entity_keys,
         mode=mode,
         resamples=resamples,
     )
@@ -342,12 +328,19 @@ class SuiteConfig:
 
 
 def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> list[RequestInstance]:
-    """Deterministic suite in (type, count, level, portion, pair, connective,
-    template) order. Condition pairs are shared across connectives, templates,
-    levels and portions so wording effects are isolated from content effects.
-    Existence expands into an original and a negated instance per slot."""
+    """Deterministic suite in (type, count, pair, level, portion, connective,
+    negation, template) order. Condition pairs are shared across connectives,
+    templates, levels and portions so wording effects are isolated from
+    content effects. Existence expands into an original and a negated
+    instance per slot.
+
+    Each piece of work runs at the loop level where its inputs are fixed: the
+    plan and gold answer once per (pair, connective, negation), the context
+    once per (pair, level, portion), the entity keys and the two-turn
+    pre-instruction once per suite; instantiate only fills each wording."""
     instances: list[RequestInstance] = []
-    seq = 0
+    entity_keys = rel.keys()
+    pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == "two_turn" else None
     for request_type in config.request_types:
         target = pack.target_for(request_type)
         for n in config.n_conditions:
@@ -362,39 +355,34 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                 draw_seed = derive_seed(config.seed, "conditions", pack.name, request_type.value, n, pair)
                 exprs, _, resamples = draw_condition_set(rel, policy, config.connectives, draw_seed)
                 context_seed = derive_seed(config.seed, "context", pack.name, request_type.value, n, pair)
+                slots = []
+                for connective in config.connectives:
+                    for negated in negation_variants(request_type):
+                        plan = build_plan(request_type, exprs[connective], target, rel, negated=negated)
+                        slots.append((connective, negated, plan, evaluate(plan, rel)))
                 for level in config.levels:
                     for portion in config.portions:
-                        for connective in config.connectives:
-                            expr = exprs[connective]
-                            for negated in negation_variants(request_type):
-                                for template in pack.templates.templates_for(request_type, negated):
-                                    suffix = "-neg" if negated else ""
-                                    instance_id = (
-                                        f"{seq:06d}-{pack.name}-{request_type.value}{suffix}"
+                        if portion is None:
+                            context = render(rel, level, context_seed, pack.bank)
+                        else:
+                            context = render_partial(rel, portion, context_seed, pack.bank)
+                        for connective, negated, plan, gold in slots:
+                            suffix = "-neg" if negated else ""
+                            for template in pack.templates.templates_for(request_type, negated):
+                                instances.append(instantiate(
+                                    request_type, template, target, rel, level, context, plan, gold,
+                                    pack=pack,
+                                    entity_keys=entity_keys,
+                                    portion=portion,
+                                    connective=connective,
+                                    mode=config.mode,
+                                    pre_instruction=pre_instruction,
+                                    instance_id=(
+                                        f"{len(instances):06d}-{pack.name}-{request_type.value}{suffix}"
                                         f"-{connective}-t{template.template_id}"
-                                    )
-                                    instances.append(
-                                        instantiate(
-                                            request_type,
-                                            template,
-                                            expr,
-                                            target,
-                                            rel,
-                                            level,
-                                            context_seed,
-                                            pack=pack,
-                                            portion=portion,
-                                            connective=connective,
-                                            mode=config.mode,
-                                            pre_instruction=(
-                                                make_pre_instruction(pack.entity_noun_plural)
-                                                if config.mode == "two_turn" else None
-                                            ),
-                                            instance_id=instance_id,
-                                            resamples=resamples,
-                                        )
-                                    )
-                                    seq += 1
+                                    ),
+                                    resamples=resamples,
+                                ))
     return instances
 
 

@@ -21,6 +21,13 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def read_text_and_digest(path: str | Path) -> tuple[str, str]:
+    """A UTF-8 file's text and the SHA-256 of its bytes, from one read. The
+    bytes are dropped on return, so a caller parsing the text holds one copy."""
+    data = Path(path).read_bytes()
+    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+
+
 def config_hash(config_payload: dict) -> str:
     canonical = json.dumps(config_payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()
@@ -50,12 +57,16 @@ def read_manifest(path: str | Path) -> dict:
         raise ManifestError(f"corrupt manifest {path}: {e}") from None
 
 
-def verify_manifest(manifest: dict, directory: str | Path) -> None:
-    """Recompute every digest the manifest claims; mismatches are tampering."""
+def verify_manifest(manifest: dict, directory: str | Path, known: dict[str, str] | None = None) -> None:
+    """Check every digest the manifest claims, taking it from `known` (file
+    name -> digest of bytes the caller already read) or else recomputing it;
+    mismatches are tampering."""
     for name, digest in manifest.get("files", {}).items():
-        target = Path(directory) / name
-        if not target.is_file():
-            raise ManifestError(f"manifest references missing file {name}")
-        actual = sha256_file(target)
+        actual = (known or {}).get(name)
+        if actual is None:
+            target = Path(directory) / name
+            if not target.is_file():
+                raise ManifestError(f"manifest references missing file {name}")
+            actual = sha256_file(target)
         if actual != digest:
             raise ManifestError(f"digest mismatch for {name}: manifest {digest[:12]}.., file {actual[:12]}..")

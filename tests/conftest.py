@@ -211,3 +211,18 @@ def tiny_soccer_pack(relation: Relation):
         numeric_target="Number",
         projection_attrs=("Name", "Club"),
     )
+
+
+def instantiate_one(request_type, template, expr, target, rel: Relation, level, seed, *, pack,
+                    instance_id: str = "single", **kwargs):
+    """One instance outside a suite: build and evaluate the plan, render the
+    context at `level`, and assemble them with `instantiate` as generate_suite
+    does."""
+    from tabbench.oracle import evaluate
+    from tabbench.requestgen import build_plan, instantiate
+    from tabbench.structurer import render
+
+    plan = build_plan(request_type, expr, target, rel, negated=template.negated)
+    return instantiate(request_type, template, target, rel, level,
+                       render(rel, level, seed, pack.bank), plan, evaluate(plan, rel),
+                       pack=pack, entity_keys=rel.keys(), instance_id=instance_id, **kwargs)

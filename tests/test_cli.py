@@ -309,6 +309,8 @@ def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):
 
 def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
     suite, results = _generated_and_run(runner, tmp_path)
+    # without its manifest the edited suite reaches the line check, not the digest check
+    (suite.parent / "suite.manifest.json").unlink()
     lines = suite.read_text(encoding="utf-8").splitlines()
     broken = json.loads(lines[1])
     del broken["gold"]
@@ -318,3 +320,22 @@ def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
                                   "--out", str(tmp_path / "eval")])
     [error] = _config_errors(result)
     assert str(suite) in error and "line 2" in error and "gold" in error
+
+
+def test_eval_rejects_suite_edited_after_generate(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["count"], pair_count=1)
+    suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
+                                "--out", str(results)]).exit_code == 0
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    edited = json.loads(lines[0])
+    edited["gold"] = {"kind": "number", "value": 999}
+    lines[0] = json.dumps(edited, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    eval_dir = tmp_path / "eval"
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(eval_dir)])
+    [error] = _config_errors(result)
+    assert "digest mismatch for suite.jsonl" in error
+    assert not eval_dir.exists()

@@ -20,10 +20,10 @@ from tabbench.evaluator import (
 )
 from tabbench.gateway import LossyOracle, PerfectOracle
 from tabbench.oracle import Condition, EQ, EntitySet, Witnessed
-from tabbench.requestgen import RequestType, SuiteConfig, generate_suite, instantiate
+from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.structurer import StructuringLevel, parse_table
 
-from conftest import tiny_soccer_pack
+from conftest import instantiate_one, tiny_soccer_pack
 
 
 @pytest.fixture
@@ -37,8 +37,8 @@ def make_instance(pack, rel, request_type, *, expr=None, target=None, negated=Fa
     if target is None:
         target = pack.target_for(request_type)
     template = pack.templates.templates_for(request_type, negated)[template_id]
-    instance = instantiate(request_type, template, expr, target, rel,
-                           StructuringLevel.TABLE, 0, pack=pack)
+    instance = instantiate_one(request_type, template, expr, target, rel,
+                               StructuringLevel.TABLE, 0, pack=pack)
     if gold is not None:
         instance = dataclasses.replace(instance, gold=gold)
     return instance

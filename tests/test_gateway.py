@@ -25,7 +25,7 @@ from tabbench.oracle import Condition, EQ, GT, EntitySet
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.structurer import StructuringLevel
 
-from conftest import tiny_soccer_pack
+from conftest import instantiate_one, tiny_soccer_pack
 
 
 @pytest.fixture
@@ -43,22 +43,18 @@ def _retrieval_instance(pack, f2, gold_keys, instance_id="r0"):
     """Instance with a hand-set gold entity set, for mock statistics."""
     import dataclasses
 
-    from tabbench.requestgen import instantiate
-
     template = pack.templates.templates_for(RequestType.RETRIEVAL)[0]
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
-    instance = instantiate(RequestType.RETRIEVAL, template, expr, (), f2,
-                           StructuringLevel.TABLE, 0, pack=pack, instance_id=instance_id)
+    instance = instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
+                               StructuringLevel.TABLE, 0, pack=pack, instance_id=instance_id)
     return dataclasses.replace(instance, gold=EntitySet(frozenset(gold_keys)))
 
 
 def test_perfect_oracle_count_format(pack, f2):
-    from tabbench.requestgen import instantiate
-
     template = pack.templates.templates_for(RequestType.COUNT)[0]
     expr = Condition("Number", EQ, "10", "number is 10")
-    instance = instantiate(RequestType.COUNT, template, expr, (), f2,
-                           StructuringLevel.TABLE, 0, pack=pack)
+    instance = instantiate_one(RequestType.COUNT, template, expr, (), f2,
+                               StructuringLevel.TABLE, 0, pack=pack)
     response = PerfectOracle().complete(instance)
     assert response.text == "ANSWER:\n2"
 
@@ -115,10 +111,8 @@ def test_perfect_oracle_takes_no_noise_arguments():
 
 
 def _instance(pack, f2, request_type, expr, negated=False):
-    from tabbench.requestgen import instantiate
-
     template = pack.templates.templates_for(request_type, negated=negated)[0]
-    return instantiate(request_type, template, expr, (), f2, StructuringLevel.TABLE, 0, pack=pack)
+    return instantiate_one(request_type, template, expr, (), f2, StructuringLevel.TABLE, 0, pack=pack)
 
 
 def test_lossy_flip_inverts_existence_verdict_and_keeps_rationale(pack, f2):
@@ -157,12 +151,10 @@ def test_compose_message_order(small_suite):
 
 
 def test_format_gold_negated_existence_answers_no(pack, f2):
-    from tabbench.requestgen import instantiate
-
     template = pack.templates.templates_for(RequestType.EXISTENCE, negated=True)[0]
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
-    instance = instantiate(RequestType.EXISTENCE, template, expr, (), f2,
-                           StructuringLevel.TABLE, 0, pack=pack)
+    instance = instantiate_one(RequestType.EXISTENCE, template, expr, (), f2,
+                               StructuringLevel.TABLE, 0, pack=pack)
     text = format_gold_response(instance)
     assert text.startswith("ANSWER:\nNo.")
     assert "Messi" in text
@@ -296,13 +288,11 @@ def test_run_suite_with_failing_remote_records_errors(stub_server, small_suite, 
 def test_two_turn_mock_passes_table_context(pack, f2):
     import dataclasses
 
-    from tabbench.requestgen import instantiate
-
     template = pack.templates.templates_for(RequestType.RETRIEVAL)[0]
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
-    instance = instantiate(RequestType.RETRIEVAL, template, expr, (), f2,
-                           StructuringLevel.TABLE, 0, pack=pack, mode="two_turn",
-                           pre_instruction="Create a table of soccer players.")
+    instance = instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
+                               StructuringLevel.TABLE, 0, pack=pack, mode="two_turn",
+                               pre_instruction="Create a table of soccer players.")
     response = complete(instance, PerfectOracle())
     assert response.text.startswith("ANSWER:")
 

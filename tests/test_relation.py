@@ -29,6 +29,20 @@ def test_load_csv_reference_rows(f1):
     assert f1.rows[0].numbers[f1.index("Number")] == 7.0
 
 
+def test_lookups_by_name_and_key_column(schema):
+    # key in the last column, so the key lookup cannot lean on position 0
+    keyed_last = (*schema[1:], schema[0])
+    rel = load_csv("Number,Club,Name,Nationality\n7,Juventus,Ronaldo ,Portugal\n", keyed_last, name="Soccer")
+    assert [rel.index(a.name) for a in keyed_last] == [0, 1, 2, 3]
+    assert rel.attribute("Club") is keyed_last[2]
+    assert rel.key_attr is keyed_last[3]
+    assert rel.key_of(rel.rows[0]) == "Ronaldo" and rel.keys() == ("Ronaldo",)
+    assert rel.value(rel.rows[0], "Club") == "Juventus"
+    for lookup in (rel.index, rel.attribute, lambda name: rel.value(rel.rows[0], name)):
+        with pytest.raises(UnknownAttributeError, match="^no attribute 'Stadium' in 'Soccer'$"):
+            lookup("Stadium")
+
+
 def test_load_csv_header_only_is_valid_empty(schema):
     rel = load_csv("Name,Number,Nationality,Club\n", schema)
     assert rel.rows == ()

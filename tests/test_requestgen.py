@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from tabbench import requestgen
 from tabbench.condgen import GenError
-from tabbench.oracle import AND, EQ, OR, And, Condition, Diff, Or, evaluate, plan_from_json
+from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, evaluate, plan_from_json
 from tabbench.requestgen import (
     CORE_TYPES,
     PromptTemplate,
@@ -17,13 +19,13 @@ from tabbench.requestgen import (
     generate_suite,
     instance_from_json,
     instance_to_json,
-    instantiate,
     load_suite,
     make_pre_instruction,
+    negation_variants,
 )
-from tabbench.structurer import StructuringLevel, render
+from tabbench.structurer import StructuringLevel, render, render_partial
 
-from conftest import eq, tiny_soccer_pack
+from conftest import eq, instantiate_one, tiny_soccer_pack
 
 
 @pytest.fixture
@@ -57,8 +59,8 @@ def test_template_requires_conditions_slot():
 def test_instantiate_retrieval_prompt(pack, f2):
     template = pack.templates.templates_for(RequestType.RETRIEVAL)[0]
     expr = retrieval_expr()
-    instance = instantiate(RequestType.RETRIEVAL, template, expr, (), f2,
-                           StructuringLevel.TABLE, 5, pack=pack)
+    instance = instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
+                               StructuringLevel.TABLE, 5, pack=pack)
     assert instance.prompt.startswith("Give me the soccer players with")
     for leaf in ("nationality is Argentina", "number is 10"):
         assert leaf in instance.prompt
@@ -70,8 +72,8 @@ def test_instantiate_retrieval_prompt(pack, f2):
 
 def test_instantiate_negated_existence_prompt(pack, f2):
     template = pack.templates.templates_for(RequestType.EXISTENCE, negated=True)[0]
-    instance = instantiate(RequestType.EXISTENCE, template, retrieval_expr(), (), f2,
-                           StructuringLevel.TABLE, 0, pack=pack)
+    instance = instantiate_one(RequestType.EXISTENCE, template, retrieval_expr(), (), f2,
+                               StructuringLevel.TABLE, 0, pack=pack)
     assert instance.prompt.startswith("Is it true that there are no")
     assert instance.plan.negated is True
     assert instance.negated is True
@@ -80,28 +82,28 @@ def test_instantiate_negated_existence_prompt(pack, f2):
 def test_instantiate_update_requires_target(pack, f2):
     template = pack.templates.templates_for(RequestType.UPDATE)[0]
     with pytest.raises(TemplateMismatchError):
-        instantiate(RequestType.UPDATE, template, retrieval_expr(), (), f2,
-                    StructuringLevel.TABLE, 0, pack=pack)
+        instantiate_one(RequestType.UPDATE, template, retrieval_expr(), (), f2,
+                        StructuringLevel.TABLE, 0, pack=pack)
 
 
 def test_instantiate_rejects_unexpected_target(pack, f2):
     template = pack.templates.templates_for(RequestType.COUNT)[0]
     with pytest.raises(TemplateMismatchError):
-        instantiate(RequestType.COUNT, template, retrieval_expr(), ("Number",), f2,
-                    StructuringLevel.TABLE, 0, pack=pack)
+        instantiate_one(RequestType.COUNT, template, retrieval_expr(), ("Number",), f2,
+                        StructuringLevel.TABLE, 0, pack=pack)
 
 
 def test_instantiate_type_template_mismatch(pack, f2):
     template = pack.templates.templates_for(RequestType.DELETION)[0]
     with pytest.raises(TemplateMismatchError):
-        instantiate(RequestType.RETRIEVAL, template, retrieval_expr(), (), f2,
-                    StructuringLevel.TABLE, 0, pack=pack)
+        instantiate_one(RequestType.RETRIEVAL, template, retrieval_expr(), (), f2,
+                        StructuringLevel.TABLE, 0, pack=pack)
 
 
 def test_update_template_zero_wording(pack, f2):
     template = pack.templates.templates_for(RequestType.UPDATE)[0]
-    instance = instantiate(RequestType.UPDATE, template, retrieval_expr(), ("Number",), f2,
-                           StructuringLevel.TABLE, 0, pack=pack)
+    instance = instantiate_one(RequestType.UPDATE, template, retrieval_expr(), ("Number",), f2,
+                               StructuringLevel.TABLE, 0, pack=pack)
     assert instance.prompt.startswith("Replace the uniform numbers of soccer players to N/A if")
 
 
@@ -226,3 +228,54 @@ def test_ablation_grid_reference_arithmetic():
     suite = generate_suite(rel, config, pack)
     assert len(suite) == 150
     assert {i.n_conditions for i in suite} == {1, 2, 3, 4, 5}
+
+
+# every level, partial mixes, two-turn mode, negated existence and diff
+PINNED_CONFIG = SuiteConfig(
+    pair_count=2,
+    request_types=(RequestType.EXISTENCE, RequestType.SUPERLATIVE, RequestType.DELETION),
+    connectives=(AND, OR, DIFF),
+    levels=tuple(StructuringLevel),
+    portions=(None, 0.0, 0.25, 0.5, 1.0),
+    seed=13,
+    mode="two_turn",
+)
+
+
+def test_suite_bytes_pinned(pack, f2):
+    """The digest was computed before generate_suite rendered each context
+    once per (level, portion) and evaluated each plan once per (connective,
+    negation), when it still rendered and evaluated per instance; the suite
+    text, instance order and ids must not move."""
+    text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
+    assert len(text.splitlines()) == 1440
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "8f4e69623a05db7b53ce8543a9a16134f1dcfabb2d5280ebcc8083e587649a1c"
+    )
+
+
+def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):
+    config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE, RequestType.COUNT),
+                         connectives=(AND, OR), n_conditions=(1, 2),
+                         levels=(StructuringLevel.NATURAL, StructuringLevel.TABLE),
+                         portions=(None, 0.5), seed=17)
+    expected = dump_suite(generate_suite(f2, config, pack))
+    calls = {"render": 0, "render_partial": 0, "evaluate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(requestgen, "render", counting("render", render))
+    monkeypatch.setattr(requestgen, "render_partial", counting("render_partial", render_partial))
+    monkeypatch.setattr(requestgen, "evaluate", counting("evaluate", evaluate))
+    assert dump_suite(generate_suite(f2, config, pack)) == expected
+
+    slots = len(config.request_types) * len(config.n_conditions) * config.pair_count
+    # one context per (type, n, pair, level, portion); one gold per (type, n, pair, connective, negation)
+    assert calls["render"] == slots * len(config.levels)
+    assert calls["render_partial"] == slots * len(config.levels)
+    assert calls["evaluate"] == len(config.n_conditions) * config.pair_count * len(config.connectives) * sum(
+        len(negation_variants(t)) for t in config.request_types)
