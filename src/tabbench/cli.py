@@ -63,6 +63,10 @@ class ConfigError(Exception):
         self.errors = errors
 
 
+def _not_utf8(path: Path, e: UnicodeDecodeError) -> ConfigError:
+    return ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"])
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     """One run's full configuration. Seeds are mandatory: no implicit entropy."""
@@ -108,6 +112,8 @@ def _validate(raw: dict) -> list[str]:
     for portion in raw.get("portions", ()):
         if portion not in PORTIONS:
             errors.append(f"portions: {portion!r} not in {PORTIONS}")
+    if raw.get("portions") and len(raw.get("levels", ())) > 1:
+        errors.append("portions: a partial mix has no structuring level, so it takes at most one level")
     if raw.get("mode", "surrogate") not in ("surrogate", "two_turn"):
         errors.append("mode: must be surrogate or two_turn")
     for model in raw.get("models", ()):
@@ -124,6 +130,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigError([f"config file not found: {path}"]) from None
     except json.JSONDecodeError as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
+    except UnicodeDecodeError as e:
+        raise _not_utf8(Path(path), e) from None
 
     errors = _validate(raw)
     if errors:
@@ -236,12 +244,15 @@ def generate(rel: Relation, config: HarnessConfig, pack: DatasetPack) -> list[Re
 
 def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
     """A suite file's instances and the SHA-256 of its bytes, from one read.
-    When suite.manifest.json sits beside it, the file must match the digest
-    recorded there (ManifestError otherwise)."""
-    text, digest = read_text_and_digest(path)
+    When suite.manifest.json sits beside it, the file, whatever its name, must
+    match the digest recorded there for suite.jsonl (ManifestError otherwise)."""
+    try:
+        text, digest = read_text_and_digest(path)
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
     manifest_path = path.with_name("suite.manifest.json")
     if manifest_path.is_file():
-        verify_manifest(read_manifest(manifest_path), path.parent, known={path.name: digest})
+        verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest})
     try:
         return load_suite(text), digest
     except SuiteFormatError as e:
@@ -255,8 +266,12 @@ def _read_results(path: Path) -> list[dict]:
     """The result objects of a results JSONL file, in file order; a line that
     is not one (a key missing or of the wrong type) raises ConfigError naming
     the file and the line."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from None
     records = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -467,12 +482,8 @@ def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns:
         request_type=RequestType.DELETION,
         template_id=0,
         connective=AND,
-        n_conditions=1,
         level=StructuringLevel.NATURAL,
         portion=None,
-        negated=False,
-        target=(),
-        expr=expr,
         plan=plan,
         prompt=pre + "\nOutput the table after the line ANSWER:, as a pipe table.",
         context=render(rel, StructuringLevel.NATURAL, seed, pack.bank),

@@ -23,7 +23,7 @@ from .answers import (
     TupleList,
     match_entities,
 )
-from .oracle import EntitySet, Exists, Number, RelationSnapshot, TupleSet, Witnessed
+from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .relation import normalize
 from .requestgen import RequestInstance, RequestType
 
@@ -178,17 +178,13 @@ def _score_deletion(instance, parsed, model):
     return _f1_record(instance, model, gold_keys, MatchResult(frozenset(), 0), unparsed=True)
 
 
-def _update_target_name(instance: RequestInstance) -> str:
-    return instance.target[0]
-
-
 def _score_update(instance, parsed, model):
     """Cell-level F1 on the target column: an entity counts as updated when its
     target cell reads N/A. Entities missing from the prediction count against
     recall when gold updates them. Damage to non-target cells is tallied as a
     diagnostic, not folded into the score."""
     gold: RelationSnapshot = instance.gold
-    target = _update_target_name(instance)
+    target = instance.plan.target_attr
     gold_rel = gold.relation
     target_idx = gold_rel.index(target)
     key_idx = gold_rel.index(gold_rel.key_attr.name)
@@ -264,8 +260,7 @@ def _score_count(instance, parsed, model):
 
 def _score_existence(instance, parsed, model):
     gold: Witnessed = instance.gold
-    negated = isinstance(instance.plan, Exists) and instance.plan.negated
-    expected = gold.value if not negated else not gold.value
+    expected = gold.value != instance.negated
     if not isinstance(parsed, Judgement):
         return _record(instance, model, 0.0, unparsed=True, extras={"rationale_accuracy": 0.0})
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import requests as _requests
 
-from .oracle import EntitySet, Exists, Number, RelationSnapshot, TupleSet, Witnessed
+from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .relation import Relation
 from .requestgen import RequestInstance
 from .seeding import rng_for
@@ -111,8 +111,7 @@ class LossyOracle:
         elif isinstance(gold, TupleSet):
             body = "\n".join(" | ".join(t) for t in sorted(gold.tuples) if rng.random() >= q)
         elif isinstance(gold, Witnessed):
-            negated = isinstance(instance.plan, Exists) and instance.plan.negated
-            spoken = gold.value != negated
+            spoken = gold.value != instance.negated
             if rng.random() < r:
                 spoken = not spoken
             if gold.witnesses:
@@ -259,16 +258,6 @@ def response_to_json(response: ModelResponse, model_id: str) -> dict:
         "model": model_id,
         "text": response.text,
     }
-
-
-def response_from_json(obj: dict) -> ModelResponse:
-    return ModelResponse(
-        request_id=obj["id"],
-        text=obj["text"],
-        error=obj["error"],
-        latency_ms=0.0,
-        attempts=obj["attempts"],
-    )
 
 
 def run_suite(

@@ -25,8 +25,6 @@ from .oracle import (
     PlanError,
     QueryPlan,
     evaluate,
-    expr_from_json,
-    expr_to_json,
     gold_from_json,
     gold_to_json,
     plan_from_json,
@@ -141,19 +139,17 @@ def template_pack_from_json(text: str) -> TemplatePack:
 
 @dataclass(frozen=True)
 class RequestInstance:
-    """One fully rendered benchmark prompt with its plan and gold answer."""
+    """One fully rendered benchmark prompt with its plan and gold answer. The
+    plan is the only record of what was asked: its conditions, target
+    attribute and negation are read from it, not stored beside it."""
 
     id: str
     dataset: str
     request_type: RequestType
     template_id: int
     connective: str
-    n_conditions: int
     level: StructuringLevel
     portion: float | None
-    negated: bool
-    target: tuple[str, ...]
-    expr: ConditionExpr
     plan: QueryPlan
     prompt: str
     context: str
@@ -162,6 +158,15 @@ class RequestInstance:
     entity_keys: tuple[str, ...]
     mode: str = "surrogate"
     resamples: int = 0
+
+    @property
+    def negated(self) -> bool:
+        """True for an existence question asked in its negated wording."""
+        return isinstance(self.plan, oracle.Exists) and self.plan.negated
+
+    @property
+    def n_conditions(self) -> int:
+        return len(oracle.leaf_conditions(self.plan.expr))
 
 
 def expr_phrase(rel: Relation, expr: ConditionExpr) -> str:
@@ -257,10 +262,9 @@ def instantiate(
         raise TemplateMismatchError(
             f"template is for {template.request_type.value}, not {request_type.value}"
         )
-    expr = plan.expr
     body = _fill_pattern(
         template.pattern,
-        conditions=expr_phrase(rel, expr),
+        conditions=expr_phrase(rel, plan.expr),
         target=target,
         rel=rel,
         noun=pack.entity_noun,
@@ -274,12 +278,8 @@ def instantiate(
         request_type=request_type,
         template_id=template.template_id,
         connective=connective,
-        n_conditions=len(oracle.leaf_conditions(expr)),
         level=level,
         portion=portion,
-        negated=template.negated,
-        target=tuple(target),
-        expr=expr,
         plan=plan,
         prompt=prompt,
         context=context,
@@ -397,20 +397,16 @@ def instance_to_json(instance: RequestInstance) -> dict:
         "context": instance.context,
         "dataset": instance.dataset,
         "entity_keys": list(instance.entity_keys),
-        "expr": expr_to_json(instance.expr),
         "gold": gold_to_json(instance.gold),
         "id": instance.id,
         "level": instance.level.value,
         "mode": instance.mode,
-        "n_conditions": instance.n_conditions,
-        "negated": instance.negated,
         "plan": plan_to_json(instance.plan),
         "portion": instance.portion,
         "pre_instruction": instance.pre_instruction,
         "prompt": instance.prompt,
         "request_type": instance.request_type.value,
         "resamples": instance.resamples,
-        "target": list(instance.target),
         "template_id": instance.template_id,
     }
 
@@ -422,12 +418,8 @@ def instance_from_json(obj: dict) -> RequestInstance:
         request_type=RequestType(obj["request_type"]),
         template_id=obj["template_id"],
         connective=obj["connective"],
-        n_conditions=obj["n_conditions"],
         level=StructuringLevel(obj["level"]),
         portion=obj["portion"],
-        negated=obj["negated"],
-        target=tuple(obj["target"]),
-        expr=expr_from_json(obj["expr"]),
         plan=plan_from_json(obj["plan"]),
         prompt=obj["prompt"],
         context=obj["context"],

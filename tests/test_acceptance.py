@@ -26,7 +26,6 @@ from tabbench.oracle import (
     AND,
     DIFF,
     PlanError,
-    brute_force_reference,
     evaluate,
 )
 from tabbench.relation import normalize, sample_entities
@@ -47,6 +46,7 @@ from tabbench.structurer import (
 )
 
 from conftest import PLAN_SHAPES, random_plan, random_relation
+from reference_oracle import brute_force_reference
 
 DATA = Path(__file__).parent / "data"
 

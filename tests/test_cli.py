@@ -339,3 +339,51 @@ def test_eval_rejects_suite_edited_after_generate(runner, tmp_path):
     [error] = _config_errors(result)
     assert "digest mismatch for suite.jsonl" in error
     assert not eval_dir.exists()
+
+
+def test_suite_copy_is_checked_against_the_manifest(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["count"], pair_count=1)
+    gen_dir, results = tmp_path / "gen", tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "perfect",
+                                "--out", str(results)]).exit_code == 0
+    lines = (gen_dir / "suite.jsonl").read_text(encoding="utf-8").splitlines()
+    copy = gen_dir / "copy.jsonl"
+    copy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    unedited = runner.invoke(main, ["eval", "--suite", str(copy), "--results", str(results),
+                                    "--out", str(tmp_path / "eval")])
+    assert unedited.exit_code == 0, unedited.output
+
+    edited = json.loads(lines[0])
+    edited["gold"] = {"kind": "number", "value": 999}
+    copy.write_text("\n".join([json.dumps(edited, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(copy), "--results", str(results),
+                                  "--out", str(tmp_path / "eval2")])
+    [error] = _config_errors(result)
+    assert "digest mismatch for suite.jsonl" in error
+    assert not (tmp_path / "eval2").exists()
+
+
+@pytest.mark.parametrize("stage,broken", [
+    ("generate", "config"), ("run", "suite"), ("eval", "suite"), ("eval", "results"),
+])
+def test_input_that_is_not_utf8_exits_2(runner, tmp_path, stage, broken):
+    suite, results = _generated_and_run(runner, tmp_path)
+    config = tmp_path / "config.json"
+    path = {"config": config, "suite": suite, "results": results}[broken]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    args = {
+        "generate": ["generate", "--config", str(config), "--out", str(tmp_path / "gen2")],
+        "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
+        "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+    }[stage]
+    [error] = _config_errors(runner.invoke(main, args))
+    assert str(path) in error and "not UTF-8" in error
+
+
+def test_portions_with_more_than_one_level_exit_2(runner, tmp_path):
+    config = write_config(tmp_path, levels=["natural", "table"], portions=[0.5])
+    result = runner.invoke(main, ["generate", "--config", str(config), "--out", str(tmp_path / "gen")])
+    [error] = _config_errors(result)
+    assert error.startswith("portions:")
+    assert not (tmp_path / "gen").exists()

@@ -192,7 +192,7 @@ def test_count_absolute_difference(pack, f2):
 def test_existence_case_study_scoring(pack, f2):
     """Correct rationale naming the witness, wrong verdict on the negated
     wording: judgement accuracy 0, rationale accuracy 1."""
-    gold = Witnessed(True, frozenset({"Kevin De Bruyne"}))
+    gold = Witnessed(frozenset({"Kevin De Bruyne"}))
     instance = make_instance(pack, f2, RequestType.EXISTENCE, negated=True, gold=gold)
     parsed = Judgement(
         value=True,
@@ -205,7 +205,7 @@ def test_existence_case_study_scoring(pack, f2):
 
 
 def test_existence_false_gold_rationale(pack, f2):
-    gold = Witnessed(False, frozenset())
+    gold = Witnessed(frozenset())
     instance = make_instance(pack, f2, RequestType.EXISTENCE, gold=gold)
     clean = Judgement(False, "Nothing in the table satisfies the conditions.")
     assert score(instance, clean).value == 1.0

@@ -17,7 +17,6 @@ from tabbench.gateway import (
     complete,
     compose_message,
     format_gold_response,
-    response_from_json,
     response_to_json,
     run_suite,
 )
@@ -192,8 +191,6 @@ def test_response_json_round_trip():
     response = ModelResponse("id9", text="ANSWER:\nok", error=None, latency_ms=4.2, attempts=2)
     payload = response_to_json(response, "m")
     assert "latency" not in json.dumps(payload)
-    again = response_from_json(payload)
-    assert (again.request_id, again.text, again.attempts) == ("id9", "ANSWER:\nok", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,10 +8,11 @@ import pytest
 
 from tabbench import requestgen
 from tabbench.condgen import GenError
-from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, evaluate, plan_from_json
+from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, Witnessed, evaluate, plan_from_json
 from tabbench.requestgen import (
     CORE_TYPES,
     PromptTemplate,
+    RequestInstance,
     RequestType,
     SuiteConfig,
     TemplateMismatchError,
@@ -172,7 +174,7 @@ def test_templates_share_conditions_across_wordings(pack, f2):
     for start in range(0, len(suite), 3):
         triple = suite[start : start + 3]
         assert {i.template_id for i in triple} == {0, 1, 2}
-        assert len({i.expr for i in triple}) == 1
+        assert len({i.plan.expr for i in triple}) == 1
         assert len({i.prompt for i in triple}) == 3
 
 
@@ -192,6 +194,22 @@ def test_instance_json_round_trip(pack, f2):
                          seed=6)
     for instance in generate_suite(f2, config, pack):
         assert instance_from_json(instance_to_json(instance)) == instance
+
+
+def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
+    names = {f.name for f in dataclasses.fields(RequestInstance)}
+    assert len(names) == 15 and not names & {"expr", "target", "n_conditions", "negated"}
+    assert [f.name for f in dataclasses.fields(Witnessed)] == ["witnesses"]
+    config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE,), connectives=(OR,),
+                         n_conditions=(3,), seed=4)
+    suite = generate_suite(f2, config, pack)
+    assert {i.negated for i in suite} == {False, True}
+    assert all(i.negated is i.plan.negated and i.n_conditions == 3 for i in suite)
+    assert all(i.gold.value is bool(i.gold.witnesses) for i in suite)
+    for line in dump_suite(suite).splitlines():
+        obj = json.loads(line)
+        assert not obj.keys() & {"expr", "target", "n_conditions", "negated"}
+        assert "value" not in obj["gold"]
 
 
 def test_suite_text_round_trip(pack, f2):
@@ -243,14 +261,16 @@ PINNED_CONFIG = SuiteConfig(
 
 
 def test_suite_bytes_pinned(pack, f2):
-    """The digest was computed before generate_suite rendered each context
-    once per (level, portion) and evaluated each plan once per (connective,
-    negation), when it still rendered and evaluated per instance; the suite
-    text, instance order and ids must not move."""
+    """The digest was computed from the suite of the commit before instances
+    stopped storing what their plan and gold already state: its dump of this
+    config with exactly the keys `expr`, `n_conditions`, `negated` and
+    `target` and the witnessed gold's `value` removed from each line, re-dumped
+    with sort_keys=True. The suite text, instance order and ids must not
+    move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "8f4e69623a05db7b53ce8543a9a16134f1dcfabb2d5280ebcc8083e587649a1c"
+        "668a726e13a4611aeb2e5d6fd57a5d24623e7916f250b12cd7d4fd5f95748f98"
     )
 
 
