@@ -89,8 +89,15 @@ class HarnessConfig:
         return dataclasses.asdict(self)
 
 
-def _validate(raw: dict) -> list[str]:
-    errors = []
+LIST_FIELDS = ("request_types", "connectives", "n_conditions", "levels", "portions", "models")
+
+
+def _validate(raw) -> list[str]:
+    if not isinstance(raw, dict):
+        return ["config: must be a JSON object"]
+    errors = [f"{name}: must be a list" for name in LIST_FIELDS if not isinstance(raw.get(name, []), list)]
+    if errors:
+        return errors
     if not raw.get("dataset"):
         errors.append("dataset: required (builtin name or pack directory)")
     if "seed" not in raw:
@@ -117,6 +124,9 @@ def _validate(raw: dict) -> list[str]:
     if raw.get("mode", "surrogate") not in ("surrogate", "two_turn"):
         errors.append("mode: must be surrogate or two_turn")
     for model in raw.get("models", ()):
+        if not isinstance(model, dict):
+            errors.append(f"models: entry {model!r} is not a JSON object")
+            continue
         for required in ("name", "endpoint", "model", "auth_env"):
             if not model.get(required):
                 errors.append(f"models: entry missing {required!r}")
@@ -262,14 +272,23 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
 RESULT_FIELDS = {"attempts": int, "error": str | None, "id": str, "model": str, "text": str | None}
 
 
-def _read_results(path: Path) -> list[dict]:
+def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
     """The result objects of a results JSONL file, in file order; a line that
     is not one (a key missing or of the wrong type) raises ConfigError naming
-    the file and the line."""
+    the file and the line. Given the digest of the suite being scored, a
+    manifest that run left beside the file (<name>.manifest.json) must record
+    the file's digest and that suite digest (ManifestError otherwise)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text, digest = read_text_and_digest(path)
     except UnicodeDecodeError as e:
         raise _not_utf8(path, e) from None
+    manifest_path = path.with_name(path.name + ".manifest.json")
+    if suite_digest is not None and manifest_path.is_file():
+        manifest = read_manifest(manifest_path)
+        verify_manifest(manifest, path.parent, known={path.name: digest})
+        if manifest.get("suite_digest") != suite_digest:
+            raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
+                                f"not the suite being scored ({suite_digest[:12]}..)")
     records = []
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -338,8 +357,8 @@ def cmd_eval(suite_path, results_paths, out_dir):
     records = []
     for results_path in results_paths:
         try:
-            payloads = _read_results(Path(results_path))
-        except (ConfigError, FileNotFoundError) as e:
+            payloads = _read_results(Path(results_path), suite_digest)
+        except (ConfigError, ManifestError, FileNotFoundError) as e:
             _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
             return
         for payload in payloads:

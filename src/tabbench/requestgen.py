@@ -390,6 +390,11 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 # Suite serialization (JSONL, one instance per line, canonical key order)
 # ---------------------------------------------------------------------------
 
+# Fields whose values repeat across a suite: the facts are fixed and only the
+# wording, connective and structuring level vary, so one context, gold and key
+# list serve many instances. dump_suite states each distinct value once.
+SHARED_FIELDS = ("context", "entity_keys", "gold")
+
 
 def instance_to_json(instance: RequestInstance) -> dict:
     return {
@@ -411,7 +416,11 @@ def instance_to_json(instance: RequestInstance) -> dict:
     }
 
 
-def instance_from_json(obj: dict) -> RequestInstance:
+def instance_from_json(obj: dict, shared: dict | None = None) -> RequestInstance:
+    """The instance instance_to_json wrote. `shared` maps some of
+    SHARED_FIELDS to values already decoded for another instance; they are
+    taken as they are, in place of obj's own."""
+    shared = shared or {}
     return RequestInstance(
         id=obj["id"],
         dataset=obj["dataset"],
@@ -422,26 +431,56 @@ def instance_from_json(obj: dict) -> RequestInstance:
         portion=obj["portion"],
         plan=plan_from_json(obj["plan"]),
         prompt=obj["prompt"],
-        context=obj["context"],
+        context=shared.get("context", obj["context"]),
         pre_instruction=obj["pre_instruction"],
-        gold=gold_from_json(obj["gold"]),
-        entity_keys=tuple(obj["entity_keys"]),
+        gold=shared["gold"] if "gold" in shared else gold_from_json(obj["gold"]),
+        entity_keys=tuple(shared.get("entity_keys", obj["entity_keys"])),
         mode=obj["mode"],
         resamples=obj.get("resamples", 0),
     )
 
 
 def dump_suite(instances: list[RequestInstance]) -> str:
-    return "".join(json.dumps(instance_to_json(i), sort_keys=True) + "\n" for i in instances)
+    """Suite JSONL: one instance_to_json object per line, keys sorted. For each
+    of SHARED_FIELDS, the first line with a given value (equal canonical JSON)
+    states it in full; a later line with an equal value holds
+    {"same_as": <id of that first line>} instead."""
+    first: dict[tuple[str, str], str] = {}
+    lines = []
+    for instance in instances:
+        obj = instance_to_json(instance)
+        for field in SHARED_FIELDS:
+            source = first.setdefault((field, json.dumps(obj[field], sort_keys=True)), instance.id)
+            if source != instance.id:
+                obj[field] = {"same_as": source}
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 def load_suite(text: str) -> list[RequestInstance]:
-    instances = []
+    """The instances of a suite, in file order. A {"same_as": id} field takes
+    that field's value from the earlier instance with that id, as the same
+    object, so each distinct context, gold and key list is decoded and held
+    once. A line stating every value in full loads as it is."""
+    instances: list[RequestInstance] = []
+    by_id: dict[str, RequestInstance] = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            instances.append(instance_from_json(json.loads(line)))
+            obj = json.loads(line)
+            shared = {}
+            for field in SHARED_FIELDS:
+                value = obj[field]
+                if isinstance(value, dict) and value.keys() == {"same_as"}:
+                    source = by_id.get(value["same_as"])
+                    if source is None:
+                        raise SuiteFormatError(f"line {number}: {field} is the same as {value['same_as']!r}, "
+                                               f"an id that no earlier line has")
+                    shared[field] = getattr(source, field)
+            instance = instance_from_json(obj, shared)
         except (ValueError, KeyError, TypeError, PlanError, SchemaError) as e:
             raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
+        instances.append(instance)
+        by_id.setdefault(instance.id, instance)
     return instances

@@ -50,11 +50,14 @@ def write_manifest(path: str | Path, *, config_digest: str, files: dict[str, Pat
 
 def read_manifest(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ManifestError(f"missing manifest {path}") from None
     except json.JSONDecodeError as e:
         raise ManifestError(f"corrupt manifest {path}: {e}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files", {}), dict):
+        raise ManifestError(f"corrupt manifest {path}: not an object with a files object")
+    return manifest
 
 
 def verify_manifest(manifest: dict, directory: str | Path, known: dict[str, str] | None = None) -> None:

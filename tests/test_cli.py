@@ -107,6 +107,8 @@ def test_eval_rejects_unknown_result_ids(runner, tmp_path):
     runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)])
     runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "perfect",
                          "--out", str(results)])
+    # without its manifest the edited results reach the id check, not the digest check
+    (tmp_path / "results.jsonl.manifest.json").unlink()
     with open(results, "a", encoding="utf-8") as f:
         f.write(json.dumps({"id": "ghost", "model": "m", "text": "ANSWER:\nx",
                             "error": None, "attempts": 1}) + "\n")
@@ -277,6 +279,7 @@ def _config_errors(result) -> list[str]:
 
 def test_eval_truncated_results_line_exits_2(runner, tmp_path):
     suite, results = _generated_and_run(runner, tmp_path)
+    results.with_name("results.jsonl.manifest.json").unlink()
     _truncate_last_line(results)
     lines = len(results.read_text().splitlines())
     result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
@@ -296,6 +299,7 @@ def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
 
 def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):
     suite, results = _generated_and_run(runner, tmp_path)
+    results.with_name("results.jsonl.manifest.json").unlink()
     lines = results.read_text(encoding="utf-8").splitlines()
     broken = json.loads(lines[0])
     broken["text"] = 5
@@ -320,6 +324,72 @@ def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
                                   "--out", str(tmp_path / "eval")])
     [error] = _config_errors(result)
     assert str(suite) in error and "line 2" in error and "gold" in error
+
+
+@pytest.mark.parametrize("ref", ["nowhere", "later"])
+def test_eval_suite_ref_to_an_id_not_read_earlier_exits_2(runner, tmp_path, ref):
+    suite, results = _generated_and_run(runner, tmp_path)
+    (suite.parent / "suite.manifest.json").unlink()
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(lines[1])
+    broken["context"] = {"same_as": json.loads(lines[2])["id"] if ref == "later" else ref}
+    lines[1] = json.dumps(broken, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(suite) in error and "line 2: context is the same as" in error
+
+
+def test_eval_rejects_results_of_another_suite(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["count"], pair_count=2)
+    suites = {seed: tmp_path / f"gen{seed}" / "suite.jsonl" for seed in (1, 2)}
+    for seed, suite in suites.items():
+        assert runner.invoke(main, ["generate", "--config", str(config), "--seed", str(seed),
+                                    "--out", str(suite.parent)]).exit_code == 0
+    results = tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["run", "--suite", str(suites[1]), "--model", "perfect",
+                                "--out", str(results)]).exit_code == 0
+    ids = [[json.loads(line)["id"] for line in s.read_text().splitlines()] for s in suites.values()]
+    assert ids[0] == ids[1]
+
+    matching = runner.invoke(main, ["eval", "--suite", str(suites[1]), "--results", str(results),
+                                    "--out", str(tmp_path / "eval1")])
+    assert matching.exit_code == 0, matching.output
+    crossed = runner.invoke(main, ["eval", "--suite", str(suites[2]), "--results", str(results),
+                                   "--out", str(tmp_path / "eval2")])
+    [error] = _config_errors(crossed)
+    assert str(results) in error and "not the suite being scored" in error
+    assert not (tmp_path / "eval2").exists()
+
+
+@pytest.mark.parametrize("edited,message", [
+    ("results", "digest mismatch for results.jsonl"),
+    ("manifest", "corrupt manifest"),
+])
+def test_eval_rejects_results_or_manifest_edited_after_run(runner, tmp_path, edited, message):
+    suite, results = _generated_and_run(runner, tmp_path)
+    if edited == "results":
+        results.write_text(results.read_text(encoding="utf-8").replace("ANSWER", "answer"), encoding="utf-8")
+    else:
+        results.with_name("results.jsonl.manifest.json").write_text("[]\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert message in error
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([], "config: must be a JSON object"),
+    ({"dataset": "soccer", "seed": 1, "models": [5]}, "models: entry 5 is not a JSON object"),
+    ({"dataset": "soccer", "seed": 1, "request_types": 5}, "request_types: must be a list"),
+])
+def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["generate", "--config", str(config), "--out", str(tmp_path / "gen")])
+    assert _config_errors(result) == [message]
+    assert not (tmp_path / "gen").exists()
 
 
 def test_eval_rejects_suite_edited_after_generate(runner, tmp_path):

@@ -14,6 +14,7 @@ from tabbench.requestgen import (
     PromptTemplate,
     RequestInstance,
     RequestType,
+    SHARED_FIELDS,
     SuiteConfig,
     TemplateMismatchError,
     dump_suite,
@@ -181,8 +182,8 @@ def test_templates_share_conditions_across_wordings(pack, f2):
 def test_gold_reproducible_from_serialized_plan(pack, f2):
     config = SuiteConfig(pair_count=2, request_types=CORE_TYPES, seed=2)
     suite = generate_suite(f2, config, pack)
-    for line in dump_suite(suite).splitlines():
-        payload = json.loads(line)
+    for instance in load_suite(dump_suite(suite)):
+        payload = instance_to_json(instance)
         plan = plan_from_json(payload["plan"])
         from tabbench.oracle import gold_to_json
 
@@ -216,6 +217,41 @@ def test_suite_text_round_trip(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.SUPERLATIVE,), seed=4)
     suite = generate_suite(f2, config, pack)
     assert load_suite(dump_suite(suite)) == suite
+
+
+def test_suite_states_each_shared_value_once(pack, f2):
+    config = SuiteConfig(pair_count=2, request_types=(RequestType.DELETION, RequestType.EXISTENCE),
+                         levels=(StructuringLevel.NATURAL, StructuringLevel.TABLE), seed=4)
+    suite = generate_suite(f2, config, pack)
+    text = dump_suite(suite)
+    full = "".join(json.dumps(instance_to_json(i), sort_keys=True) + "\n" for i in suite)
+    assert len(text) < len(full)
+    # a suite with every value in full, as written before refs, loads to the same instances
+    loaded = load_suite(text)
+    assert loaded == load_suite(full)
+
+    first_id: dict[tuple[str, str], str] = {}
+    for line, instance in zip(text.splitlines(), suite):
+        obj = json.loads(line)
+        full_obj = instance_to_json(instance)
+        assert obj.keys() == full_obj.keys()
+        for key, value in obj.items():
+            if key not in SHARED_FIELDS:
+                assert value == full_obj[key]
+                continue
+            canonical = json.dumps(full_obj[key], sort_keys=True)
+            source = first_id.setdefault((key, canonical), instance.id)
+            assert value == (full_obj[key] if source == instance.id else {"same_as": source})
+    assert {key for key, _ in first_id} == set(SHARED_FIELDS)
+
+    # equal values are one object after loading
+    for field in SHARED_FIELDS:
+        objects = {}
+        for instance in loaded:
+            value = getattr(instance, field)
+            assert objects.setdefault(json.dumps(instance_to_json(instance)[field], sort_keys=True),
+                                      value) is value
+        assert len(objects) < len(loaded)
 
 
 def test_suite_ordering_matches_ids(pack, f2):
@@ -261,16 +297,16 @@ PINNED_CONFIG = SuiteConfig(
 
 
 def test_suite_bytes_pinned(pack, f2):
-    """The digest was computed from the suite of the commit before instances
-    stopped storing what their plan and gold already state: its dump of this
-    config with exactly the keys `expr`, `n_conditions`, `negated` and
-    `target` and the witnessed gold's `value` removed from each line, re-dumped
-    with sort_keys=True. The suite text, instance order and ids must not
-    move."""
+    """The digest was computed from the suite of the commit before shared
+    values were written once (digest 668a726e...8f98): walking its dump of
+    this config in order, a `context`, `entity_keys` or `gold` value whose
+    json.dumps(..., sort_keys=True) an earlier line already had became
+    {"same_as": <id of the first such line>}, and each line was re-dumped with
+    sort_keys=True. The suite text, instance order and ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "668a726e13a4611aeb2e5d6fd57a5d24623e7916f250b12cd7d4fd5f95748f98"
+        "4220b818a33fa018f4181e9b518791e4a0c5e6784f188683514d262b029b6fd6"
     )
 
 
