@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .relation import Relation, normalize
-from .requestgen import RequestType
+from .requesttypes import ENTITIES, NUMBER, ROWS, TABLE, TUPLES, VERDICT, RequestType
 from .structurer import NoTableError, is_separator_row, parse_table, split_pipe_line
 
 
@@ -86,47 +86,58 @@ def _pipe_tuples(block: str) -> tuple[tuple[str, ...], ...]:
                  if cells and any(cells) and not is_separator_row(cells))
 
 
+def _entities(block: str) -> ParsedAnswer:
+    return EntityList(_entity_lines(block))
+
+
+def _table(block: str) -> ParsedAnswer:
+    try:
+        return TableSnapshot(parse_table(block))
+    except NoTableError:
+        return Unparseable("answer contains no table")
+
+
+def _number(block: str) -> ParsedAnswer:
+    matches = _NUMBER.findall(block)
+    if not matches:
+        return Unparseable("no number in answer")
+    return NumberAnswer(float(matches[-1].replace(",", "")))
+
+
+def _verdict(block: str) -> ParsedAnswer:
+    match = _VERDICT.match(block.strip())
+    if not match:
+        return Unparseable("no yes/no verdict in answer")
+    rationale = block.strip()[match.end():].lstrip(" \t.,:;!-")
+    return Judgement(value=match.group(1).lower() == "yes", rationale=rationale)
+
+
+def _tuples(block: str) -> ParsedAnswer:
+    tuples = _pipe_tuples(block)
+    if not tuples:
+        tuples = tuple(
+            tuple(normalize(c) for c in line.split(","))
+            for line in block.splitlines()
+            if line.strip()
+        )
+    return TupleList(tuples)
+
+
+_PARSERS = {ENTITIES: _entities, TABLE: _table, NUMBER: _number, VERDICT: _verdict, TUPLES: _tuples}
+
+
 def parse(response: str | None, request_type: RequestType) -> ParsedAnswer:
-    """Extract the typed answer a request shape expects from a raw response."""
+    """Extract the typed answer a request shape expects from a raw response:
+    the first of its row's answer formats that reads, else the last one's
+    Unparseable."""
     if response is None:
         return Unparseable("no response text")
     block = _answer_block(response)
-
-    if request_type in (RequestType.RETRIEVAL, RequestType.SUPERLATIVE):
-        return EntityList(_entity_lines(block))
-
-    if request_type in (RequestType.DELETION, RequestType.UPDATE):
-        try:
-            return TableSnapshot(parse_table(block))
-        except NoTableError:
-            if request_type is RequestType.DELETION:
-                return EntityList(_entity_lines(block))
-            return Unparseable("update answer contains no table")
-
-    if request_type in (RequestType.SUM, RequestType.COUNT):
-        matches = _NUMBER.findall(block)
-        if not matches:
-            return Unparseable("no number in answer")
-        return NumberAnswer(float(matches[-1].replace(",", "")))
-
-    if request_type is RequestType.EXISTENCE:
-        match = _VERDICT.match(block.strip())
-        if not match:
-            return Unparseable("no yes/no verdict in answer")
-        rationale = block.strip()[match.end():].lstrip(" \t.,:;!-")
-        return Judgement(value=match.group(1).lower() == "yes", rationale=rationale)
-
-    if request_type is RequestType.PROJECTION:
-        tuples = _pipe_tuples(block)
-        if not tuples:
-            tuples = tuple(
-                tuple(normalize(c) for c in line.split(","))
-                for line in block.splitlines()
-                if line.strip()
-            )
-        return TupleList(tuples)
-
-    return Unparseable(f"no parser for request type {request_type!r}")
+    for answer in ROWS[request_type].answers:
+        parsed = _PARSERS[answer](block)
+        if not isinstance(parsed, Unparseable):
+            break
+    return parsed
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,15 @@ from .gateway import (
 from .oracle import AND, CONNECTIVES, Condition, Delete, EQ, OR, evaluate
 from .relation import Relation, sample_entities
 from .requestgen import (
-    CORE_TYPES,
+    TEMPLATES_PER_TYPE,
     RequestInstance,
-    RequestType,
     SuiteConfig,
     SuiteFormatError,
     dump_suite,
     load_suite,
     make_pre_instruction,
 )
+from .requesttypes import CORE_TYPES, ROWS, RequestType
 from .runio import (
     ManifestError,
     config_hash,
@@ -98,26 +98,25 @@ def _validate(raw) -> list[str]:
     errors = [f"{name}: must be a list" for name in LIST_FIELDS if not isinstance(raw.get(name, []), list)]
     if errors:
         return errors
-    if not raw.get("dataset"):
+    if not raw.get("dataset") or not isinstance(raw["dataset"], str):
         errors.append("dataset: required (builtin name or pack directory)")
     if "seed" not in raw:
         errors.append("seed: required, runs must not draw implicit entropy")
-    elif not isinstance(raw["seed"], int):
+    elif type(raw["seed"]) is not int:
         errors.append("seed: must be an integer")
     for field_name in ("sample_n", "pair_count", "min_support", "max_resample"):
-        if field_name in raw and (not isinstance(raw[field_name], int) or raw[field_name] < 0):
+        if field_name in raw and (type(raw[field_name]) is not int or raw[field_name] < 0):
             errors.append(f"{field_name}: must be a non-negative integer")
-    for t in raw.get("request_types", ()):
-        if t not in {x.value for x in RequestType}:
-            errors.append(f"request_types: unknown type {t!r}")
-    for c in raw.get("connectives", ()):
-        if c not in CONNECTIVES:
-            errors.append(f"connectives: unknown connective {c!r}")
-    for level in raw.get("levels", ()):
-        if level not in {x.value for x in StructuringLevel}:
-            errors.append(f"levels: unknown level {level!r}")
+    for n in raw.get("n_conditions", ()):
+        if type(n) is not int or n < 1:
+            errors.append(f"n_conditions: {n!r} is not a positive integer")
+    for field_name, allowed in (("request_types", {x.value for x in RequestType}), ("connectives", CONNECTIVES),
+                                ("levels", {x.value for x in StructuringLevel})):
+        for value in raw.get(field_name, ()):
+            if not isinstance(value, str) or value not in allowed:
+                errors.append(f"{field_name}: unknown value {value!r}")
     for portion in raw.get("portions", ()):
-        if portion not in PORTIONS:
+        if isinstance(portion, bool) or portion not in PORTIONS:
             errors.append(f"portions: {portion!r} not in {PORTIONS}")
     if raw.get("portions") and len(raw.get("levels", ())) > 1:
         errors.append("portions: a partial mix has no structuring level, so it takes at most one level")
@@ -374,7 +373,7 @@ def cmd_eval(suite_path, results_paths, out_dir):
         grouping = (*grouping, "portion")
     rows = evaluator.aggregate(records, grouping)
     for row in rows:
-        if row.templates < 3:
+        if row.templates < TEMPLATES_PER_TYPE:
             click.echo(f"coverage warning: {dict(row.group)} has only {row.templates} template(s)", err=True)
 
     out = Path(out_dir)
@@ -420,7 +419,7 @@ def _maybe_compare(rows):
     def cells(level):
         return [
             {"model": str(r.key("model")), "request_type": str(r.key("request_type")),
-             "metric": evaluator.METRIC_FOR_TYPE[RequestType(r.key("request_type"))], "mean": r.mean}
+             "metric": ROWS[RequestType(r.key("request_type"))].metric, "mean": r.mean}
             for r in rows
             if str(r.key("level")) == level
         ]
@@ -498,7 +497,6 @@ def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns:
     return RequestInstance(
         id=f"probe-{pack.name}-{'cols' if with_columns else 'nocols'}",
         dataset=pack.name,
-        request_type=RequestType.DELETION,
         template_id=0,
         connective=AND,
         level=StructuringLevel.NATURAL,

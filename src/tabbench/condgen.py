@@ -189,9 +189,3 @@ def draw_condition_set(
     raise UnsatisfiableConditionsError(
         f"no supported condition set after {policy.max_resample} resamples"
     )
-
-
-def sample_condition_set(rel: Relation, policy: ConditionPolicy, connective: str, seed: int) -> ConditionExpr:
-    """One supported expression under a single connective."""
-    exprs, _, _ = draw_condition_set(rel, policy, (connective,), seed)
-    return exprs[connective]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .condgen import GenError
 from .relation import AttributeSpec, Relation, load_csv, schema_from_json
-from .requestgen import TARGETED_TYPES, RequestType, TemplatePack, template_pack_from_json
+from .requestgen import TemplatePack, template_pack_from_json
+from .requesttypes import MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType
 from .structurer import PhraseBank, bank_from_json
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -38,11 +39,8 @@ class DatasetPack:
 
     def target_for(self, request_type: RequestType) -> tuple[str, ...]:
         """Default target attributes for plan shapes that need them."""
-        if request_type in TARGETED_TYPES:
-            return (self.numeric_target,)
-        if request_type is RequestType.PROJECTION:
-            return self.projection_attrs
-        return ()
+        return {NO_TARGET: (), ONE_TARGET: (self.numeric_target,),
+                MANY_TARGETS: self.projection_attrs}[ROWS[request_type].targets]
 
     def column_phrases(self) -> tuple[str, ...]:
         return tuple(a.canonical_phrase for a in self.schema)

@@ -25,7 +25,8 @@ from .answers import (
 )
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .relation import normalize
-from .requestgen import RequestInstance, RequestType
+from .requestgen import RequestInstance
+from .requesttypes import ROWS, RequestType
 
 
 class ReportError(Exception):
@@ -35,17 +36,6 @@ class ReportError(Exception):
 class UnalignedError(ReportError):
     pass
 
-
-METRIC_FOR_TYPE = {
-    RequestType.RETRIEVAL: "f1",
-    RequestType.DELETION: "f1",
-    RequestType.UPDATE: "f1",
-    RequestType.PROJECTION: "f1",
-    RequestType.SUPERLATIVE: "accuracy",
-    RequestType.SUM: "accuracy",
-    RequestType.EXISTENCE: "accuracy",
-    RequestType.COUNT: "abs_diff",
-}
 
 # metrics where higher is better; abs_diff is the lower-is-better exception
 SCORE_METRICS = ("f1", "accuracy")
@@ -101,7 +91,7 @@ def _record(instance: RequestInstance, model: str, value: float, *, unparsed=Fal
         n_conditions=instance.n_conditions,
         portion=instance.portion,
         negated=instance.negated,
-        metric=METRIC_FOR_TYPE[instance.request_type],
+        metric=ROWS[instance.request_type].metric,
         value=value,
         unparsed=unparsed,
         dropped_names=dropped,
@@ -110,28 +100,15 @@ def _record(instance: RequestInstance, model: str, value: float, *, unparsed=Fal
     )
 
 
-def _snapshot_keys(snapshot, instance: RequestInstance) -> MatchResult:
+def _snapshot_keys(snapshot, key_name: str, instance: RequestInstance) -> MatchResult:
     """Keys present in a predicted table, matched against the instance's entities.
 
-    The key column is found by header name against the gold snapshot's key
-    attribute; a table without that header falls back to its first column."""
+    The key column is found by header name against `key_name`; a table
+    without that header falls back to its first column."""
     rel = snapshot.relation
-    key_name = _gold_key_name(instance)
-    key_col = 0
-    if key_name:
-        for i, attr in enumerate(rel.schema):
-            if normalize(attr.name) == normalize(key_name):
-                key_col = i
-                break
+    key_col = next((i for i, attr in enumerate(rel.schema) if normalize(attr.name) == normalize(key_name)), 0)
     names = tuple(normalize(r.values[key_col]) for r in rel.rows)
     return match_entities(EntityList(names), instance.entity_keys)
-
-
-def _gold_key_name(instance: RequestInstance) -> str:
-    gold = instance.gold
-    if isinstance(gold, RelationSnapshot):
-        return gold.relation.key_attr.name
-    return ""
 
 
 def _f1_record(instance: RequestInstance, model: str, gold_keys: frozenset[str],
@@ -170,7 +147,7 @@ def _score_deletion(instance, parsed, model):
     gold: RelationSnapshot = instance.gold
     gold_keys = frozenset(gold.relation.keys())
     if isinstance(parsed, TableSnapshot):
-        match = _snapshot_keys(parsed, instance)
+        match = _snapshot_keys(parsed, gold.relation.key_attr.name, instance)
         return _f1_record(instance, model, gold_keys, match)
     if isinstance(parsed, EntityList):
         match = match_entities(parsed, instance.entity_keys)

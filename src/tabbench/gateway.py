@@ -135,11 +135,6 @@ class PerfectOracle(LossyOracle):
         super().__init__()
 
 
-def format_gold_response(instance: RequestInstance) -> str:
-    """The ideal response text for an instance, following its answer footer."""
-    return PerfectOracle().complete(instance).text
-
-
 class RemoteModel:
     """Chat-completions adapter: messages array, model id, temperature.
 

@@ -6,8 +6,8 @@ code with it (`tests/reference_oracle.py`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_args
 
 from .relation import DuplicateKeyError, Relation, Row, UnknownAttributeError, normalize, parse_number
 
@@ -100,19 +100,25 @@ def leaf_conditions(expr: ConditionExpr) -> list[Condition]:
 # Query plans
 # ---------------------------------------------------------------------------
 
+# Each plan class names its JSON form in `kind`; requesttypes maps it to the
+# request type it asks.
+
 
 @dataclass(frozen=True)
 class Retrieve:
+    kind: ClassVar[str] = "retrieve"
     expr: ConditionExpr
 
 
 @dataclass(frozen=True)
 class Delete:
+    kind: ClassVar[str] = "delete"
     expr: ConditionExpr
 
 
 @dataclass(frozen=True)
 class Update:
+    kind: ClassVar[str] = "update"
     target_attr: str
     replacement: str
     expr: ConditionExpr
@@ -120,17 +126,20 @@ class Update:
 
 @dataclass(frozen=True)
 class Count:
+    kind: ClassVar[str] = "count"
     expr: ConditionExpr
 
 
 @dataclass(frozen=True)
 class Sum:
+    kind: ClassVar[str] = "sum"
     target_attr: str
     expr: ConditionExpr
 
 
 @dataclass(frozen=True)
 class Superlative:
+    kind: ClassVar[str] = "superlative"
     target_attr: str
     direction: str  # "max" | "min"
     tiebreak_attr: str
@@ -143,12 +152,14 @@ class Superlative:
 
 @dataclass(frozen=True)
 class Exists:
+    kind: ClassVar[str] = "exists"
     expr: ConditionExpr
     negated: bool = False
 
 
 @dataclass(frozen=True)
 class Project:
+    kind: ClassVar[str] = "project"
     attrs: tuple[str, ...]
     expr: ConditionExpr
 
@@ -382,48 +393,39 @@ def expr_from_json(obj: dict) -> ConditionExpr:
 
 
 def plan_to_json(plan: QueryPlan) -> dict:
-    if isinstance(plan, Retrieve):
-        return {"expr": expr_to_json(plan.expr), "kind": "retrieve"}
-    if isinstance(plan, Delete):
-        return {"expr": expr_to_json(plan.expr), "kind": "delete"}
-    if isinstance(plan, Update):
-        return {"expr": expr_to_json(plan.expr), "kind": "update",
-                "replacement": plan.replacement, "target_attr": plan.target_attr}
-    if isinstance(plan, Count):
-        return {"expr": expr_to_json(plan.expr), "kind": "count"}
-    if isinstance(plan, Sum):
-        return {"expr": expr_to_json(plan.expr), "kind": "sum", "target_attr": plan.target_attr}
-    if isinstance(plan, Superlative):
-        return {"direction": plan.direction, "expr": expr_to_json(plan.expr), "kind": "superlative",
-                "target_attr": plan.target_attr, "tiebreak_attr": plan.tiebreak_attr}
-    if isinstance(plan, Exists):
-        return {"expr": expr_to_json(plan.expr), "kind": "exists", "negated": plan.negated}
-    if isinstance(plan, Project):
-        return {"attrs": list(plan.attrs), "expr": expr_to_json(plan.expr), "kind": "project"}
-    raise PlanError(f"unknown plan {plan!r}")
+    """The plan's kind and its fields by name, tuples as lists."""
+    obj = {"kind": plan.kind}
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        obj[f.name] = expr_to_json(value) if f.name == "expr" else list(value) if isinstance(value, tuple) else value
+    return obj
+
+
+_PLAN_CLASSES = {cls.kind: cls for cls in get_args(QueryPlan)}
+_SCALAR_FIELDS = {"str": str, "bool": bool}
 
 
 def plan_from_json(obj: dict) -> QueryPlan:
-    kind = obj["kind"]
-    expr = expr_from_json(obj["expr"])
-    if kind == "retrieve":
-        return Retrieve(expr)
-    if kind == "delete":
-        return Delete(expr)
-    if kind == "update":
-        return Update(target_attr=obj["target_attr"], replacement=obj["replacement"], expr=expr)
-    if kind == "count":
-        return Count(expr)
-    if kind == "sum":
-        return Sum(target_attr=obj["target_attr"], expr=expr)
-    if kind == "superlative":
-        return Superlative(target_attr=obj["target_attr"], direction=obj["direction"],
-                           tiebreak_attr=obj["tiebreak_attr"], expr=expr)
-    if kind == "exists":
-        return Exists(expr, negated=bool(obj.get("negated", False)))
-    if kind == "project":
-        return Project(tuple(obj["attrs"]), expr)
-    raise PlanError(f"unknown plan kind {kind!r}")
+    """The plan plan_to_json wrote. Every field of its kind's class must be
+    there, and no other, each of the type the class declares."""
+    cls = _PLAN_CLASSES.get(obj["kind"])
+    if cls is None:
+        raise PlanError(f"unknown plan kind {obj['kind']!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    if obj.keys() != {"kind", *declared}:
+        raise PlanError(f"{cls.kind} plan has the fields {sorted(declared)}, not {sorted(obj.keys() - {'kind'})}")
+    values = {}
+    for name, annotation in declared.items():
+        value = obj[name]
+        if annotation == "ConditionExpr":
+            values[name] = expr_from_json(value)
+        elif annotation == "tuple[str, ...]" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+            values[name] = tuple(value)
+        elif type(value) is _SCALAR_FIELDS.get(annotation):
+            values[name] = value
+        else:
+            raise PlanError(f"{cls.kind} plan: {name} must be a {annotation}, not {value!r}")
+    return cls(**values)
 
 
 def gold_to_json(gold: GoldAnswer) -> dict:

@@ -166,23 +166,6 @@ class Relation:
     def value(self, row: Row, attr: str) -> str:
         return row.values[self.index(attr)]
 
-    def to_csv(self) -> str:
-        """RFC-4180 CSV with header row, in schema order."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.attribute_names)
-        for row in self.rows:
-            writer.writerow(row.values)
-        return buf.getvalue()
-
-    def table_equal(self, other: "Relation") -> bool:
-        """Content equality: same headers, same cell grid, same key column."""
-        return (
-            self.attribute_names == other.attribute_names
-            and self.key_attr.name == other.key_attr.name
-            and tuple(r.values for r in self.rows) == tuple(r.values for r in other.rows)
-        )
-
 
 def load_csv(source, schema: tuple[AttributeSpec, ...], name: str = "dataset") -> Relation:
     """Build a Relation from UTF-8 CSV with a header row naming every schema attribute.
@@ -270,20 +253,4 @@ def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
             is_key=bool(obj.get("is_key", False)),
         )
         for obj in raw
-    )
-
-
-def schema_to_json(schema: tuple[AttributeSpec, ...]) -> str:
-    return json.dumps(
-        [
-            {
-                "name": a.name,
-                "kind": a.kind,
-                "canonical_phrase": a.canonical_phrase,
-                "paraphrases": list(a.paraphrases),
-                "is_key": a.is_key,
-            }
-            for a in schema
-        ],
-        indent=2,
     )

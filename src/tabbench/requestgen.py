@@ -6,9 +6,9 @@ never has to re-derive what was asked.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import oracle
@@ -31,6 +31,7 @@ from .oracle import (
     plan_to_json,
 )
 from .relation import Relation, SchemaError
+from .requesttypes import CORE_TYPES, MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType, type_of
 from .seeding import derive_seed
 from .structurer import StructuringLevel, render, render_partial
 
@@ -46,36 +47,7 @@ class SuiteFormatError(GenError):
     """A suite line that does not decode to an instance."""
 
 
-class RequestType(Enum):
-    RETRIEVAL = "retrieval"
-    DELETION = "deletion"
-    UPDATE = "update"
-    SUPERLATIVE = "superlative"
-    SUM = "sum"
-    COUNT = "count"
-    EXISTENCE = "existence"
-    PROJECTION = "projection"
-
-
-CORE_TYPES = (
-    RequestType.RETRIEVAL,
-    RequestType.DELETION,
-    RequestType.UPDATE,
-    RequestType.SUPERLATIVE,
-    RequestType.SUM,
-    RequestType.COUNT,
-)
-
-# request types whose plans carry a single numeric/target attribute
-TARGETED_TYPES = (RequestType.UPDATE, RequestType.SUPERLATIVE, RequestType.SUM)
-
 TEMPLATES_PER_TYPE = 3
-
-
-def negation_variants(request_type: RequestType) -> tuple[bool, ...]:
-    """The wordings a type is asked in: existence as an original and a negated
-    question, every other type as the original only."""
-    return (False, True) if request_type is RequestType.EXISTENCE else (False,)
 
 
 @dataclass(frozen=True)
@@ -140,12 +112,11 @@ def template_pack_from_json(text: str) -> TemplatePack:
 @dataclass(frozen=True)
 class RequestInstance:
     """One fully rendered benchmark prompt with its plan and gold answer. The
-    plan is the only record of what was asked: its conditions, target
-    attribute and negation are read from it, not stored beside it."""
+    plan is the only record of what was asked: its request type, conditions,
+    target attribute and negation are read from it, not stored beside it."""
 
     id: str
     dataset: str
-    request_type: RequestType
     template_id: int
     connective: str
     level: StructuringLevel
@@ -158,6 +129,10 @@ class RequestInstance:
     entity_keys: tuple[str, ...]
     mode: str = "surrogate"
     resamples: int = 0
+
+    @property
+    def request_type(self) -> RequestType:
+        return type_of(self.plan)
 
     @property
     def negated(self) -> bool:
@@ -191,31 +166,17 @@ def _plural(phrase: str) -> str:
 
 def build_plan(request_type: RequestType, expr: ConditionExpr, target: tuple[str, ...],
                rel: Relation, negated: bool = False) -> QueryPlan:
-    if request_type in TARGETED_TYPES:
-        if len(target) != 1:
-            raise TemplateMismatchError(f"{request_type.value} needs exactly one target attribute")
-    elif request_type is RequestType.PROJECTION:
-        if not target:
-            raise TemplateMismatchError("projection needs at least one target attribute")
-    elif target:
-        raise TemplateMismatchError(f"{request_type.value} takes no target attribute")
-
-    if request_type is RequestType.RETRIEVAL:
-        return oracle.Retrieve(expr)
-    if request_type is RequestType.DELETION:
-        return oracle.Delete(expr)
-    if request_type is RequestType.UPDATE:
-        return oracle.Update(target_attr=target[0], replacement="N/A", expr=expr)
-    if request_type is RequestType.SUPERLATIVE:
-        return oracle.Superlative(target_attr=target[0], direction="max",
-                                  tiebreak_attr=rel.key_attr.name, expr=expr)
-    if request_type is RequestType.SUM:
-        return oracle.Sum(target_attr=target[0], expr=expr)
-    if request_type is RequestType.COUNT:
-        return oracle.Count(expr)
-    if request_type is RequestType.EXISTENCE:
-        return oracle.Exists(expr, negated=negated)
-    return oracle.Project(tuple(target), expr)
+    """The plan of the type's row, given the fields its class declares: an
+    update writes N/A, a superlative asks for the maximum with ties broken by
+    the key attribute."""
+    row = ROWS[request_type]
+    n = len(target)
+    if not {NO_TARGET: n == 0, ONE_TARGET: n == 1, MANY_TARGETS: n >= 1}[row.targets]:
+        raise TemplateMismatchError(f"{request_type.value} takes {row.targets!r} target attributes, got {n}")
+    candidates = {"expr": expr, "target_attr": target[0] if target else None, "attrs": tuple(target),
+                  "replacement": "N/A", "direction": "max", "tiebreak_attr": rel.key_attr.name,
+                  "negated": negated}
+    return row.plan(**{f.name: candidates[f.name] for f in dataclasses.fields(row.plan)})
 
 
 def _fill_pattern(pattern: str, *, conditions: str, target: tuple[str, ...],
@@ -235,7 +196,6 @@ def _fill_pattern(pattern: str, *, conditions: str, target: tuple[str, ...],
 
 
 def instantiate(
-    request_type: RequestType,
     template: PromptTemplate,
     target: tuple[str, ...],
     rel: Relation,
@@ -258,6 +218,7 @@ def instantiate(
     and fill its wording. generate_suite renders each context once per
     (level, portion) and evaluates each plan once per (connective, negation),
     then calls this for every template."""
+    request_type = type_of(plan)
     if template.request_type is not request_type:
         raise TemplateMismatchError(
             f"template is for {template.request_type.value}, not {request_type.value}"
@@ -275,7 +236,6 @@ def instantiate(
     return RequestInstance(
         id=instance_id,
         dataset=pack.name,
-        request_type=request_type,
         template_id=template.template_id,
         connective=connective,
         level=level,
@@ -323,7 +283,7 @@ class SuiteConfig:
             * len(self.levels)
             * len(self.n_conditions)
             * len(self.portions)
-            * len(negation_variants(request_type))
+            * len(ROWS[request_type].wordings)
         )
 
 
@@ -357,7 +317,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                 context_seed = derive_seed(config.seed, "context", pack.name, request_type.value, n, pair)
                 slots = []
                 for connective in config.connectives:
-                    for negated in negation_variants(request_type):
+                    for negated in ROWS[request_type].wordings:
                         plan = build_plan(request_type, exprs[connective], target, rel, negated=negated)
                         slots.append((connective, negated, plan, evaluate(plan, rel)))
                 for level in config.levels:
@@ -370,7 +330,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                             suffix = "-neg" if negated else ""
                             for template in pack.templates.templates_for(request_type, negated):
                                 instances.append(instantiate(
-                                    request_type, template, target, rel, level, context, plan, gold,
+                                    template, target, rel, level, context, plan, gold,
                                     pack=pack,
                                     entity_keys=entity_keys,
                                     portion=portion,
@@ -410,7 +370,6 @@ def instance_to_json(instance: RequestInstance) -> dict:
         "portion": instance.portion,
         "pre_instruction": instance.pre_instruction,
         "prompt": instance.prompt,
-        "request_type": instance.request_type.value,
         "resamples": instance.resamples,
         "template_id": instance.template_id,
     }
@@ -419,12 +378,12 @@ def instance_to_json(instance: RequestInstance) -> dict:
 def instance_from_json(obj: dict, shared: dict | None = None) -> RequestInstance:
     """The instance instance_to_json wrote. `shared` maps some of
     SHARED_FIELDS to values already decoded for another instance; they are
-    taken as they are, in place of obj's own."""
+    taken as they are, in place of obj's own. A `request_type` key, which
+    suites stated before it was read from the plan, is ignored."""
     shared = shared or {}
     return RequestInstance(
         id=obj["id"],
         dataset=obj["dataset"],
-        request_type=RequestType(obj["request_type"]),
         template_id=obj["template_id"],
         connective=obj["connective"],
         level=StructuringLevel(obj["level"]),

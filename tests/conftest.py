@@ -223,6 +223,15 @@ def instantiate_one(request_type, template, expr, target, rel: Relation, level, 
     from tabbench.structurer import render
 
     plan = build_plan(request_type, expr, target, rel, negated=template.negated)
-    return instantiate(request_type, template, target, rel, level,
+    return instantiate(template, target, rel, level,
                        render(rel, level, seed, pack.bank), plan, evaluate(plan, rel),
                        pack=pack, entity_keys=rel.keys(), instance_id=instance_id, **kwargs)
+
+
+def table_equal(a: Relation, b: Relation) -> bool:
+    """Content equality: same headers, same cell grid, same key column."""
+    return (
+        a.attribute_names == b.attribute_names
+        and a.key_attr.name == b.key_attr.name
+        and tuple(r.values for r in a.rows) == tuple(r.values for r in b.rows)
+    )

@@ -383,6 +383,17 @@ def test_eval_rejects_results_or_manifest_edited_after_run(runner, tmp_path, edi
     ([], "config: must be a JSON object"),
     ({"dataset": "soccer", "seed": 1, "models": [5]}, "models: entry 5 is not a JSON object"),
     ({"dataset": "soccer", "seed": 1, "request_types": 5}, "request_types: must be a list"),
+    # entries of the wrong type
+    ({"dataset": "soccer", "seed": 1, "n_conditions": ["x"]}, "n_conditions: 'x' is not a positive integer"),
+    ({"dataset": "soccer", "seed": 1, "n_conditions": [0]}, "n_conditions: 0 is not a positive integer"),
+    ({"dataset": "soccer", "seed": 1, "n_conditions": [True]}, "n_conditions: True is not a positive integer"),
+    ({"dataset": "soccer", "seed": 1, "levels": [{}]}, "levels: unknown value {}"),
+    ({"dataset": "soccer", "seed": 1, "request_types": [[]]}, "request_types: unknown value []"),
+    ({"dataset": "soccer", "seed": 1, "connectives": [1]}, "connectives: unknown value 1"),
+    ({"dataset": "soccer", "seed": 1, "portions": [True]}, "portions: True not in (0.0, 0.25, 0.5, 1.0)"),
+    ({"dataset": "soccer", "seed": 1, "pair_count": True}, "pair_count: must be a non-negative integer"),
+    ({"dataset": "soccer", "seed": False}, "seed: must be an integer"),
+    ({"dataset": ["soccer"], "seed": 1}, "dataset: required (builtin name or pack directory)"),
 ])
 def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
     config = tmp_path / "config.json"

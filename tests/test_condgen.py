@@ -11,11 +11,16 @@ from tabbench.condgen import (
     eligible_attributes,
     make_condition,
     render_negated,
-    sample_condition_set,
     value_pool,
 )
 from tabbench.oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OR, Condition, Diff, eval_expr, leaf_conditions
 from tabbench.relation import AttributeSpec, Relation
+
+
+def sample_condition_set(rel, policy, connective, seed):
+    """One supported expression under a single connective."""
+    exprs, _, _ = draw_condition_set(rel, policy, (connective,), seed)
+    return exprs[connective]
 
 
 MOVIE_SCHEMA = (

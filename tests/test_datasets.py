@@ -11,6 +11,7 @@ from tabbench.gateway import PerfectOracle, complete
 from tabbench.oracle import CONTAINS, GT, LT
 from tabbench.relation import sample_entities
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
+from tabbench.requesttypes import ROWS
 
 
 @pytest.mark.parametrize("name", BUILTIN_PACKS)
@@ -19,9 +20,13 @@ def test_builtin_pack_loads_complete(name):
     assert pack.entity_noun and pack.entity_noun_plural
     assert len(pack.relation.rows) >= 100
     assert pack.relation.attribute(pack.numeric_target).kind == "numeric"
-    for request_type in RequestType:
-        assert len(pack.templates.templates_for(request_type)) == 3
+    # one set of templates per wording the type's row asks, and no other
+    assert set(pack.templates.patterns) == {(t.value, negated) for t, row in ROWS.items() for negated in row.wordings}
+    for request_type, row in ROWS.items():
+        for negated in row.wordings:
+            assert len(pack.templates.templates_for(request_type, negated)) == 3
         assert pack.templates.footer_for(request_type)
+    assert set(pack.templates.footers) == {t.value for t in RequestType}
     assert len(pack.templates.templates_for(RequestType.EXISTENCE, negated=True)) == 3
     pack.bank.check_schema(pack.schema)
 

@@ -16,7 +16,6 @@ from tabbench.gateway import (
     RemoteModel,
     complete,
     compose_message,
-    format_gold_response,
     response_to_json,
     run_suite,
 )
@@ -120,7 +119,7 @@ def test_lossy_flip_inverts_existence_verdict_and_keeps_rationale(pack, f2):
     always_flip = LossyOracle(omission_prob=0.0, flip_prob=1.0, seed=4)
     for negated, perfect_verdict, flipped_verdict in ((False, "Yes.", "No."), (True, "No.", "Yes.")):
         instance = _instance(pack, f2, RequestType.EXISTENCE, expr, negated=negated)
-        assert format_gold_response(instance) == "ANSWER:\n" + perfect_verdict + rationale
+        assert PerfectOracle().complete(instance).text == "ANSWER:\n" + perfect_verdict + rationale
         assert always_flip.complete(instance).text == "ANSWER:\n" + flipped_verdict + rationale
 
 
@@ -154,7 +153,7 @@ def test_format_gold_negated_existence_answers_no(pack, f2):
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
     instance = instantiate_one(RequestType.EXISTENCE, template, expr, (), f2,
                                StructuringLevel.TABLE, 0, pack=pack)
-    text = format_gold_response(instance)
+    text = PerfectOracle().complete(instance).text
     assert text.startswith("ANSWER:\nNo.")
     assert "Messi" in text
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import typing
 
 import pytest
 
@@ -21,6 +23,7 @@ from tabbench.oracle import (
     PlanError,
     PlanTypeError,
     Project,
+    QueryPlan,
     RelationSnapshot,
     Retrieve,
     Sum,
@@ -279,3 +282,48 @@ def test_gold_json_key_order_is_stable(f2):
     gold = evaluate(Retrieve(eq("Number", "10")), f2)
     payload = gold_to_json(gold)
     assert payload["keys"] == sorted(payload["keys"])
+
+
+# Every plan class with the canonical JSON that suites wrote for it before each
+# class named its own `kind` (json.dumps(..., sort_keys=True), computed from
+# that commit's plan_to_json). EXPR stands for the expression's JSON.
+PLAN_EXPR = eq("Number", "10")
+PLAN_BYTES = [
+    (Retrieve(PLAN_EXPR), '{"expr": EXPR, "kind": "retrieve"}'),
+    (Delete(PLAN_EXPR), '{"expr": EXPR, "kind": "delete"}'),
+    (Update(target_attr="Number", replacement="N/A", expr=PLAN_EXPR),
+     '{"expr": EXPR, "kind": "update", "replacement": "N/A", "target_attr": "Number"}'),
+    (Count(PLAN_EXPR), '{"expr": EXPR, "kind": "count"}'),
+    (Sum(target_attr="Number", expr=PLAN_EXPR), '{"expr": EXPR, "kind": "sum", "target_attr": "Number"}'),
+    (Superlative(target_attr="Number", direction="max", tiebreak_attr="Name", expr=PLAN_EXPR),
+     '{"direction": "max", "expr": EXPR, "kind": "superlative", "target_attr": "Number", "tiebreak_attr": "Name"}'),
+    (Exists(PLAN_EXPR, negated=True), '{"expr": EXPR, "kind": "exists", "negated": true}'),
+    (Project(("Name", "Club"), PLAN_EXPR), '{"attrs": ["Name", "Club"], "expr": EXPR, "kind": "project"}'),
+]
+EXPR_BYTES = '{"attr": "Number", "kind": "condition", "op": "eq", "rendered": "number is 10", "value": "10"}'
+
+
+def test_plan_json_bytes_of_every_plan_class():
+    assert {type(plan) for plan, _ in PLAN_BYTES} == set(typing.get_args(QueryPlan))
+    for plan, text in PLAN_BYTES:
+        payload = plan_to_json(plan)
+        assert json.dumps(payload, sort_keys=True) == text.replace("EXPR", EXPR_BYTES)
+        assert plan_from_json(payload) == plan
+
+
+@pytest.mark.parametrize("plan,edit,message", [
+    (Sum(target_attr="Number", expr=PLAN_EXPR), {"kind": "retrieval"}, "unknown plan kind 'retrieval'"),
+    (Sum(target_attr="Number", expr=PLAN_EXPR), {"target_attr": None}, "sum plan has the fields"),
+    (Sum(target_attr="Number", expr=PLAN_EXPR), {"negated": False}, "sum plan has the fields"),
+    (Sum(target_attr="Number", expr=PLAN_EXPR), {"target_attr": ["Number"]}, "target_attr must be a str"),
+    (Project(("Name",), PLAN_EXPR), {"attrs": "Name"}, r"attrs must be a tuple\[str, ...\]"),
+    (Exists(PLAN_EXPR, negated=True), {"negated": 1}, "negated must be a bool"),
+    (Exists(PLAN_EXPR, negated=True), {"negated": "true"}, "negated must be a bool"),
+])
+def test_plan_from_json_rejects_wrong_fields(plan, edit, message):
+    """A plan field edited as given (None removes it) does not decode."""
+    obj = plan_to_json(plan)
+    obj.update(edit)
+    obj = {k: v for k, v in obj.items() if v is not None}
+    with pytest.raises(PlanError, match=message):
+        plan_from_json(obj)

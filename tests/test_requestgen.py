@@ -16,6 +16,7 @@ from tabbench.requestgen import (
     RequestType,
     SHARED_FIELDS,
     SuiteConfig,
+    SuiteFormatError,
     TemplateMismatchError,
     dump_suite,
     expr_phrase,
@@ -24,8 +25,8 @@ from tabbench.requestgen import (
     instance_to_json,
     load_suite,
     make_pre_instruction,
-    negation_variants,
 )
+from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, render, render_partial
 
 from conftest import eq, instantiate_one, tiny_soccer_pack
@@ -199,7 +200,7 @@ def test_instance_json_round_trip(pack, f2):
 
 def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
     names = {f.name for f in dataclasses.fields(RequestInstance)}
-    assert len(names) == 15 and not names & {"expr", "target", "n_conditions", "negated"}
+    assert len(names) == 14 and not names & {"expr", "target", "n_conditions", "negated", "request_type"}
     assert [f.name for f in dataclasses.fields(Witnessed)] == ["witnesses"]
     config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE,), connectives=(OR,),
                          n_conditions=(3,), seed=4)
@@ -209,7 +210,7 @@ def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
     assert all(i.gold.value is bool(i.gold.witnesses) for i in suite)
     for line in dump_suite(suite).splitlines():
         obj = json.loads(line)
-        assert not obj.keys() & {"expr", "target", "n_conditions", "negated"}
+        assert not obj.keys() & {"expr", "target", "n_conditions", "negated", "request_type"}
         assert "value" not in obj["gold"]
 
 
@@ -217,6 +218,43 @@ def test_suite_text_round_trip(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.SUPERLATIVE,), seed=4)
     suite = generate_suite(f2, config, pack)
     assert load_suite(dump_suite(suite)) == suite
+
+
+def test_request_type_is_read_from_the_plan_through_the_codec(pack, f2):
+    config = SuiteConfig(pair_count=1, request_types=tuple(RequestType), connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    assert [i.request_type for i in suite] == [t for t in RequestType for _ in range(3 * len(ROWS[t].wordings))]
+    text = dump_suite(suite)
+    assert all("request_type" not in json.loads(line) for line in text.splitlines())
+    loaded = load_suite(text)
+    # snapshot golds load with generic column kinds, so compare their JSON
+    assert [instance_to_json(i) for i in loaded] == [instance_to_json(i) for i in suite]
+    assert [i.request_type for i in loaded] == [i.request_type for i in suite]
+    assert all(f"-{i.request_type.value}-" in i.id for i in loaded)
+
+
+def test_suite_line_with_a_request_type_key_loads_the_same(pack, f2):
+    """Suites written before the type was read from the plan state it on
+    every line; such a line loads to the same instance."""
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.EXISTENCE, RequestType.PROJECTION),
+                         connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    old_lines = []
+    for instance, line in zip(suite, dump_suite(suite).splitlines()):
+        obj = json.loads(line)
+        obj["request_type"] = instance.request_type.value
+        old_lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    assert load_suite("".join(old_lines)) == suite
+
+
+def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.EXISTENCE,), connectives=(AND,), seed=5)
+    lines = dump_suite(generate_suite(f2, config, pack)).splitlines()
+    obj = json.loads(lines[1])
+    obj["plan"]["negated"] = "yes"
+    lines[1] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(SuiteFormatError, match="line 2: .*negated must be a bool"):
+        load_suite("\n".join(lines))
 
 
 def test_suite_states_each_shared_value_once(pack, f2):
@@ -297,16 +335,19 @@ PINNED_CONFIG = SuiteConfig(
 
 
 def test_suite_bytes_pinned(pack, f2):
-    """The digest was computed from the suite of the commit before shared
-    values were written once (digest 668a726e...8f98): walking its dump of
-    this config in order, a `context`, `entity_keys` or `gold` value whose
-    json.dumps(..., sort_keys=True) an earlier line already had became
-    {"same_as": <id of the first such line>}, and each line was re-dumped with
-    sort_keys=True. The suite text, instance order and ids must not move."""
+    """The digest was computed from the suite of the commit before the request
+    type was read from the plan (digest 4220b818...6fd6): each line of its
+    dump of this config lost its `request_type` key and was re-dumped with
+    sort_keys=True (which, with no key removed, gives that dump byte for
+    byte). That digest came from the one before shared values were written
+    once (668a726e...8f98): walking its dump in order, a `context`,
+    `entity_keys` or `gold` value whose json.dumps(..., sort_keys=True) an
+    earlier line already had became {"same_as": <id of the first such line>}.
+    The suite text, instance order and ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "4220b818a33fa018f4181e9b518791e4a0c5e6784f188683514d262b029b6fd6"
+        "c3322c0d65e61d09a76f38f2c14eee2016f3e3fe9eacbc40ff304679ea1d182a"
     )
 
 
@@ -334,4 +375,4 @@ def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):
     assert calls["render"] == slots * len(config.levels)
     assert calls["render_partial"] == slots * len(config.levels)
     assert calls["evaluate"] == len(config.n_conditions) * config.pair_count * len(config.connectives) * sum(
-        len(negation_variants(t)) for t in config.request_types)
+        len(ROWS[t].wordings) for t in config.request_types)
