@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .relation import Relation, normalize
+from .relation import normalize
 from .requesttypes import ENTITIES, NUMBER, ROWS, TABLE, TUPLES, VERDICT, RequestType
-from .structurer import NoTableError, is_separator_row, parse_table, split_pipe_line
+from .structurer import NoTableError, PipeTable, is_separator_row, parse_table, split_pipe_line
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,6 @@ class EntityList:
 @dataclass(frozen=True)
 class TupleList:
     tuples: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class TableSnapshot:
-    relation: Relation
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ class Unparseable:
     reason: str
 
 
-ParsedAnswer = EntityList | TupleList | TableSnapshot | NumberAnswer | Judgement | Unparseable
+ParsedAnswer = EntityList | TupleList | PipeTable | NumberAnswer | Judgement | Unparseable
 
 _ANSWER_MARK = re.compile(r"answer\s*:", re.IGNORECASE)
 _NUMBER = re.compile(r"[-+]?\d[\d,]*(?:\.\d+)?")
@@ -92,7 +87,7 @@ def _entities(block: str) -> ParsedAnswer:
 
 def _table(block: str) -> ParsedAnswer:
     try:
-        return TableSnapshot(parse_table(block))
+        return parse_table(block)
     except NoTableError:
         return Unparseable("answer contains no table")
 

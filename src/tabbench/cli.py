@@ -186,7 +186,12 @@ def resolve_model(name: str, config: HarnessConfig | None) -> ModelKind:
                 key, _, value = part.partition("=")
                 if key not in params:
                     raise ConfigError([f"model: unknown lossy parameter {key!r}"])
-                params[key] = float(value) if key != "seed" else int(value)
+                try:
+                    params[key] = float(value) if key != "seed" else int(value)
+                except ValueError:
+                    raise ConfigError([f"model: lossy parameter {key!r} needs a number, got {value!r}"]) from None
+                if key != "seed" and not 0.0 <= params[key] <= 1.0:
+                    raise ConfigError([f"model: lossy parameter {key!r} must lie in [0, 1], got {value!r}"])
         return LossyOracle(omission_prob=params["q"], flip_prob=params["r"], seed=params["seed"])
     for entry in (config.models if config else ()):
         if entry.get("name") == name:
@@ -438,13 +443,12 @@ def _maybe_compare(rows):
     return evaluator.compare_formats(text_cells, table_cells)
 
 
-def _echo_comparison(payload: dict) -> None:
-    click.echo(
-        f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
-        f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)"
-    )
+def _comparison_text(payload: dict) -> str:
+    text = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
+            f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)")
     if payload.get("count_abs_reduction") is not None:
-        click.echo(f"count difference reduction: {payload['count_abs_reduction']:.2f}")
+        text += f"\ncount difference reduction: {payload['count_abs_reduction']:.2f}"
+    return text
 
 
 @main.command("report")
@@ -458,10 +462,10 @@ def cmd_report(eval_dir, compare_file):
         try:
             fixture = json.loads(Path(compare_file).read_text(encoding="utf-8"))
             comparison = evaluator.compare_formats(fixture["text"], fixture["table"])
-        except (OSError, KeyError, json.JSONDecodeError, evaluator.ReportError) as e:
+        except (OSError, KeyError, TypeError, ValueError, evaluator.ReportError) as e:
             _fail([f"cannot compare {compare_file}: {e}"], EXIT_CONFIG)
             return
-        _echo_comparison(dataclasses.asdict(comparison))
+        click.echo(_comparison_text(dataclasses.asdict(comparison)))
         return
 
     if not eval_dir:
@@ -472,11 +476,15 @@ def cmd_report(eval_dir, compare_file):
     if not table.is_file():
         _fail([f"no aggregate.md under {eval_dir}; run eval first"], EXIT_CONFIG)
         return
-    click.echo(table.read_text(encoding="utf-8"), nl=False)
     compare = out / "compare.json"
-    if compare.is_file():
-        click.echo("")
-        _echo_comparison(json.loads(compare.read_text(encoding="utf-8")))
+    try:
+        summary = _comparison_text(json.loads(compare.read_text(encoding="utf-8"))) if compare.is_file() else None
+    except (KeyError, TypeError, ValueError) as e:
+        _fail([f"cannot read {compare}: {e}"], EXIT_CONFIG)
+        return
+    click.echo(table.read_text(encoding="utf-8"), nl=False)
+    if summary is not None:
+        click.echo("\n" + summary)
     robustness = out / "existence.csv"
     if robustness.is_file():
         click.echo("\nexistence robustness (original vs negated):")
@@ -520,6 +528,8 @@ def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns:
 def cmd_convert_rate(model_name, dataset_names, seed, sample_n, config_path):
     """Measure how much of a text rendering a model can restructure into a table."""
     try:
+        if sample_n < 1:
+            raise ConfigError([f"--sample-n: {sample_n} is not a positive integer"])
         config = load_config(config_path) if config_path else None
         model = resolve_model(model_name, config)
         names = dataset_names or BUILTIN_PACKS

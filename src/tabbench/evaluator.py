@@ -19,7 +19,6 @@ from .answers import (
     MatchResult,
     NumberAnswer,
     ParsedAnswer,
-    TableSnapshot,
     TupleList,
     match_entities,
 )
@@ -27,6 +26,7 @@ from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .relation import normalize
 from .requestgen import RequestInstance
 from .requesttypes import ROWS, RequestType
+from .structurer import PipeTable
 
 
 class ReportError(Exception):
@@ -100,14 +100,13 @@ def _record(instance: RequestInstance, model: str, value: float, *, unparsed=Fal
     )
 
 
-def _snapshot_keys(snapshot, key_name: str, instance: RequestInstance) -> MatchResult:
+def _snapshot_keys(table: PipeTable, key_name: str, instance: RequestInstance) -> MatchResult:
     """Keys present in a predicted table, matched against the instance's entities.
 
     The key column is found by header name against `key_name`; a table
     without that header falls back to its first column."""
-    rel = snapshot.relation
-    key_col = next((i for i, attr in enumerate(rel.schema) if normalize(attr.name) == normalize(key_name)), 0)
-    names = tuple(normalize(r.values[key_col]) for r in rel.rows)
+    key_col = table.column(key_name, 0)
+    names = tuple(normalize(row[key_col]) for row in table.rows)
     return match_entities(EntityList(names), instance.entity_keys)
 
 
@@ -146,7 +145,7 @@ def _score_retrieval(instance, parsed, model):
 def _score_deletion(instance, parsed, model):
     gold: RelationSnapshot = instance.gold
     gold_keys = frozenset(gold.relation.keys())
-    if isinstance(parsed, TableSnapshot):
+    if isinstance(parsed, PipeTable):
         match = _snapshot_keys(parsed, gold.relation.key_attr.name, instance)
         return _f1_record(instance, model, gold_keys, match)
     if isinstance(parsed, EntityList):
@@ -169,39 +168,33 @@ def _score_update(instance, parsed, model):
         r.values[key_idx].strip() for r in gold_rel.rows if normalize(r.values[target_idx]) == "n/a"
     )
 
-    if not isinstance(parsed, TableSnapshot):
+    if not isinstance(parsed, PipeTable):
         return _f1_record(instance, model, gold_updated, MatchResult(frozenset(), 0), unparsed=True)
 
-    pred = parsed.relation
-    columns = {normalize(a.name): i for i, a in enumerate(pred.schema)}
-    target_col = columns.get(normalize(target))
-    key_col = columns.get(normalize(gold_rel.key_attr.name), 0)
+    target_col = parsed.column(target)
+    key_col = parsed.column(gold_rel.key_attr.name, 0)
 
     by_key = {normalize(k): k for k in gold_rel.keys()}
     gold_rows = {r.values[key_idx].strip(): r for r in gold_rel.rows}
-    gold_cols = {normalize(a.name): i for i, a in enumerate(gold_rel.schema)}
-    shared = [
-        (col, gold_cols[name])
-        for name, col in columns.items()
-        if name in gold_cols and gold_cols[name] != target_idx
-    ]
+    shared = [(col, i) for i, a in enumerate(gold_rel.schema)
+              if i != target_idx and (col := parsed.column(a.name)) is not None]
 
     predicted_updated = set()
     collateral = 0
     matched_rows = 0
-    for row in pred.rows:
-        key = by_key.get(normalize(row.values[key_col]))
+    for row in parsed.rows:
+        key = by_key.get(normalize(row[key_col]))
         if key is None:
             continue
         matched_rows += 1
-        if target_col is not None and normalize(row.values[target_col]) == "n/a":
+        if target_col is not None and normalize(row[target_col]) == "n/a":
             predicted_updated.add(key)
         gold_row = gold_rows[key]
         for col, gold_col in shared:
-            if normalize(row.values[col]) != normalize(gold_row.values[gold_col]):
+            if normalize(row[col]) != normalize(gold_row.values[gold_col]):
                 collateral += 1
 
-    match = MatchResult(frozenset(predicted_updated), dropped=len(pred.rows) - matched_rows)
+    match = MatchResult(frozenset(predicted_updated), dropped=len(parsed.rows) - matched_rows)
     return _f1_record(instance, model, gold_updated, match, extras={"collateral_damage": float(collateral)})
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 import requests as _requests
 
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
-from .relation import Relation
 from .requestgen import RequestInstance
 from .seeding import rng_for
 from .structurer import render_table
@@ -101,8 +100,7 @@ class LossyOracle:
             body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
         elif isinstance(gold, RelationSnapshot):
             rel = gold.relation
-            rows = tuple(row for row in rel.rows if rng.random() >= q)
-            body = render_table(rel if len(rows) == len(rel.rows) else Relation(rel.name, rel.schema, rows))
+            body = render_table(rel.attribute_names, [row.values for row in rel.rows if rng.random() >= q])
         elif isinstance(gold, Number):
             value = gold.value
             if rng.random() < r:
@@ -239,9 +237,10 @@ def render_table_from_keys(instance: RequestInstance) -> str:
     from .structurer import NoTableError, parse_table
 
     try:
-        return render_table(parse_table(instance.context))
+        table = parse_table(instance.context)
     except NoTableError:
         return instance.context
+    return render_table(table.header, table.rows)
 
 
 def response_to_json(response: ModelResponse, model_id: str) -> dict:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,12 +108,10 @@ def _fill(template: str, **slots: str) -> str:
     return out
 
 
-def render_table(rel: Relation) -> str:
-    """Pipe table: header row then one row per entity, single spaces around cells."""
-    lines = ["| " + " | ".join(rel.attribute_names) + " |"]
-    for row in rel.rows:
-        lines.append("| " + " | ".join(row.values) + " |")
-    return "\n".join(lines)
+def render_table(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:
+    """Pipe table: the header row then one line per row of cell strings,
+    single spaces around cells."""
+    return "\n".join(["| " + " | ".join(cells) + " |" for cells in (header, *rows)])
 
 
 def _sentence(rel: Relation, row, frame_head: str, order: tuple[str, ...],
@@ -141,7 +140,7 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
     if not rel.rows:
         raise RenderError("cannot render an empty relation")
     if level is StructuringLevel.TABLE:
-        return render_table(rel)
+        return render_table(rel.attribute_names, (row.values for row in rel.rows))
     if bank is None:
         raise NoBankError(f"{level.value} rendering needs a phrase bank")
     bank.check_schema(rel.schema)
@@ -199,11 +198,10 @@ def render_partial(rel: Relation, portion: float, seed: int, bank: PhraseBank | 
 
     rng = rng_for(seed, "partition", portion)
     table_indices = sorted(rng.sample(range(n), take))
-    table_part = Relation(rel.name, rel.schema, tuple(rel.rows[i] for i in table_indices))
-    text_part = Relation(rel.name, rel.schema,
-                         tuple(r for i, r in enumerate(rel.rows) if i not in set(table_indices)))
+    chosen = set(table_indices)
+    text_part = Relation(rel.name, rel.schema, tuple(r for i, r in enumerate(rel.rows) if i not in chosen))
     text_block = render(text_part, StructuringLevel.NATURAL, seed, bank)
-    return text_block + "\n\n" + render_table(table_part)
+    return text_block + "\n\n" + render_table(rel.attribute_names, (rel.rows[i].values for i in table_indices))
 
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
@@ -228,7 +226,22 @@ def is_separator_row(cells: list[str]) -> bool:
     return any(cells) and all(_SEPARATOR_CELL.match(c) for c in cells if c)
 
 
-def parse_table(text: str) -> Relation:
+@dataclass(frozen=True)
+class PipeTable:
+    """A pipe table as read: its header cells and its rows of cell strings,
+    every row as wide as the header."""
+
+    header: tuple[str, ...]
+    rows: tuple[tuple[str, ...], ...]
+
+    def column(self, name: str, default: int | None = None) -> int | None:
+        """Index of the first header cell equal to `name` under normalize,
+        else `default`."""
+        wanted = normalize(name)
+        return next((i for i, cell in enumerate(self.header) if normalize(cell) == wanted), default)
+
+
+def parse_table(text: str) -> PipeTable:
     """Best-effort pipe-table extraction from free text.
 
     Takes the first contiguous block of pipe-delimited lines, skipping markdown
@@ -251,7 +264,7 @@ def parse_table(text: str) -> Relation:
     if not block:
         raise NoTableError("no pipe-delimited header line found")
 
-    header = [h if h else f"col{i}" for i, h in enumerate(block[0])]
+    header = tuple(h if h else f"col{i}" for i, h in enumerate(block[0]))
     width = len(header)
     rows: list[tuple[str, ...]] = []
     seen_keys: set[str] = set()
@@ -262,20 +275,7 @@ def parse_table(text: str) -> Relation:
             continue
         seen_keys.add(key)
         rows.append(padded)
-
-    schema = []
-    for i, name in enumerate(header):
-        column = [r[i] for r in rows]
-        numeric = bool(column) and all(parse_number(c) is not None for c in column)
-        schema.append(
-            AttributeSpec(
-                name=name,
-                kind="numeric" if numeric else "categorical",
-                canonical_phrase=name.lower(),
-                is_key=(i == 0),
-            )
-        )
-    return Relation.from_values("parsed", tuple(schema), rows)
+    return PipeTable(header, tuple(rows))
 
 
 def _cells_match(a: str, b: str) -> bool:
@@ -285,29 +285,24 @@ def _cells_match(a: str, b: str) -> bool:
     return normalize(a) == normalize(b)
 
 
-def cell_fill_rate(predicted: Relation, gold: Relation) -> float:
+def cell_fill_rate(predicted: PipeTable, gold: Relation) -> float:
     """Fraction of gold cells present at the matching (key, attribute) position
     in the prediction; missing rows and columns count as unfilled."""
     total = len(gold.rows) * len(gold.schema)
     if total == 0:
         return 1.0
 
-    pred_columns = {normalize(a.name): i for i, a in enumerate(predicted.schema)}
-    gold_key_idx = gold.index(gold.key_attr.name)
-    pred_key_col = pred_columns.get(normalize(gold.key_attr.name))
+    pred_key_col = predicted.column(gold.key_attr.name)
     if pred_key_col is None:
         return 0.0
-    pred_rows = {normalize(r.values[pred_key_col]): r for r in predicted.rows}
+    pred_rows = {normalize(r[pred_key_col]): r for r in predicted.rows}
+    columns = [(predicted.column(a.name), i) for i, a in enumerate(gold.schema)]
+    gold_key_idx = gold.index(gold.key_attr.name)
 
     filled = 0
     for row in gold.rows:
         pred_row = pred_rows.get(normalize(row.values[gold_key_idx]))
         if pred_row is None:
             continue
-        for attr_idx, attr in enumerate(gold.schema):
-            col = pred_columns.get(normalize(attr.name))
-            if col is None:
-                continue
-            if _cells_match(pred_row.values[col], row.values[attr_idx]):
-                filled += 1
+        filled += sum(1 for col, i in columns if col is not None and _cells_match(pred_row[col], row.values[i]))
     return filled / total

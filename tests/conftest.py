@@ -27,7 +27,7 @@ from tabbench.oracle import (
     Update,
 )
 from tabbench.relation import AttributeSpec, Relation, load_csv
-from tabbench.structurer import PhraseBank, SentenceFrame
+from tabbench.structurer import PhraseBank, PipeTable, SentenceFrame
 
 F1_CSV = (
     "Name,Number,Nationality,Club\n"
@@ -228,10 +228,12 @@ def instantiate_one(request_type, template, expr, target, rel: Relation, level, 
                        pack=pack, entity_keys=rel.keys(), instance_id=instance_id, **kwargs)
 
 
-def table_equal(a: Relation, b: Relation) -> bool:
-    """Content equality: same headers, same cell grid, same key column."""
-    return (
-        a.attribute_names == b.attribute_names
-        and a.key_attr.name == b.key_attr.name
-        and tuple(r.values for r in a.rows) == tuple(r.values for r in b.rows)
-    )
+def as_pipe_table(rel: Relation) -> PipeTable:
+    """A relation's header and cell strings, in the shape parse_table returns."""
+    return PipeTable(rel.attribute_names, tuple(r.values for r in rel.rows))
+
+
+def table_equal(parsed: PipeTable, rel: Relation) -> bool:
+    """A parsed table holds the relation's headers and cell grid, with the
+    relation's key column first, where parse_table reads keys."""
+    return parsed == as_pipe_table(rel) and parsed.header[0] == rel.key_attr.name

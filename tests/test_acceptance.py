@@ -247,7 +247,7 @@ def test_criterion_6_structuring_invariants():
                 assert text == render(rel, StructuringLevel.TABLE, seed, bank)
                 continue
             text_block, table_block = text.split("\n\n")
-            table_keys = set(parse_table(table_block).keys())
+            table_keys = {row[0] for row in parse_table(table_block).rows}
             assert len(table_keys) == take
             text_norm = normalize(text_block)
             text_keys = {k for k in rel.keys() if normalize(k) in text_norm}

@@ -7,7 +7,6 @@ from tabbench.answers import (
     EntityList,
     Judgement,
     NumberAnswer,
-    TableSnapshot,
     TupleList,
     Unparseable,
     match_entities,
@@ -15,6 +14,7 @@ from tabbench.answers import (
 )
 from tabbench.gateway import PerfectOracle
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
+from tabbench.structurer import PipeTable
 
 from conftest import tiny_soccer_pack
 
@@ -98,8 +98,8 @@ def test_perfect_responses_parse_to_gold_shapes(f2):
     oracle = PerfectOracle()
     expected_shape = {
         RequestType.RETRIEVAL: EntityList,
-        RequestType.DELETION: TableSnapshot,
-        RequestType.UPDATE: TableSnapshot,
+        RequestType.DELETION: PipeTable,
+        RequestType.UPDATE: PipeTable,
         RequestType.SUPERLATIVE: EntityList,
         RequestType.SUM: NumberAnswer,
         RequestType.COUNT: NumberAnswer,

@@ -468,3 +468,42 @@ def test_portions_with_more_than_one_level_exit_2(runner, tmp_path):
     [error] = _config_errors(result)
     assert error.startswith("portions:")
     assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "convert-rate"])
+@pytest.mark.parametrize("spec,message", [
+    ("lossy:q=abc", "model: lossy parameter 'q' needs a number, got 'abc'"),
+    ("lossy:q", "model: lossy parameter 'q' needs a number, got ''"),
+    ("lossy:q=2", "model: lossy parameter 'q' must lie in [0, 1], got '2'"),
+])
+def test_bad_lossy_parameter_exits_2(runner, tmp_path, command, spec, message):
+    args = {
+        "run": ["run", "--suite", str(tmp_path / "suite.jsonl"), "--out", str(tmp_path / "r.jsonl")],
+        "convert-rate": ["convert-rate", "--seed", "4", "--sample-n", "6"],
+    }[command]
+    assert _config_errors(runner.invoke(main, [*args, "--model", spec])) == [message]
+
+
+@pytest.mark.parametrize("sample_n", ["0", "-1"])
+def test_convert_rate_sample_n_below_one_exits_2(runner, sample_n):
+    result = runner.invoke(main, ["convert-rate", "--seed", "4", "--sample-n", sample_n])
+    assert _config_errors(result) == [f"--sample-n: {sample_n} is not a positive integer"]
+
+
+def test_report_on_corrupt_compare_json_exits_2(runner, tmp_path):
+    (tmp_path / "aggregate.md").write_text("| Request Type |\n", encoding="utf-8")
+    compare = tmp_path / "compare.json"
+    compare.write_text('{"mean_improvement_pp": 1.0,', encoding="utf-8")
+    result = runner.invoke(main, ["report", "--eval-dir", str(tmp_path)])
+    [error] = _config_errors(result)
+    assert error.startswith(f"cannot read {compare}:")
+    assert result.stdout == ""
+
+
+def test_report_compare_file_with_a_mean_that_is_not_a_number_exits_2(runner, tmp_path):
+    fixture = json.loads((Path(__file__).parent / "data" / "aggregate_avgs.json").read_text(encoding="utf-8"))
+    fixture["table"][0]["mean"] = "abc"
+    compare_file = tmp_path / "cells.json"
+    compare_file.write_text(json.dumps(fixture), encoding="utf-8")
+    [error] = _config_errors(runner.invoke(main, ["report", "--compare-file", str(compare_file)]))
+    assert error.startswith(f"cannot compare {compare_file}:") and "'abc'" in error

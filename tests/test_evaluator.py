@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tabbench.answers import EntityList, Judgement, NumberAnswer, TableSnapshot, TupleList, Unparseable, parse
+from tabbench.answers import EntityList, Judgement, NumberAnswer, TupleList, Unparseable, parse
 from tabbench.evaluator import (
     EvalRecord,
     UnalignedError,
@@ -123,7 +123,7 @@ def test_update_cell_level_f1(pack, f2):
         "| Neymar | 10 | Brazil | PSG |\n"
         "| Ramos | 4 | Spain | Sevilla |"
     )
-    assert score(instance, TableSnapshot(perfect_table)).value == 1.0
+    assert score(instance, perfect_table).value == 1.0
 
     over_updated = parse_table(
         "| Name | Number | Nationality | Club |\n"
@@ -132,7 +132,7 @@ def test_update_cell_level_f1(pack, f2):
         "| Neymar | 10 | Brazil | PSG |\n"
         "| Ramos | 4 | Spain | Sevilla |"
     )
-    record = score(instance, TableSnapshot(over_updated))
+    record = score(instance, over_updated)
     # TP=1 FP=1 FN=0 -> precision .5, recall 1
     assert record.value == pytest.approx(2 * 0.5 / 1.5)
 
@@ -140,7 +140,7 @@ def test_update_cell_level_f1(pack, f2):
         "| Name | Number | Nationality | Club |\n"
         "| Ronaldo | 7 | Portugal | Juventus |"
     )
-    assert score(instance, TableSnapshot(missing_row)).value == 0.0
+    assert score(instance, missing_row).value == 0.0
 
 
 def test_update_collateral_damage_diagnostic(pack, f2):
@@ -152,7 +152,7 @@ def test_update_collateral_damage_diagnostic(pack, f2):
         "| Neymar | 10 | Brazil | PSG |\n"
         "| Ramos | 4 | Spain | Sevilla |"
     )
-    record = score(instance, TableSnapshot(damaged))
+    record = score(instance, damaged)
     assert record.value == 1.0
     assert record.extras["collateral_damage"] == 1.0
 
