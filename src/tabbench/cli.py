@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .answers import parse as parse_answer
 from .condgen import GenError
 from .datasets import BUILTIN_PACKS, DatasetPack, PackError, load_pack
 from .gateway import (
+    GatewayError,
     LossyOracle,
     ModelKind,
     PerfectOracle,
@@ -63,8 +65,15 @@ class ConfigError(Exception):
         self.errors = errors
 
 
-def _not_utf8(path: Path, e: UnicodeDecodeError) -> ConfigError:
-    return ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"])
+def _read_input(path: Path) -> tuple[str, str]:
+    """An input file's UTF-8 text and the SHA-256 of its bytes; a file that
+    cannot be read or decoded is a ConfigError naming it."""
+    try:
+        return read_text_and_digest(path)
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"]) from None
+    except OSError as e:
+        raise ConfigError([f"cannot read {path}: {e.strerror or e}"]) from None
 
 
 @dataclass(frozen=True)
@@ -133,14 +142,11 @@ def _validate(raw) -> list[str]:
 
 
 def load_config(path: str | Path) -> HarnessConfig:
+    text, _ = _read_input(Path(path))
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError([f"config file not found: {path}"]) from None
+        raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
-    except UnicodeDecodeError as e:
-        raise _not_utf8(Path(path), e) from None
 
     errors = _validate(raw)
     if errors:
@@ -196,7 +202,13 @@ def resolve_model(name: str, config: HarnessConfig | None) -> ModelKind:
     for entry in (config.models if config else ()):
         if entry.get("name") == name:
             fields = {f.name for f in dataclasses.fields(ProviderConfig)}
-            return RemoteModel(ProviderConfig(**{k: v for k, v in entry.items() if k in fields}))
+            try:
+                provider = ProviderConfig(**{k: v for k, v in entry.items() if k in fields})
+            except GatewayError as e:
+                raise ConfigError([f"models: {name!r}: {e}"]) from None
+            if not os.environ.get(provider.auth_env):
+                raise ConfigError([f"models: {name!r}: environment variable {provider.auth_env!r} is not set"])
+            return RemoteModel(provider)
     raise ConfigError([f"model: unknown model {name!r} (use perfect, lossy:..., or a configured name)"])
 
 
@@ -206,7 +218,22 @@ def _fail(errors: list[str], code: int) -> None:
     sys.exit(code)
 
 
-@click.group()
+class _Stages(click.Group):
+    """The command group; every subcommand's failure gets its exit code here.
+    Reads turn their failures into input errors, so an OSError left is a write."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, ManifestError, PackError, GenError, evaluator.ReportError) as e:
+            _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
+        except SinkError as e:
+            _fail([str(e)], EXIT_IO)
+        except OSError as e:
+            _fail([f"cannot write output: {e}"], EXIT_IO)
+
+
+@click.group(cls=_Stages)
 @click.version_option(version=__version__)
 def main():
     """Tabular-knowledge benchmark harness."""
@@ -218,31 +245,23 @@ def main():
 @click.option("--seed", "seed_override", default=None, type=int, help="Override the config's seed.")
 def cmd_generate(config_path, out_dir, seed_override):
     """Generate a request suite with oracle gold answers."""
-    try:
-        config = load_config(config_path)
-        if seed_override is not None:
-            config = dataclasses.replace(config, seed=seed_override)
-        pack = load_pack(config.dataset)
-        rel = sampled_relation(pack, config)
-        instances = generate(rel, config, pack)
-    except (ConfigError, PackError, GenError) as e:
-        _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
-        return
+    config = load_config(config_path)
+    if seed_override is not None:
+        config = dataclasses.replace(config, seed=seed_override)
+    pack = load_pack(config.dataset)
+    rel = sampled_relation(pack, config)
+    instances = generate(rel, config, pack)
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        suite_path = out / "suite.jsonl"
-        suite_path.write_text(dump_suite(instances), encoding="utf-8")
-        write_manifest(
-            out / "suite.manifest.json",
-            config_digest=config_hash(config.payload()),
-            files={"suite.jsonl": suite_path},
-            extra={"seed": config.seed, "dataset": pack.name},
-        )
-    except OSError as e:
-        _fail([f"cannot write suite: {e}"], EXIT_IO)
-        return
+    out.mkdir(parents=True, exist_ok=True)
+    suite_path = out / "suite.jsonl"
+    suite_path.write_text(dump_suite(instances), encoding="utf-8")
+    write_manifest(
+        out / "suite.manifest.json",
+        config_digest=config_hash(config.payload()),
+        files={"suite.jsonl": suite_path},
+        extra={"seed": config.seed, "dataset": pack.name},
+    )
 
     counts = Counter(i.request_type.value for i in instances)
     for request_type in sorted(counts):
@@ -260,10 +279,7 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
     """A suite file's instances and the SHA-256 of its bytes, from one read.
     When suite.manifest.json sits beside it, the file, whatever its name, must
     match the digest recorded there for suite.jsonl (ManifestError otherwise)."""
-    try:
-        text, digest = read_text_and_digest(path)
-    except UnicodeDecodeError as e:
-        raise _not_utf8(path, e) from None
+    text, digest = _read_input(path)
     manifest_path = path.with_name("suite.manifest.json")
     if manifest_path.is_file():
         verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest})
@@ -282,10 +298,7 @@ def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
     the file and the line. Given the digest of the suite being scored, a
     manifest that run left beside the file (<name>.manifest.json) must record
     the file's digest and that suite digest (ManifestError otherwise)."""
-    try:
-        text, digest = read_text_and_digest(path)
-    except UnicodeDecodeError as e:
-        raise _not_utf8(path, e) from None
+    text, digest = _read_input(path)
     manifest_path = path.with_name(path.name + ".manifest.json")
     if suite_digest is not None and manifest_path.is_file():
         manifest = read_manifest(manifest_path)
@@ -317,29 +330,22 @@ def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
 @click.option("--max-in-flight", default=4, show_default=True, help="Concurrent requests for mock models.")
 def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     """Run a suite against a model; resumes if the results file already exists."""
-    suite_file = Path(suite_path)
-    try:
-        config = load_config(config_path) if config_path else None
-        model = resolve_model(model_name, config)
-        instances, suite_digest = _read_suite(suite_file)
-        out_file = Path(out_path)
-        existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
-    except (ConfigError, ManifestError, FileNotFoundError) as e:
-        _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
-        return
+    if max_in_flight < 1:
+        raise ConfigError([f"--max-in-flight: {max_in_flight} is not a positive integer"])
+    config = load_config(config_path) if config_path else None
+    model = resolve_model(model_name, config)
+    instances, suite_digest = _read_suite(Path(suite_path))
+    out_file = Path(out_path)
+    existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
 
-    try:
-        out_file.parent.mkdir(parents=True, exist_ok=True)
-        manifest = run_suite(instances, model, out_file, max_in_flight=max_in_flight, existing=existing)
-        write_manifest(
-            out_file.with_name(out_file.name + ".manifest.json"),
-            config_digest=config_hash(config.payload()) if config else "",
-            files={out_file.name: out_file},
-            extra={"run": manifest, "suite_digest": suite_digest},
-        )
-    except SinkError as e:
-        _fail([str(e)], EXIT_IO)
-        return
+    out_file.parent.mkdir(parents=True, exist_ok=True)
+    manifest = run_suite(instances, model, out_file, max_in_flight=max_in_flight, existing=existing)
+    write_manifest(
+        out_file.with_name(out_file.name + ".manifest.json"),
+        config_digest=config_hash(config.payload()) if config else "",
+        files={out_file.name: out_file},
+        extra={"run": manifest, "suite_digest": suite_digest},
+    )
 
     click.echo(f"answered {manifest['dispatched']} (reused {manifest['reused']}, "
                f"errors {manifest['errors']}) -> {out_file}")
@@ -351,25 +357,15 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
-    try:
-        suite, suite_digest = _read_suite(Path(suite_path))
-    except (ConfigError, ManifestError, FileNotFoundError) as e:
-        _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
-        return
+    suite, suite_digest = _read_suite(Path(suite_path))
     instances = {i.id: i for i in suite}
 
     records = []
     for results_path in results_paths:
-        try:
-            payloads = _read_results(Path(results_path), suite_digest)
-        except (ConfigError, ManifestError, FileNotFoundError) as e:
-            _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
-            return
-        for payload in payloads:
+        for payload in _read_results(Path(results_path), suite_digest):
             instance = instances.get(payload["id"])
             if instance is None:
-                _fail([f"{results_path}: result id {payload['id']!r} is not in the suite"], EXIT_CONFIG)
-                return
+                raise ConfigError([f"{results_path}: result id {payload['id']!r} is not in the suite"])
             parsed = parse_answer(payload["text"], instance.request_type)
             records.append(evaluator.score(instance, parsed, model=payload["model"]))
 
@@ -381,40 +377,38 @@ def cmd_eval(suite_path, results_paths, out_dir):
         if row.templates < TEMPLATES_PER_TYPE:
             click.echo(f"coverage warning: {dict(row.group)} has only {row.templates} template(s)", err=True)
 
+    variance_rows = [
+        {"level": str(r.key("level")), "model": str(r.key("model")),
+         "request_type": str(r.key("request_type")), "variance": repr(r.variance)}
+        for r in rows
+    ]
+    comparison = _maybe_compare(rows)
+    robustness = evaluator.existence_robustness(records)
+    # compare.json and existence.csv are None when this eval has none to
+    # write; a copy left by an earlier eval into the same directory is deleted
+    reports = {
+        "records.csv": evaluator.records_to_csv(records),
+        "aggregate.csv": evaluator.report_to_csv(rows),
+        "aggregate.md": evaluator.report_markdown(rows),
+        "variance.csv": evaluator.dicts_to_csv(variance_rows),
+        "compare.json": (json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n"
+                         if comparison is not None else None),
+        "existence.csv": (evaluator.dicts_to_csv([dataclasses.asdict(r) for r in robustness])
+                          if robustness else None),
+    }
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "records.csv").write_text(evaluator.records_to_csv(records), encoding="utf-8")
-        (out / "aggregate.csv").write_text(evaluator.report_to_csv(rows), encoding="utf-8")
-        (out / "aggregate.md").write_text(evaluator.report_markdown(rows), encoding="utf-8")
-        variance_rows = [
-            {"level": str(r.key("level")), "model": str(r.key("model")),
-             "request_type": str(r.key("request_type")), "variance": repr(r.variance)}
-            for r in rows
-        ]
-        (out / "variance.csv").write_text(evaluator.dicts_to_csv(variance_rows), encoding="utf-8")
-
-        comparison = _maybe_compare(rows)
-        if comparison is not None:
-            (out / "compare.json").write_text(
-                json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        robustness = evaluator.existence_robustness(records)
-        if robustness:
-            (out / "existence.csv").write_text(
-                evaluator.dicts_to_csv([dataclasses.asdict(r) for r in robustness]), encoding="utf-8"
-            )
-        produced = [p for p in out.iterdir() if p.suffix in (".csv", ".md", ".json") and "manifest" not in p.name]
-        write_manifest(
-            out / "eval.manifest.json",
-            config_digest="",
-            files={p.name: p for p in sorted(produced)},
-            extra={"suite_digest": suite_digest, "records": len(records)},
-        )
-    except OSError as e:
-        _fail([f"cannot write reports: {e}"], EXIT_IO)
-        return
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in reports.items():
+        if text is None:
+            (out / name).unlink(missing_ok=True)
+        else:
+            (out / name).write_text(text, encoding="utf-8")
+    write_manifest(
+        out / "eval.manifest.json",
+        config_digest="",
+        files={name: out / name for name, text in sorted(reports.items()) if text is not None},
+        extra={"suite_digest": suite_digest, "records": len(records)},
+    )
 
     click.echo(f"scored {len(records)} records -> {out}")
 
@@ -443,12 +437,19 @@ def _maybe_compare(rows):
     return evaluator.compare_formats(text_cells, table_cells)
 
 
-def _comparison_text(payload: dict) -> str:
-    text = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
-            f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)")
-    if payload.get("count_abs_reduction") is not None:
-        text += f"\ncount difference reduction: {payload['count_abs_reduction']:.2f}"
-    return text
+def _headline(path: Path, verb: str, payload_of) -> str:
+    """The text-vs-table headline from a JSON file, which payload_of turns into
+    a compare.json payload; a file that does not decode to one is a ConfigError."""
+    text, _ = _read_input(path)
+    try:
+        payload = payload_of(json.loads(text))
+        headline = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
+                    f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)")
+        if payload.get("count_abs_reduction") is not None:
+            headline += f"\ncount difference reduction: {payload['count_abs_reduction']:.2f}"
+    except (KeyError, TypeError, ValueError, evaluator.ReportError) as e:
+        raise ConfigError([f"cannot {verb} {path}: {e}"]) from None
+    return headline
 
 
 @main.command("report")
@@ -459,36 +460,26 @@ def cmd_report(eval_dir, compare_file):
     """Print the aggregate table and summaries produced by eval, or the
     text-vs-table headline for a standalone cells file."""
     if compare_file:
-        try:
-            fixture = json.loads(Path(compare_file).read_text(encoding="utf-8"))
-            comparison = evaluator.compare_formats(fixture["text"], fixture["table"])
-        except (OSError, KeyError, TypeError, ValueError, evaluator.ReportError) as e:
-            _fail([f"cannot compare {compare_file}: {e}"], EXIT_CONFIG)
-            return
-        click.echo(_comparison_text(dataclasses.asdict(comparison)))
+        click.echo(_headline(Path(compare_file), "compare", lambda cells: dataclasses.asdict(
+            evaluator.compare_formats(cells["text"], cells["table"]))))
         return
 
     if not eval_dir:
-        _fail(["report needs --eval-dir or --compare-file"], EXIT_CONFIG)
-        return
+        raise ConfigError(["report needs --eval-dir or --compare-file"])
     out = Path(eval_dir)
-    table = out / "aggregate.md"
+    table, compare, robustness = out / "aggregate.md", out / "compare.json", out / "existence.csv"
     if not table.is_file():
-        _fail([f"no aggregate.md under {eval_dir}; run eval first"], EXIT_CONFIG)
-        return
-    compare = out / "compare.json"
-    try:
-        summary = _comparison_text(json.loads(compare.read_text(encoding="utf-8"))) if compare.is_file() else None
-    except (KeyError, TypeError, ValueError) as e:
-        _fail([f"cannot read {compare}: {e}"], EXIT_CONFIG)
-        return
-    click.echo(table.read_text(encoding="utf-8"), nl=False)
+        raise ConfigError([f"no aggregate.md under {eval_dir}; run eval first"])
+    # every input is read before anything is printed
+    aggregate, _ = _read_input(table)
+    summary = _headline(compare, "read", lambda payload: payload) if compare.is_file() else None
+    existence = _read_input(robustness)[0] if robustness.is_file() else None
+    click.echo(aggregate, nl=False)
     if summary is not None:
         click.echo("\n" + summary)
-    robustness = out / "existence.csv"
-    if robustness.is_file():
+    if existence is not None:
         click.echo("\nexistence robustness (original vs negated):")
-        click.echo(robustness.read_text(encoding="utf-8"), nl=False)
+        click.echo(existence, nl=False)
 
 
 def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns: bool) -> RequestInstance:
@@ -527,16 +518,11 @@ def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns:
 @click.option("--config", "config_path", default=None, type=click.Path())
 def cmd_convert_rate(model_name, dataset_names, seed, sample_n, config_path):
     """Measure how much of a text rendering a model can restructure into a table."""
-    try:
-        if sample_n < 1:
-            raise ConfigError([f"--sample-n: {sample_n} is not a positive integer"])
-        config = load_config(config_path) if config_path else None
-        model = resolve_model(model_name, config)
-        names = dataset_names or BUILTIN_PACKS
-        packs = [load_pack(name) for name in names]
-    except (ConfigError, PackError) as e:
-        _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
-        return
+    if sample_n < 1:
+        raise ConfigError([f"--sample-n: {sample_n} is not a positive integer"])
+    config = load_config(config_path) if config_path else None
+    model = resolve_model(model_name, config)
+    packs = [load_pack(name) for name in dataset_names or BUILTIN_PACKS]
 
     for pack in packs:
         rel = sample_entities(pack.relation, min(sample_n, len(pack.relation.rows)),

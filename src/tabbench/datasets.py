@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .condgen import GenError
-from .relation import AttributeSpec, Relation, load_csv, schema_from_json
+from .relation import AttributeSpec, IngestError, Relation, SchemaError, load_csv, schema_from_json
 from .requestgen import TemplatePack, template_pack_from_json
 from .requesttypes import MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType
-from .structurer import PhraseBank, bank_from_json
+from .structurer import PhraseBank, RenderError, bank_from_json
 
 DATA_DIR = Path(__file__).parent / "data"
 BUILTIN_PACKS = ("soccer", "movie", "pii")
@@ -52,32 +52,32 @@ def load_pack(name_or_path: str | Path) -> DatasetPack:
     meta_file = path / "dataset.json"
     if not meta_file.is_file():
         raise PackError(f"no dataset.json under {path}")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
-
-    for field_name in ("name", "entity_noun", "entity_noun_plural", "allowed_ops", "numeric_target"):
-        if not meta.get(field_name):
-            raise PackError(f"{meta_file}: missing or empty {field_name!r}")
-
-    schema = schema_from_json((path / meta.get("schema", "schema.json")).read_text(encoding="utf-8"))
-    rows_file = path / meta.get("rows", "rows.csv")
-    relation = load_csv(rows_file.read_bytes(), schema, name=meta["name"])
-    bank = bank_from_json((path / meta.get("phrases", "phrases.json")).read_text(encoding="utf-8"))
-    bank.check_schema(schema)
-    templates = template_pack_from_json((path / meta.get("templates", "templates.json")).read_text(encoding="utf-8"))
-
-    known = {a.name for a in schema}
-    numeric_target = meta["numeric_target"]
-    if numeric_target not in known:
-        raise PackError(f"numeric_target {numeric_target!r} is not a schema attribute")
-    projection_attrs = tuple(meta.get("projection_attrs", ()))
-    for attr in projection_attrs:
-        if attr not in known:
-            raise PackError(f"projection attribute {attr!r} is not a schema attribute")
-    if not projection_attrs:
-        key = next(a.name for a in schema if a.is_key)
-        projection_attrs = (key,)
-
     try:
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+
+        for field_name in ("name", "entity_noun", "entity_noun_plural", "allowed_ops", "numeric_target"):
+            if not meta.get(field_name):
+                raise PackError(f"{meta_file}: missing or empty {field_name!r}")
+
+        schema = schema_from_json((path / meta.get("schema", "schema.json")).read_text(encoding="utf-8"))
+        rows_file = path / meta.get("rows", "rows.csv")
+        relation = load_csv(rows_file.read_bytes(), schema, name=meta["name"])
+        bank = bank_from_json((path / meta.get("phrases", "phrases.json")).read_text(encoding="utf-8"))
+        bank.check_schema(schema)
+        templates = template_pack_from_json((path / meta.get("templates", "templates.json")).read_text(encoding="utf-8"))
+
+        known = {a.name for a in schema}
+        numeric_target = meta["numeric_target"]
+        if numeric_target not in known:
+            raise PackError(f"numeric_target {numeric_target!r} is not a schema attribute")
+        projection_attrs = tuple(meta.get("projection_attrs", ()))
+        for attr in projection_attrs:
+            if attr not in known:
+                raise PackError(f"projection attribute {attr!r} is not a schema attribute")
+        if not projection_attrs:
+            key = next(a.name for a in schema if a.is_key)
+            projection_attrs = (key,)
+
         return DatasetPack(
             name=meta["name"],
             entity_noun=meta["entity_noun"],
@@ -90,5 +90,6 @@ def load_pack(name_or_path: str | Path) -> DatasetPack:
             numeric_target=numeric_target,
             projection_attrs=projection_attrs,
         )
-    except GenError as e:
-        raise PackError(str(e)) from None
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            SchemaError, IngestError, RenderError, GenError) as e:
+        raise PackError(f"{path}: cannot load pack ({type(e).__name__}: {e})") from None

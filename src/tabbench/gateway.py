@@ -283,7 +283,7 @@ def run_suite(
 
     try:
         with open(partial, "w", encoding="utf-8") as stream:
-            with ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
+            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
                 futures = {pool.submit(complete, inst, model): inst for inst in todo}
                 for future in as_completed(futures):
                     response = future.result()

@@ -53,10 +53,13 @@ def read_manifest(path: str | Path) -> dict:
         manifest = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ManifestError(f"missing manifest {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ManifestError(f"cannot read manifest {path}: {e.strerror or e}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
         raise ManifestError(f"corrupt manifest {path}: {e}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("files", {}), dict):
-        raise ManifestError(f"corrupt manifest {path}: not an object with a files object")
+    files = manifest.get("files", {}) if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(isinstance(digest, str) for digest in files.values()):
+        raise ManifestError(f"corrupt manifest {path}: not an object with a files object of digest strings")
     return manifest
 
 
@@ -70,6 +73,9 @@ def verify_manifest(manifest: dict, directory: str | Path, known: dict[str, str]
             target = Path(directory) / name
             if not target.is_file():
                 raise ManifestError(f"manifest references missing file {name}")
-            actual = sha256_file(target)
+            try:
+                actual = sha256_file(target)
+            except OSError as e:
+                raise ManifestError(f"cannot read {target}, listed in the manifest: {e.strerror or e}") from None
         if actual != digest:
             raise ManifestError(f"digest mismatch for {name}: manifest {digest[:12]}.., file {actual[:12]}..")

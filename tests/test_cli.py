@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -218,11 +219,16 @@ def test_eval_emits_manifest_covering_reports(runner, tmp_path):
     runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)])
     runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "perfect",
                          "--out", str(results)])
+    # reports an earlier eval into the same directory left; this suite has
+    # neither a natural level nor existence requests, so it writes neither
+    eval_dir.mkdir()
+    for stale in ("compare.json", "existence.csv"):
+        (eval_dir / stale).write_text("stale\n", encoding="utf-8")
     runner.invoke(main, ["eval", "--suite", str(gen_dir / "suite.jsonl"),
                          "--results", str(results), "--out", str(eval_dir)])
     manifest = read_manifest(eval_dir / "eval.manifest.json")
-    assert "records.csv" in manifest["files"]
-    assert "aggregate.md" in manifest["files"]
+    assert set(manifest["files"]) == {"records.csv", "aggregate.csv", "aggregate.md", "variance.csv"}
+    assert not (eval_dir / "compare.json").exists() and not (eval_dir / "existence.csv").exists()
     verify_manifest(manifest, eval_dir)
 
 
@@ -507,3 +513,72 @@ def test_report_compare_file_with_a_mean_that_is_not_a_number_exits_2(runner, tm
     compare_file.write_text(json.dumps(fixture), encoding="utf-8")
     [error] = _config_errors(runner.invoke(main, ["report", "--compare-file", str(compare_file)]))
     assert error.startswith(f"cannot compare {compare_file}:") and "'abc'" in error
+
+
+def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[list[str], str]:
+    """The command line that reads one broken input, and the file or setting its error must name."""
+    from tabbench.datasets import DATA_DIR
+
+    config, manifest, pack = tmp_path / "config.json", suite.parent / "suite.manifest.json", tmp_path / "pack"
+    generate = ["generate", "--config", str(config), "--out", str(tmp_path / "gen2")]
+    run = ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")]
+    if case.startswith("pack"):
+        shutil.copytree(DATA_DIR / "soccer", pack)
+        write_config(tmp_path, dataset=str(pack))
+    remote = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-model", "auth_env": "TABBENCH_KEY"}
+    run_remote = ["run", "--suite", str(suite), "--model", "stub", "--config", str(config),
+                  "--out", str(tmp_path / "r2.jsonl")]
+
+    if case == "--config a directory":
+        return ["generate", "--config", str(suite.parent), "--out", str(tmp_path / "gen2")], str(suite.parent)
+    if case == "--suite a directory":
+        return [run[0], "--suite", str(suite.parent), *run[3:]], str(suite.parent)
+    if case == "--results a directory":
+        return (["eval", "--suite", str(suite), "--results", str(suite.parent), "--out", str(tmp_path / "eval")],
+                str(suite.parent))
+    if case == "pack dataset.json not JSON":
+        (pack / "dataset.json").write_text("{", encoding="utf-8")
+        return generate, str(pack)
+    if case == "pack rows.csv without a schema column":
+        rows = pack / "rows.csv"
+        rows.write_text(rows.read_text(encoding="utf-8").replace("Name,", "Player,", 1), encoding="utf-8")
+        return generate, str(pack)
+    if case == "pack without phrases.json":
+        (pack / "phrases.json").unlink()
+        return generate, str(pack)
+    if case == "report aggregate.md not UTF-8":
+        (tmp_path / "eval").mkdir()
+        (tmp_path / "eval" / "aggregate.md").write_bytes(b"\xff\xfe| Request Type |\n")
+        return ["report", "--eval-dir", str(tmp_path / "eval")], str(tmp_path / "eval" / "aggregate.md")
+    if case == "suite manifest not UTF-8":
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        return run, str(manifest)
+    if case == "suite manifest digest not a string":
+        manifest.write_text(json.dumps({"files": {"suite.jsonl": 5}}), encoding="utf-8")
+        return run, str(manifest)
+    if case == "models entry with an unset auth_env":
+        monkeypatch.delenv("TABBENCH_KEY", raising=False)
+        write_config(tmp_path, models=[remote])
+        return run_remote, "TABBENCH_KEY"
+    if case == "models entry with max_in_flight 0":
+        monkeypatch.setenv("TABBENCH_KEY", "k")
+        write_config(tmp_path, models=[{**remote, "max_in_flight": 0}])
+        return run_remote, "max_in_flight"
+    assert case == "--max-in-flight 0"
+    return [*run, "--max-in-flight", "0"], "--max-in-flight"
+
+
+@pytest.mark.parametrize("case", [
+    "--config a directory", "--suite a directory", "--results a directory",
+    "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
+    "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
+    "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
+])
+def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch, case):
+    suite, _ = _generated_and_run(runner, tmp_path)
+    args, named = _broken_input(case, tmp_path, suite, monkeypatch)
+    result = runner.invoke(main, args)
+    [error] = _config_errors(result)
+    assert named in error
+    assert result.stdout == ""
+    assert not list(tmp_path.rglob("*.partial"))
