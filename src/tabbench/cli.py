@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, evaluator
+from . import __version__, evaluator, requestgen
 from .answers import parse as parse_answer
 from .condgen import GenError
 from .datasets import BUILTIN_PACKS, DatasetPack, PackError, load_pack
@@ -31,9 +31,10 @@ from .gateway import (
     complete,
     run_suite,
 )
-from .oracle import AND, CONNECTIVES, Condition, Delete, EQ, OR, evaluate
+from .oracle import AND, CONNECTIVES, Condition, Delete, EQ, evaluate
 from .relation import Relation, sample_entities
 from .requestgen import (
+    MODES,
     TEMPLATES_PER_TYPE,
     RequestInstance,
     SuiteConfig,
@@ -42,7 +43,7 @@ from .requestgen import (
     load_suite,
     make_pre_instruction,
 )
-from .requesttypes import CORE_TYPES, ROWS, RequestType
+from .requesttypes import ROWS, RequestType
 from .runio import (
     ManifestError,
     config_hash,
@@ -78,33 +79,38 @@ def _read_input(path: Path) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """One run's full configuration. Seeds are mandatory: no implicit entropy."""
+    """One run's full configuration: the pack, how many of its entities to
+    sample, the suite grid and the remote models by name. Seeds are
+    mandatory: no implicit entropy."""
 
     dataset: str
-    seed: int
+    suite: SuiteConfig
+    models: dict[str, ProviderConfig]
     sample_n: int = 100
-    pair_count: int = 100
-    request_types: tuple[str, ...] = tuple(t.value for t in CORE_TYPES)
-    connectives: tuple[str, ...] = (AND, OR)
-    n_conditions: tuple[int, ...] = (2,)
-    levels: tuple[str, ...] = ("table",)
-    portions: tuple[float, ...] = ()
-    min_support: int = 1
-    max_resample: int = 1000
-    mode: str = "surrogate"
-    models: tuple[dict, ...] = ()
 
     def payload(self) -> dict:
-        return dataclasses.asdict(self)
+        """The resolved settings as JSON values, defaults filled in."""
+        return json.loads(json.dumps(dataclasses.asdict(self), default=lambda member: member.value))
 
 
-LIST_FIELDS = ("request_types", "connectives", "n_conditions", "levels", "portions", "models")
+SUITE_FIELDS = {f.name for f in dataclasses.fields(SuiteConfig)}
+CONFIG_KEYS = {"dataset", "sample_n", "models", *SUITE_FIELDS}
+# what each entry of a grid list is read into
+GRID_ENTRIES = {"request_types": RequestType, "connectives": str, "n_conditions": int,
+                "levels": StructuringLevel, "portions": float}
+LIST_FIELDS = (*GRID_ENTRIES, "models")
+# a models entry's keys: its name and ProviderConfig's fields, each with the
+# JSON values it takes; a float field also takes an integer, no field a boolean
+MODEL_FIELDS = {"name": "str", **{f.name: f.type for f in dataclasses.fields(ProviderConfig)}}
+JSON_TYPES = {"int": int, "float": (int, float)}
 
 
 def _validate(raw) -> list[str]:
     if not isinstance(raw, dict):
         return ["config: must be a JSON object"]
-    errors = [f"{name}: must be a list" for name in LIST_FIELDS if not isinstance(raw.get(name, []), list)]
+    errors = [f"{key}: unknown key; the keys are {', '.join(sorted(CONFIG_KEYS))}"
+              for key in raw if key not in CONFIG_KEYS]
+    errors += [f"{name}: must be a list" for name in LIST_FIELDS if not isinstance(raw.get(name, []), list)]
     if errors:
         return errors
     if not raw.get("dataset") or not isinstance(raw["dataset"], str):
@@ -114,8 +120,9 @@ def _validate(raw) -> list[str]:
     elif type(raw["seed"]) is not int:
         errors.append("seed: must be an integer")
     for field_name in ("sample_n", "pair_count", "min_support", "max_resample"):
-        if field_name in raw and (type(raw[field_name]) is not int or raw[field_name] < 0):
-            errors.append(f"{field_name}: must be a non-negative integer")
+        least = 1 if field_name == "min_support" else 0
+        if field_name in raw and (type(raw[field_name]) is not int or raw[field_name] < least):
+            errors.append(f"{field_name}: must be a {('non-negative', 'positive')[least]} integer")
     for n in raw.get("n_conditions", ()):
         if type(n) is not int or n < 1:
             errors.append(f"n_conditions: {n!r} is not a positive integer")
@@ -129,8 +136,9 @@ def _validate(raw) -> list[str]:
             errors.append(f"portions: {portion!r} not in {PORTIONS}")
     if raw.get("portions") and len(raw.get("levels", ())) > 1:
         errors.append("portions: a partial mix has no structuring level, so it takes at most one level")
-    if raw.get("mode", "surrogate") not in ("surrogate", "two_turn"):
-        errors.append("mode: must be surrogate or two_turn")
+    if raw.get("mode", MODES[0]) not in MODES:
+        errors.append(f"mode: must be {' or '.join(MODES)}")
+    names = []
     for model in raw.get("models", ()):
         if not isinstance(model, dict):
             errors.append(f"models: entry {model!r} is not a JSON object")
@@ -138,6 +146,16 @@ def _validate(raw) -> list[str]:
         for required in ("name", "endpoint", "model", "auth_env"):
             if not model.get(required):
                 errors.append(f"models: entry missing {required!r}")
+        name = model.get("name")
+        if name and name in names:
+            errors.append(f"models: name {name!r} is given to more than one entry")
+        names.append(name)
+        for key, value in model.items():
+            kind = MODEL_FIELDS.get(key)
+            if kind is None:
+                errors.append(f"models: {name!r}: unknown key {key!r}")
+            elif isinstance(value, bool) or not isinstance(value, JSON_TYPES.get(kind, str)):
+                errors.append(f"models: {name!r}: {key} must be {kind}, got {value!r}")
     return errors
 
 
@@ -152,33 +170,25 @@ def load_config(path: str | Path) -> HarnessConfig:
     if errors:
         raise ConfigError(errors)
 
-    known = {f.name for f in dataclasses.fields(HarnessConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            continue
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return HarnessConfig(**kwargs)
-
-
-def suite_config(config: HarnessConfig) -> SuiteConfig:
-    return SuiteConfig(
-        pair_count=config.pair_count,
-        request_types=tuple(RequestType(t) for t in config.request_types),
-        connectives=config.connectives,
-        n_conditions=config.n_conditions,
-        levels=tuple(StructuringLevel(l) for l in config.levels),
-        portions=tuple(config.portions) if config.portions else (None,),
-        seed=config.seed,
-        min_support=config.min_support,
-        max_resample=config.max_resample,
-        mode=config.mode,
-    )
+    grid = {key: tuple(map(GRID_ENTRIES[key], value)) if key in GRID_ENTRIES else value
+            for key, value in raw.items() if key in SUITE_FIELDS}
+    if grid.get("portions") == ():
+        del grid["portions"]
+    models = {}
+    for entry in raw.get("models", ()):
+        fields = {key: float(value) if MODEL_FIELDS[key] == "float" else value for key, value in entry.items()}
+        name = fields.pop("name")
+        try:
+            models[name] = ProviderConfig(**fields)
+        except GatewayError as e:
+            raise ConfigError([f"models: {name!r}: {e}"]) from None
+    return HarnessConfig(**{key: raw[key] for key in ("dataset", "sample_n") if key in raw},
+                         suite=SuiteConfig(**grid), models=models)
 
 
 def sampled_relation(pack: DatasetPack, config: HarnessConfig) -> Relation:
     n = min(config.sample_n, len(pack.relation.rows))
-    return sample_entities(pack.relation, n, derive_seed(config.seed, "sample"))
+    return sample_entities(pack.relation, n, derive_seed(config.suite.seed, "sample"))
 
 
 def resolve_model(name: str, config: HarnessConfig | None) -> ModelKind:
@@ -199,17 +209,12 @@ def resolve_model(name: str, config: HarnessConfig | None) -> ModelKind:
                 if key != "seed" and not 0.0 <= params[key] <= 1.0:
                     raise ConfigError([f"model: lossy parameter {key!r} must lie in [0, 1], got {value!r}"])
         return LossyOracle(omission_prob=params["q"], flip_prob=params["r"], seed=params["seed"])
-    for entry in (config.models if config else ()):
-        if entry.get("name") == name:
-            fields = {f.name for f in dataclasses.fields(ProviderConfig)}
-            try:
-                provider = ProviderConfig(**{k: v for k, v in entry.items() if k in fields})
-            except GatewayError as e:
-                raise ConfigError([f"models: {name!r}: {e}"]) from None
-            if not os.environ.get(provider.auth_env):
-                raise ConfigError([f"models: {name!r}: environment variable {provider.auth_env!r} is not set"])
-            return RemoteModel(provider)
-    raise ConfigError([f"model: unknown model {name!r} (use perfect, lossy:..., or a configured name)"])
+    provider = config.models.get(name) if config else None
+    if provider is None:
+        raise ConfigError([f"model: unknown model {name!r} (use perfect, lossy:..., or a configured name)"])
+    if not os.environ.get(provider.auth_env):
+        raise ConfigError([f"models: {name!r}: environment variable {provider.auth_env!r} is not set"])
+    return RemoteModel(provider)
 
 
 def _fail(errors: list[str], code: int) -> None:
@@ -247,10 +252,10 @@ def cmd_generate(config_path, out_dir, seed_override):
     """Generate a request suite with oracle gold answers."""
     config = load_config(config_path)
     if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
+        config = dataclasses.replace(config, suite=dataclasses.replace(config.suite, seed=seed_override))
     pack = load_pack(config.dataset)
-    rel = sampled_relation(pack, config)
-    instances = generate(rel, config, pack)
+    # through the module, so that a wrapper set on requestgen.generate_suite is called
+    instances = requestgen.generate_suite(sampled_relation(pack, config), config.suite, pack)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,19 +265,13 @@ def cmd_generate(config_path, out_dir, seed_override):
         out / "suite.manifest.json",
         config_digest=config_hash(config.payload()),
         files={"suite.jsonl": suite_path},
-        extra={"seed": config.seed, "dataset": pack.name},
+        extra={"seed": config.suite.seed, "dataset": pack.name},
     )
 
     counts = Counter(i.request_type.value for i in instances)
     for request_type in sorted(counts):
         click.echo(f"{request_type}: {counts[request_type]} instances")
     click.echo(f"total: {len(instances)} -> {out / 'suite.jsonl'}")
-
-
-def generate(rel: Relation, config: HarnessConfig, pack: DatasetPack) -> list[RequestInstance]:
-    from .requestgen import generate_suite
-
-    return generate_suite(rel, suite_config(config), pack)
 
 
 def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:

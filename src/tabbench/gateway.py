@@ -12,7 +12,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import requests as _requests
@@ -212,35 +212,15 @@ def compose_message(instance: RequestInstance) -> str:
 
 
 def complete(instance: RequestInstance, model: ModelKind) -> ModelResponse:
-    """Answer one instance. In two-turn mode the model is first asked to lay the
-    facts out as a table, and its own table replaces the context for the main
-    instruction; mocks answer the first turn with the exact table."""
-    if instance.mode != "two_turn":
+    """Answer one instance. In two-turn mode a remote model is first asked to
+    lay the facts out as a table, and its own table replaces the context for
+    the main instruction; a mock never reads the context, so it answers at once."""
+    if instance.mode != "two_turn" or not isinstance(model, RemoteModel):
         return model.complete(instance)
-
-    from dataclasses import replace as _replace
-
-    pre = instance.pre_instruction or ""
-    if isinstance(model, RemoteModel):
-        first = model.complete(_replace(instance, context=instance.context, prompt=pre))
-        if first.error is not None:
-            return first
-        table_text = first.text
-    else:
-        table_text = render_table_from_keys(instance)
-    return model.complete(_replace(instance, context=table_text))
-
-
-def render_table_from_keys(instance: RequestInstance) -> str:
-    """Mock first-turn output: the context parsed back into a pipe table when it
-    already is one, else a table block found inside it, else the context as-is."""
-    from .structurer import NoTableError, parse_table
-
-    try:
-        table = parse_table(instance.context)
-    except NoTableError:
-        return instance.context
-    return render_table(table.header, table.rows)
+    first = model.complete(replace(instance, prompt=instance.pre_instruction or ""))
+    if first.error is not None:
+        return first
+    return model.complete(replace(instance, context=first.text))
 
 
 def response_to_json(response: ModelResponse, model_id: str) -> dict:

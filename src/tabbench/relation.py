@@ -244,7 +244,7 @@ def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise SchemaError("schema file must be a JSON array of attribute objects")
-    return tuple(
+    schema = tuple(
         AttributeSpec(
             name=obj["name"],
             kind=obj["kind"],
@@ -254,3 +254,8 @@ def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
         )
         for obj in raw
     )
+    names = [a.name for a in schema]
+    for name in names:
+        if names.count(name) > 1:
+            raise SchemaError(f"schema names attribute {name!r} more than once")
+    return schema

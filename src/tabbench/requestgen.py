@@ -48,6 +48,9 @@ class SuiteFormatError(GenError):
 
 
 TEMPLATES_PER_TYPE = 3
+# how an instance is put to the model: its context as given, or first laid out
+# by the model as a table
+MODES = ("surrogate", "two_turn")
 
 
 @dataclass(frozen=True)
@@ -275,17 +278,6 @@ class SuiteConfig:
     max_resample: int = 1000
     mode: str = "surrogate"
 
-    def instances_per_type(self, request_type: RequestType) -> int:
-        return (
-            self.pair_count
-            * len(self.connectives)
-            * TEMPLATES_PER_TYPE
-            * len(self.levels)
-            * len(self.n_conditions)
-            * len(self.portions)
-            * len(ROWS[request_type].wordings)
-        )
-
 
 def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> list[RequestInstance]:
     """Deterministic suite in (type, count, pair, level, portion, connective,
@@ -375,12 +367,28 @@ def instance_to_json(instance: RequestInstance) -> dict:
     }
 
 
+# The JSON type of each instance_to_json value that is not decoded by a
+# function of its own (the plan and the gold are).
+INSTANCE_TYPES = {"connective": str, "context": str, "dataset": str, "entity_keys": list, "id": str,
+                  "level": str, "mode": str, "portion": float | int | None, "pre_instruction": str | None,
+                  "prompt": str, "resamples": int, "template_id": int}
+
+
 def instance_from_json(obj: dict, shared: dict | None = None) -> RequestInstance:
-    """The instance instance_to_json wrote. `shared` maps some of
-    SHARED_FIELDS to values already decoded for another instance; they are
-    taken as they are, in place of obj's own. A `request_type` key, which
-    suites stated before it was read from the plan, is ignored."""
+    """The instance instance_to_json wrote; a value of the wrong type raises
+    TypeError. `shared` maps some of SHARED_FIELDS to values already decoded
+    for another instance; they are taken as they are, in place of obj's own.
+    A `request_type` key, which suites stated before it was read from the
+    plan, is ignored, and a missing `resamples` is 0."""
     shared = shared or {}
+    for key, kind in INSTANCE_TYPES.items():
+        value = obj.get(key, 0) if key == "resamples" else obj[key]
+        if key not in shared and not isinstance(value, kind):
+            raise TypeError(f"{key} {value!r} is not of type {getattr(kind, '__name__', kind)}")
+    if "entity_keys" not in shared and not all(isinstance(k, str) for k in obj["entity_keys"]):
+        raise TypeError(f"entity_keys {obj['entity_keys']!r} holds a key that is not a string")
+    if obj["mode"] not in MODES:
+        raise ValueError(f"mode {obj['mode']!r} is not one of {MODES}")
     return RequestInstance(
         id=obj["id"],
         dataset=obj["dataset"],

@@ -45,10 +45,6 @@ class StructuringLevel(Enum):
     TEMPLATE_BASED = "template_based"
     TABLE = "table"
 
-    @property
-    def rank(self) -> int:
-        return ("natural", "order_fixed", "template_based", "table").index(self.value)
-
 
 PORTIONS = (0.0, 0.25, 0.5, 1.0)
 
@@ -114,18 +110,15 @@ def render_table(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> st
     return "\n".join(["| " + " | ".join(cells) + " |" for cells in (header, *rows)])
 
 
-def _sentence(rel: Relation, row, frame_head: str, order: tuple[str, ...],
-              clause_pick, phrase_pick, bank: PhraseBank) -> str:
-    key_value = rel.key_of(row)
-    parts = [_fill(frame_head, key=key_value)]
+def _sentence(rel: Relation, row, frame_head: str, order: tuple[str, ...], pick, bank: PhraseBank) -> str:
+    """One entity's sentence; pick(n) chooses among n wordings, first each
+    attribute's clause and then its phrase."""
+    parts = [_fill(frame_head, key=rel.key_of(row))]
     for attr_name in order:
-        spec = rel.attribute(attr_name)
-        templates = bank.clauses.get(attr_name)
-        if not templates:
-            raise NoBankError(f"no clause templates for attribute {attr_name!r}")
-        clause = templates[clause_pick(attr_name, len(templates))]
-        phrase = spec.paraphrases[phrase_pick(attr_name, len(spec.paraphrases))]
-        parts.append(_fill(clause, value=rel.value(row, attr_name), phrase=phrase))
+        templates = bank.clauses[attr_name]
+        clause = templates[pick(len(templates))]
+        paraphrases = rel.attribute(attr_name).paraphrases
+        parts.append(_fill(clause, value=rel.value(row, attr_name), phrase=paraphrases[pick(len(paraphrases))]))
     return " ".join(parts) + "."
 
 
@@ -149,9 +142,7 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
     lines = []
     for entity_index, row in enumerate(rel.rows):
         if level is StructuringLevel.TEMPLATE_BASED:
-            head, order = canonical.head, canonical.order
-            pick = lambda attr, n: 0
-            lines.append(_sentence(rel, row, head, order, pick, pick, bank))
+            lines.append(_sentence(rel, row, canonical.head, canonical.order, lambda n: 0, bank))
             continue
 
         rng = rng_for(seed, "render", level.value, entity_index, rel.key_of(row))
@@ -162,22 +153,7 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
             order = list(canonical.order)
             rng.shuffle(order)
             order = tuple(order)
-        draws: dict[tuple[str, str], int] = {}
-
-        def pick(attr: str, n: int, tag: str, rng=rng, draws=draws) -> int:
-            marker = (tag, attr)
-            if marker not in draws:
-                draws[marker] = rng.randrange(n)
-            return draws[marker]
-
-        lines.append(
-            _sentence(
-                rel, row, head, order,
-                lambda attr, n: pick(attr, n, "clause"),
-                lambda attr, n: pick(attr, n, "phrase"),
-                bank,
-            )
-        )
+        lines.append(_sentence(rel, row, head, order, rng.randrange, bank))
     return "\n".join(lines)
 
 

@@ -237,3 +237,20 @@ def table_equal(parsed: PipeTable, rel: Relation) -> bool:
     """A parsed table holds the relation's headers and cell grid, with the
     relation's key column first, where parse_table reads keys."""
     return parsed == as_pipe_table(rel) and parsed.header[0] == rel.key_attr.name
+
+
+def instances_per_type(config, request_type) -> int:
+    """The suite-size formula: how many instances generate_suite makes of one
+    request type under a SuiteConfig."""
+    from tabbench.requestgen import TEMPLATES_PER_TYPE
+    from tabbench.requesttypes import ROWS
+
+    return (
+        config.pair_count
+        * len(config.connectives)
+        * TEMPLATES_PER_TYPE
+        * len(config.levels)
+        * len(config.n_conditions)
+        * len(config.portions)
+        * len(ROWS[request_type].wordings)
+    )

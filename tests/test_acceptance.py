@@ -45,7 +45,7 @@ from tabbench.structurer import (
     render_partial,
 )
 
-from conftest import PLAN_SHAPES, random_plan, random_relation, table_equal
+from conftest import PLAN_SHAPES, instances_per_type, random_plan, random_relation, table_equal
 from reference_oracle import brute_force_reference
 
 DATA = Path(__file__).parent / "data"
@@ -185,7 +185,7 @@ def test_criterion_4_suite_size(soccer_pack, soccer_100):
         counts[instance.request_type] = counts.get(instance.request_type, 0) + 1
     for request_type in config.request_types:
         assert counts[request_type] == 600, counts
-        assert config.instances_per_type(request_type) == 600
+        assert instances_per_type(config, request_type) == 600
     assert len(suite) == 3600
 
 

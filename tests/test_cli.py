@@ -201,6 +201,8 @@ def test_report_compare_file_headline(runner):
 
 
 def test_generate_seed_override_changes_suite(runner, tmp_path):
+    from tabbench.runio import read_manifest
+
     config = write_config(tmp_path, request_types=["retrieval"], pair_count=1)
     for seed, out in (("11", "a"), ("12", "b")):
         result = runner.invoke(main, ["generate", "--config", str(config),
@@ -209,6 +211,22 @@ def test_generate_seed_override_changes_suite(runner, tmp_path):
     first = (tmp_path / "a" / "suite.jsonl").read_text()
     second = (tmp_path / "b" / "suite.jsonl").read_text()
     assert first != second
+    manifests = [read_manifest(tmp_path / out / "suite.manifest.json") for out in "ab"]
+    assert [m["seed"] for m in manifests] == [11, 12]
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+
+def test_config_spelling_out_defaults_hashes_as_one_omitting_them(runner, tmp_path):
+    from tabbench.runio import read_manifest
+
+    spelled = {"n_conditions": [2], "portions": [], "min_support": 1, "max_resample": 1000, "mode": "surrogate",
+               "models": [{**REMOTE, "temperature": 0, "timeout_s": 60, "max_retries": 3, "max_in_flight": 4}]}
+    hashes = []
+    for out, extra in (("a", {"models": [REMOTE]}), ("b", spelled)):
+        config = write_config(tmp_path, request_types=["count"], pair_count=1, **extra)
+        assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(tmp_path / out)]).exit_code == 0
+        hashes.append(read_manifest(tmp_path / out / "suite.manifest.json")["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_eval_emits_manifest_covering_reports(runner, tmp_path):
@@ -385,6 +403,9 @@ def test_eval_rejects_results_or_manifest_edited_after_run(runner, tmp_path, edi
     assert message in error
 
 
+REMOTE = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-model", "auth_env": "TABBENCH_KEY"}
+
+
 @pytest.mark.parametrize("payload,message", [
     ([], "config: must be a JSON object"),
     ({"dataset": "soccer", "seed": 1, "models": [5]}, "models: entry 5 is not a JSON object"),
@@ -400,6 +421,24 @@ def test_eval_rejects_results_or_manifest_edited_after_run(runner, tmp_path, edi
     ({"dataset": "soccer", "seed": 1, "pair_count": True}, "pair_count: must be a non-negative integer"),
     ({"dataset": "soccer", "seed": False}, "seed: must be an integer"),
     ({"dataset": ["soccer"], "seed": 1}, "dataset: required (builtin name or pack directory)"),
+    ({"dataset": "soccer", "seed": 1, "min_support": 0}, "min_support: must be a positive integer"),
+    # keys the config does not have
+    ({"dataset": "soccer", "seed": 1, "request_type": ["count"]},
+     "request_type: unknown key; the keys are connectives, dataset, levels, max_resample, min_support, mode, "
+     "models, n_conditions, pair_count, portions, request_types, sample_n, seed"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retires": 0}]},
+     "models: 'stub': unknown key 'max_retires'"),
+    # models fields of the wrong type, and one name given twice
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_in_flight": "4"}]},
+     "models: 'stub': max_in_flight must be int, got '4'"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": "2"}]},
+     "models: 'stub': max_retries must be int, got '2'"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": "1"}]},
+     "models: 'stub': timeout_s must be float, got '1'"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "temperature": False}]},
+     "models: 'stub': temperature must be float, got False"),
+    ({"dataset": "soccer", "seed": 1, "models": [REMOTE, {**REMOTE, "model": "other"}]},
+     "models: name 'stub' is given to more than one entry"),
 ])
 def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
     config = tmp_path / "config.json"
@@ -525,7 +564,6 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     if case.startswith("pack"):
         shutil.copytree(DATA_DIR / "soccer", pack)
         write_config(tmp_path, dataset=str(pack))
-    remote = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-model", "auth_env": "TABBENCH_KEY"}
     run_remote = ["run", "--suite", str(suite), "--model", "stub", "--config", str(config),
                   "--out", str(tmp_path / "r2.jsonl")]
 
@@ -543,6 +581,11 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
         rows = pack / "rows.csv"
         rows.write_text(rows.read_text(encoding="utf-8").replace("Name,", "Player,", 1), encoding="utf-8")
         return generate, str(pack)
+    if case == "pack schema.json naming an attribute twice":
+        schema = pack / "schema.json"
+        attributes = json.loads(schema.read_text(encoding="utf-8"))
+        schema.write_text(json.dumps([*attributes, attributes[1]]), encoding="utf-8")
+        return generate, "'Number' more than once"
     if case == "pack without phrases.json":
         (pack / "phrases.json").unlink()
         return generate, str(pack)
@@ -558,11 +601,11 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
         return run, str(manifest)
     if case == "models entry with an unset auth_env":
         monkeypatch.delenv("TABBENCH_KEY", raising=False)
-        write_config(tmp_path, models=[remote])
+        write_config(tmp_path, models=[REMOTE])
         return run_remote, "TABBENCH_KEY"
     if case == "models entry with max_in_flight 0":
         monkeypatch.setenv("TABBENCH_KEY", "k")
-        write_config(tmp_path, models=[{**remote, "max_in_flight": 0}])
+        write_config(tmp_path, models=[{**REMOTE, "max_in_flight": 0}])
         return run_remote, "max_in_flight"
     assert case == "--max-in-flight 0"
     return [*run, "--max-in-flight", "0"], "--max-in-flight"
@@ -571,6 +614,7 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
 @pytest.mark.parametrize("case", [
     "--config a directory", "--suite a directory", "--results a directory",
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
+    "pack schema.json naming an attribute twice",
     "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
     "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
 ])

@@ -29,7 +29,7 @@ from tabbench.requestgen import (
 from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, render, render_partial
 
-from conftest import eq, instantiate_one, tiny_soccer_pack
+from conftest import eq, instances_per_type, instantiate_one, tiny_soccer_pack
 
 
 @pytest.fixture
@@ -149,7 +149,7 @@ def test_suite_size_formula_over_grid(pack, f2):
     for grid in grids:
         config = SuiteConfig(seed=3, **grid)
         suite = generate_suite(f2, config, pack)
-        expected = sum(config.instances_per_type(t) for t in config.request_types)
+        expected = sum(instances_per_type(config, t) for t in config.request_types)
         assert len(suite) == expected
 
 
@@ -254,6 +254,26 @@ def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
     obj["plan"]["negated"] = "yes"
     lines[1] = json.dumps(obj, sort_keys=True)
     with pytest.raises(SuiteFormatError, match="line 2: .*negated must be a bool"):
+        load_suite("\n".join(lines))
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("template_id", "x", "template_id 'x' is not of type int"),
+    ("prompt", 5, "prompt 5 is not of type str"),
+    ("context", 5, "context 5 is not of type str"),
+    ("portion", "half", "portion 'half' is not of type float | int | None"),
+    ("entity_keys", "abc", "entity_keys 'abc' is not of type list"),
+    ("entity_keys", [1], "entity_keys \\[1\\] holds a key that is not a string"),
+    ("mode", "three_turn", "mode 'three_turn' is not one of \\('surrogate', 'two_turn'\\)"),
+])
+def test_suite_line_with_a_value_of_the_wrong_type_does_not_load(pack, f2, key, value, message):
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
+    lines = dump_suite(generate_suite(f2, config, pack)).splitlines()
+    # the first line states the shared values in full
+    obj = json.loads(lines[0])
+    obj[key] = value
+    lines[0] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(SuiteFormatError, match=f"line 1: .*{message}"):
         load_suite("\n".join(lines))
 
 

@@ -33,9 +33,8 @@ F1_TABLE = (
 
 
 def test_structuredness_ordering():
-    ranks = [level.rank for level in (StructuringLevel.NATURAL, StructuringLevel.ORDER_FIXED,
-                                      StructuringLevel.TEMPLATE_BASED, StructuringLevel.TABLE)]
-    assert ranks == sorted(ranks)
+    # the levels are declared from least to most structured
+    assert [level.value for level in StructuringLevel] == ["natural", "order_fixed", "template_based", "table"]
 
 
 def test_table_rendering_exact(f1):
