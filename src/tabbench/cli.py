@@ -326,7 +326,9 @@ def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
 @click.option("--model", "model_name", required=True, help="perfect | lossy:q=0.2 | configured remote name.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Results JSONL path.")
 @click.option("--config", "config_path", default=None, type=click.Path(), help="Config (for remote models).")
-@click.option("--max-in-flight", default=4, show_default=True, help="Concurrent requests for mock models.")
+@click.option("--max-in-flight", default=4, show_default=True,
+              help="Kept for older scripts (at least 1) and not used: a mock is answered one instance at "
+                   "a time, and a remote model runs its config's max_in_flight requests at once.")
 def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     """Run a suite against a model; resumes if the results file already exists."""
     if max_in_flight < 1:
@@ -338,7 +340,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
 
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    manifest = run_suite(instances, model, out_file, max_in_flight=max_in_flight, existing=existing)
+    manifest = run_suite(instances, model, out_file, existing=existing)
     write_manifest(
         out_file.with_name(out_file.name + ".manifest.json"),
         config_digest=config_hash(config.payload()) if config else "",

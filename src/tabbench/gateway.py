@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import requests as _requests
 
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .requestgen import RequestInstance
@@ -52,8 +49,11 @@ class ProviderConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise GatewayError("max_in_flight must be at least 1")
+        for name, least in (("max_in_flight", 1), ("max_retries", 0), ("backoff_base_ms", 0)):
+            if getattr(self, name) < least:
+                raise GatewayError(f"{name} must be at least {least}")
+        if not self.timeout_s > 0:
+            raise GatewayError("timeout_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,9 @@ class RemoteModel:
         return payload["choices"][0]["message"]["content"]
 
     def complete(self, instance: RequestInstance) -> ModelResponse:
+        # imported here, so that only a process that asks a remote model loads the HTTP stack
+        import requests
+
         token = os.environ.get(self.config.auth_env, "")
         if not token:
             raise MissingAuthError(f"environment variable {self.config.auth_env!r} is not set")
@@ -171,13 +174,13 @@ class RemoteModel:
             if attempt:
                 time.sleep(self.config.backoff_base_ms * (2 ** (attempt - 1)) / 1000.0)
             try:
-                reply = _requests.post(
+                reply = requests.post(
                     self.config.endpoint,
                     headers=headers,
                     json=self.build_payload(message),
                     timeout=self.config.timeout_s,
                 )
-            except _requests.RequestException as e:
+            except requests.RequestException as e:
                 error = f"transport: {e}"
                 continue
             if reply.ok:
@@ -234,12 +237,24 @@ def response_to_json(response: ModelResponse, model_id: str) -> dict:
     }
 
 
+def _answers(todo: list[RequestInstance], model: ModelKind):
+    """Responses to `todo` in completion order. A mock is CPU-bound, so a pool
+    would only add overhead under the GIL: it answers inline, one instance at a
+    time. A remote model is asked through a pool of its config's max_in_flight."""
+    if not isinstance(model, RemoteModel):
+        for instance in todo:
+            yield complete(instance, model)
+        return
+    with ThreadPoolExecutor(max_workers=model.config.max_in_flight) as pool:
+        for future in as_completed([pool.submit(complete, instance, model) for instance in todo]):
+            yield future.result()
+
+
 def run_suite(
     instances: list[RequestInstance],
     model: ModelKind,
     sink: str | Path,
     *,
-    max_in_flight: int = 4,
     existing: dict[str, dict] | None = None,
 ) -> dict:
     """Answer every instance exactly once, streaming results as JSONL.
@@ -253,26 +268,18 @@ def run_suite(
     existing = dict(existing or {})
     todo = [i for i in instances if i.id not in existing]
 
-    if isinstance(model, RemoteModel):
-        max_in_flight = model.config.max_in_flight
-
     started = time.time()
     lines: dict[str, dict] = dict(existing)
-    lock = threading.Lock()
     errors = 0
 
     try:
         with open(partial, "w", encoding="utf-8") as stream:
-            with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-                futures = {pool.submit(complete, inst, model): inst for inst in todo}
-                for future in as_completed(futures):
-                    response = future.result()
-                    record = response_to_json(response, model.model_id)
-                    with lock:
-                        stream.write(json.dumps(record, sort_keys=True) + "\n")
-                        lines[response.request_id] = record
-                        if response.error is not None:
-                            errors += 1
+            for response in _answers(todo, model):
+                record = response_to_json(response, model.model_id)
+                stream.write(json.dumps(record, sort_keys=True) + "\n")
+                lines[response.request_id] = record
+                if response.error is not None:
+                    errors += 1
         with open(sink, "w", encoding="utf-8") as final:
             for request_id in sorted(lines):
                 final.write(json.dumps(lines[request_id], sort_keys=True) + "\n")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import tabbench
 from tabbench.cli import main
 
 
@@ -439,6 +443,13 @@ REMOTE = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-mo
      "models: 'stub': temperature must be float, got False"),
     ({"dataset": "soccer", "seed": 1, "models": [REMOTE, {**REMOTE, "model": "other"}]},
      "models: name 'stub' is given to more than one entry"),
+    # models fields out of range
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": -1}]},
+     "models: 'stub': max_retries must be at least 0"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "backoff_base_ms": -1}]},
+     "models: 'stub': backoff_base_ms must be at least 0"),
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": 0}]},
+     "models: 'stub': timeout_s must be positive"),
 ])
 def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
     config = tmp_path / "config.json"
@@ -626,3 +637,13 @@ def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch
     assert named in error
     assert result.stdout == ""
     assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """Only a remote model's answer needs the HTTP stack, so no stage pays for
+    importing it up front."""
+    package_root = str(Path(tabbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, tabbench.cli; print(sorted({'requests', 'urllib3', 'http.client'} & set(sys.modules)))"
+    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert finished.stdout == "[]\n"

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from tabbench import gateway
 from tabbench.gateway import (
     GatewayError,
     LossyOracle,
@@ -160,7 +161,7 @@ def test_format_gold_negated_existence_answers_no(pack, f2):
 
 def test_run_suite_perfect_complete_and_sorted(tmp_path, small_suite):
     sink = tmp_path / "results.jsonl"
-    manifest = run_suite(small_suite, PerfectOracle(), sink, max_in_flight=8)
+    manifest = run_suite(small_suite, PerfectOracle(), sink)
     lines = [json.loads(l) for l in sink.read_text().splitlines()]
     assert len(lines) == len(small_suite)
     assert manifest["errors"] == 0
@@ -172,8 +173,8 @@ def test_run_suite_perfect_complete_and_sorted(tmp_path, small_suite):
 def test_run_suite_rerun_is_byte_identical(tmp_path, small_suite):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    run_suite(small_suite, PerfectOracle(), first, max_in_flight=7)
-    run_suite(small_suite, PerfectOracle(), second, max_in_flight=2)
+    run_suite(small_suite, PerfectOracle(), first)
+    run_suite(small_suite, PerfectOracle(), second)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -184,6 +185,24 @@ def test_run_suite_resumes_from_existing(tmp_path, small_suite):
     manifest = run_suite(small_suite, PerfectOracle(), sink, existing=existing)
     assert manifest["dispatched"] == 0
     assert manifest["reused"] == len(small_suite)
+
+
+def _recording_threads(monkeypatch):
+    """Wrap gateway.complete, as a tracer would, to record the thread of each call."""
+    threads = []
+
+    def recorded(instance, model):
+        threads.append(threading.current_thread())
+        return complete(instance, model)
+
+    monkeypatch.setattr(gateway, "complete", recorded)
+    return threads
+
+
+def test_run_suite_answers_a_mock_on_the_calling_thread(tmp_path, small_suite, monkeypatch):
+    threads = _recording_threads(monkeypatch)
+    run_suite(small_suite, PerfectOracle(), tmp_path / "results.jsonl")
+    assert threads == [threading.current_thread()] * len(small_suite)
 
 
 def test_response_json_round_trip():
@@ -279,6 +298,16 @@ def test_run_suite_with_failing_remote_records_errors(stub_server, small_suite, 
     assert manifest["errors"] == 6
     lines = [json.loads(l) for l in sink.read_text().splitlines()]
     assert all(l["error"] == "provider: 500" for l in lines)
+
+
+def test_run_suite_asks_a_remote_model_from_its_pool(stub_server, small_suite, tmp_path, monkeypatch):
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    threads = _recording_threads(monkeypatch)
+    manifest = run_suite(small_suite[:6], _remote(stub_server, max_in_flight=2), tmp_path / "results.jsonl")
+    assert manifest["errors"] == 0
+    assert len(threads) == 6
+    assert threading.current_thread() not in threads
+    assert len(set(threads)) <= 2
 
 
 def test_two_turn_mock_passes_table_context(pack, f2):
