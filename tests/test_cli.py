@@ -179,6 +179,7 @@ def test_remote_500s_recorded_without_aborting(runner, tmp_path, monkeypatch):
                                   "--model", "stub", "--config", str(config),
                                   "--out", str(tmp_path / "r.jsonl")])
     server.shutdown()
+    server.server_close()
     assert result.exit_code == 0, result.output
     lines = [json.loads(l) for l in (tmp_path / "r.jsonl").read_text().splitlines()]
     assert lines and all(l["error"] == "provider: 500" for l in lines)

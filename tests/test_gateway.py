@@ -249,6 +249,7 @@ def stub_server():
     _StubHandler.hits = 0
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _remote(endpoint, **overrides):
