@@ -21,6 +21,7 @@ from tabbench.evaluator import (
 from tabbench.gateway import LossyOracle, PerfectOracle
 from tabbench.oracle import Condition, EQ, EntitySet, Witnessed
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
+from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, parse_table
 
 from conftest import instantiate_one, tiny_soccer_pack
@@ -222,6 +223,56 @@ def test_projection_tuple_f1(pack, f2):
     assert score(instance, TupleList((("messi", "barcelona"),))).value == 1.0
     record = score(instance, TupleList((("messi", "psg"),)))
     assert record.value == 0.0
+
+
+UPDATED_TABLE = parse_table(
+    "| Name | Number | Nationality | Club |\n"
+    "| Ronaldo | N/A | Portugal | Juventus |\n"
+    "| Messi | N/A | Argentina | Barcelona |\n"
+    "| Neymar | 10 | Brazil | Inter |\n"
+    "| Xavi | 6 | Spain | Barcelona |"
+)
+KEPT_TABLE = parse_table(
+    "| Name | Number | Nationality | Club |\n"
+    "| Ronaldo | 7 | Portugal | Juventus |\n"
+    "| Messi | 10 | Argentina | Barcelona |\n"
+    "| Neymar | 10 | Brazil | PSG |\n"
+    "| Xavi | 6 | Spain | Barcelona |"
+)
+TWO_THIRDS = {"precision": pytest.approx(2 / 3), "recall": pytest.approx(2 / 3)}
+HALF_RECALLED = {"precision": 0.5, "recall": 1.0}
+NO_PR = {"precision": 0.0, "recall": 0.0}
+NO_ANSWER = Unparseable("no response text")
+
+
+@pytest.mark.parametrize("request_type,answer,value,dropped,extras", [
+    # the gold of each: "nationality is Argentina" over the four fixture rows
+    (RequestType.RETRIEVAL, EntityList(("messi", "ramos", "xavi")), pytest.approx(2 / 3), 1, HALF_RECALLED),
+    (RequestType.RETRIEVAL, NO_ANSWER, 0.0, 0, NO_PR),
+    (RequestType.DELETION, KEPT_TABLE, pytest.approx(2 / 3), 1, TWO_THIRDS),
+    (RequestType.DELETION, NO_ANSWER, 0.0, 0, NO_PR),
+    (RequestType.UPDATE, UPDATED_TABLE, pytest.approx(2 / 3), 1, {**HALF_RECALLED, "collateral_damage": 1.0}),
+    (RequestType.UPDATE, NO_ANSWER, 0.0, 0, NO_PR),
+    (RequestType.SUPERLATIVE, EntityList(("messi", "xavi")), 1.0, 1, {}),
+    (RequestType.SUPERLATIVE, NO_ANSWER, 0.0, 0, {}),
+    (RequestType.SUM, NumberAnswer(10.0), 1.0, 0, {}),
+    (RequestType.SUM, NO_ANSWER, 0.0, 0, {}),
+    (RequestType.COUNT, NumberAnswer(3.0), 2.0, 0, {}),
+    (RequestType.COUNT, NO_ANSWER, 1.0, 0, {}),
+    (RequestType.EXISTENCE, Judgement(True, "Messi plays for Barcelona."), 1.0, 0, {"rationale_accuracy": 1.0}),
+    (RequestType.EXISTENCE, NO_ANSWER, 0.0, 0, {"rationale_accuracy": 0.0}),
+    (RequestType.PROJECTION, TupleList((("messi", "barcelona"), ("ramos", "sevilla"))), pytest.approx(2 / 3), 0,
+     HALF_RECALLED),
+    (RequestType.PROJECTION, NO_ANSWER, 0.0, 0, NO_PR),
+])
+def test_score_of_each_type_parsed_and_unparsed(pack, f2, request_type, answer, value, dropped, extras):
+    instance = make_instance(pack, f2, request_type)
+    record = score(instance, answer)
+    assert record.metric == ROWS[request_type].metric
+    assert record.value == value
+    assert record.unparsed == isinstance(answer, Unparseable)
+    assert record.dropped_names == dropped
+    assert record.extras == extras
 
 
 def test_metric_ranges_on_lossy_noise(pack, f2):
