@@ -43,7 +43,7 @@ from .requestgen import (
     load_suite,
     make_pre_instruction,
 )
-from .requesttypes import ROWS, RequestType
+from .requesttypes import RequestType
 from .runio import (
     ManifestError,
     config_hash,
@@ -291,8 +291,8 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
 RESULT_FIELDS = {"attempts": int, "error": str | None, "id": str, "model": str, "text": str | None}
 
 
-def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
-    """The result objects of a results JSONL file, in file order; a line that
+def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, dict]:
+    """The result objects of a results JSONL file by line number; a line that
     is not one (a key missing or of the wrong type) raises ConfigError naming
     the file and the line. Given the digest of the suite being scored, a
     manifest that run left beside the file (<name>.manifest.json) must record
@@ -305,7 +305,7 @@ def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
         if manifest.get("suite_digest") != suite_digest:
             raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
                                 f"not the suite being scored ({suite_digest[:12]}..)")
-    records = []
+    records = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -317,7 +317,7 @@ def _read_results(path: Path, suite_digest: str | None = None) -> list[dict]:
                 k in record and isinstance(record[k], kind) for k, kind in RESULT_FIELDS.items()):
             raise ConfigError([f"{path}: line {number}: not a result object with keys "
                                f"{', '.join(RESULT_FIELDS)} of the right types"])
-        records.append(record)
+        records[number] = record
     return records
 
 
@@ -337,7 +337,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     model = resolve_model(model_name, config)
     instances, suite_digest = _read_suite(Path(suite_path))
     out_file = Path(out_path)
-    existing = {r["id"]: r for r in _read_results(out_file)} if out_file.is_file() else {}
+    existing = {r["id"]: r for r in _read_results(out_file).values()} if out_file.is_file() else {}
 
     out_file.parent.mkdir(parents=True, exist_ok=True)
     manifest = run_suite(instances, model, out_file, existing=existing)
@@ -361,44 +361,28 @@ def cmd_eval(suite_path, results_paths, out_dir):
     suite, suite_digest = _read_suite(Path(suite_path))
     instances = {i.id: i for i in suite}
 
-    records = []
+    records, scored = [], {}
     for results_path in results_paths:
-        for payload in _read_results(Path(results_path), suite_digest):
+        for number, payload in _read_results(Path(results_path), suite_digest).items():
             instance = instances.get(payload["id"])
             if instance is None:
                 raise ConfigError([f"{results_path}: result id {payload['id']!r} is not in the suite"])
+            where, key = f"{results_path}: line {number}", (payload["model"], payload["id"])
+            if key in scored:
+                raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {scored[key]}"])
+            scored[key] = where
             parsed = parse_answer(payload["text"], instance.request_type)
             records.append(evaluator.score(instance, parsed, model=payload["model"]))
 
-    grouping = evaluator.DEFAULT_GROUPING
-    if len({r.portion for r in records}) > 1:
-        grouping = (*grouping, "portion")
-    rows = evaluator.aggregate(records, grouping)
+    rows, reports = evaluator.eval_reports(records)
     for row in rows:
         if row.templates < TEMPLATES_PER_TYPE:
             click.echo(f"coverage warning: {dict(row.group)} has only {row.templates} template(s)", err=True)
 
-    variance_rows = [
-        {"level": str(r.key("level")), "model": str(r.key("model")),
-         "request_type": str(r.key("request_type")), "variance": repr(r.variance)}
-        for r in rows
-    ]
-    comparison = _maybe_compare(rows)
-    robustness = evaluator.existence_robustness(records)
-    # compare.json and existence.csv are None when this eval has none to
-    # write; a copy left by an earlier eval into the same directory is deleted
-    reports = {
-        "records.csv": evaluator.records_to_csv(records),
-        "aggregate.csv": evaluator.report_to_csv(rows),
-        "aggregate.md": evaluator.report_markdown(rows),
-        "variance.csv": evaluator.dicts_to_csv(variance_rows),
-        "compare.json": (json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n"
-                         if comparison is not None else None),
-        "existence.csv": (evaluator.dicts_to_csv([dataclasses.asdict(r) for r in robustness])
-                          if robustness else None),
-    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a report this eval has none of is None; a copy an earlier eval left in
+    # the same directory is deleted
     for name, text in reports.items():
         if text is None:
             (out / name).unlink(missing_ok=True)
@@ -412,30 +396,6 @@ def cmd_eval(suite_path, results_paths, out_dir):
     )
 
     click.echo(f"scored {len(records)} records -> {out}")
-
-
-def _maybe_compare(rows):
-    """Text-vs-table summary when both a natural- and a table-level run exist."""
-    def cells(level):
-        return [
-            {"model": str(r.key("model")), "request_type": str(r.key("request_type")),
-             "metric": ROWS[RequestType(r.key("request_type"))].metric, "mean": r.mean}
-            for r in rows
-            if str(r.key("level")) == level
-        ]
-
-    text_cells = cells(StructuringLevel.NATURAL.value)
-    table_cells = cells(StructuringLevel.TABLE.value)
-    if not text_cells or not table_cells:
-        return None
-    aligned = {(c["model"], c["request_type"]) for c in text_cells} & {
-        (c["model"], c["request_type"]) for c in table_cells
-    }
-    text_cells = [c for c in text_cells if (c["model"], c["request_type"]) in aligned]
-    table_cells = [c for c in table_cells if (c["model"], c["request_type"]) in aligned]
-    if not text_cells:
-        return None
-    return evaluator.compare_formats(text_cells, table_cells)
 
 
 def _headline(path: Path, verb: str, payload_of) -> str:

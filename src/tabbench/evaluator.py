@@ -1,6 +1,7 @@
 """Scoring of parsed answers against gold, with grouped means and robustness variance.
 
-Set-valued requests score with entity/tuple F1, single-answer requests with
+Each request type is scored by the metric its row in `requesttypes.ROWS`
+names: set-valued requests with entity/tuple F1, single-answer requests with
 accuracy, and counting requests with the absolute difference from gold (lower
 is better). Variance is taken across the wording templates of a cell, which is
 what makes the robustness comparison between formats possible.
@@ -8,25 +9,17 @@ what makes the robustness comparison between formats possible.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import statistics
 from dataclasses import dataclass, field
 
-from .answers import (
-    EntityList,
-    Judgement,
-    MatchResult,
-    NumberAnswer,
-    ParsedAnswer,
-    TupleList,
-    match_entities,
-)
-from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
+from .answers import EntityList, Judgement, NumberAnswer, ParsedAnswer, TupleList, match_entities
 from .relation import normalize
 from .requestgen import RequestInstance
-from .requesttypes import ROWS, RequestType
-from .structurer import PipeTable
+from .requesttypes import ABS_DIFF, ACCURACY, F1, ROWS, RequestType
+from .structurer import PipeTable, StructuringLevel
 
 
 class ReportError(Exception):
@@ -38,7 +31,7 @@ class UnalignedError(ReportError):
 
 
 # metrics where higher is better; abs_diff is the lower-is-better exception
-SCORE_METRICS = ("f1", "accuracy")
+SCORE_METRICS = (F1, ACCURACY)
 
 
 def f1(gold: frozenset, pred: frozenset) -> tuple[float, float, float]:
@@ -54,6 +47,13 @@ def f1(gold: frozenset, pred: frozenset) -> tuple[float, float, float]:
     recall = tp / len(gold)
     score = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return (precision, recall, score)
+
+
+def _equal(gold, predicted) -> bool:
+    """Exact match, within a relative 1e-6 for a number that is not an integer."""
+    if isinstance(gold, float) and not gold.is_integer():
+        return abs(predicted - gold) / max(abs(gold), 1e-12) <= 1e-6
+    return predicted == gold
 
 
 @dataclass
@@ -78,8 +78,123 @@ class EvalRecord:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _record(instance: RequestInstance, model: str, value: float, *, unparsed=False,
-            dropped=0, extras: dict[str, float] | None = None) -> EvalRecord:
+# Each request type's reader turns its gold and a parsed answer into what its
+# metric compares: (gold, predicted, mentions dropped, diagnostics), with
+# predicted None for an answer in none of the type's formats.
+
+
+def _named(gold: frozenset[str], instance: RequestInstance, parsed: ParsedAnswer):
+    """The keys of the instance's entities that a list of names matches."""
+    if not isinstance(parsed, EntityList):
+        return gold, None, 0, {}
+    match = match_entities(parsed, instance.entity_keys)
+    return gold, match.keys, match.dropped, {}
+
+
+def _entities(instance: RequestInstance, parsed: ParsedAnswer):
+    """Retrieval and superlative: the entities the answer names."""
+    return _named(instance.gold.keys, instance, parsed)
+
+
+def _kept_rows(instance: RequestInstance, parsed: ParsedAnswer):
+    """Deletion: the entities the answer keeps, named in a list or in the key
+    column of a table (found by header name, else its first column)."""
+    relation = instance.gold.relation
+    if isinstance(parsed, PipeTable):
+        key_col = parsed.column(relation.key_attr.name, 0)
+        parsed = EntityList(tuple(normalize(row[key_col]) for row in parsed.rows))
+    return _named(frozenset(relation.keys()), instance, parsed)
+
+
+def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
+    """Update: the entities whose target cell reads N/A. Entities missing from
+    the answer count against recall when gold updates them. Damage to
+    non-target cells is tallied as a diagnostic, not folded into the score."""
+    gold_rel = instance.gold.relation
+    target = instance.plan.target_attr
+    target_idx = gold_rel.index(target)
+    gold = frozenset(gold_rel.key_of(r) for r in gold_rel.rows if normalize(r.values[target_idx]) == "n/a")
+    if not isinstance(parsed, PipeTable):
+        return gold, None, 0, {}
+
+    target_col = parsed.column(target)
+    key_col = parsed.column(gold_rel.key_attr.name, 0)
+    by_key = {normalize(k): k for k in gold_rel.keys()}
+    gold_rows = {gold_rel.key_of(r): r for r in gold_rel.rows}
+    shared = [(col, i) for i, a in enumerate(gold_rel.schema)
+              if i != target_idx and (col := parsed.column(a.name)) is not None]
+
+    predicted = set()
+    collateral = 0
+    matched_rows = 0
+    for row in parsed.rows:
+        key = by_key.get(normalize(row[key_col]))
+        if key is None:
+            continue
+        matched_rows += 1
+        if target_col is not None and normalize(row[target_col]) == "n/a":
+            predicted.add(key)
+        gold_row = gold_rows[key]
+        for col, gold_col in shared:
+            if normalize(row[col]) != normalize(gold_row.values[gold_col]):
+                collateral += 1
+    return gold, frozenset(predicted), len(parsed.rows) - matched_rows, {"collateral_damage": float(collateral)}
+
+
+def _number(instance: RequestInstance, parsed: ParsedAnswer):
+    """Sum and count: the number the answer gives."""
+    return float(instance.gold.value), parsed.value if isinstance(parsed, NumberAnswer) else None, 0, {}
+
+
+def _verdict(instance: RequestInstance, parsed: ParsedAnswer):
+    """Existence: the yes/no verdict, against gold flipped for a negated
+    wording. The diagnostic is whether the rationale names every witness or,
+    when there is none, no entity at all."""
+    witnessed = instance.gold
+    gold = witnessed.value != instance.negated
+    if not isinstance(parsed, Judgement):
+        return gold, None, 0, {"rationale_accuracy": 0.0}
+    rationale = normalize(parsed.rationale)
+    if witnessed.value:
+        rationale_ok = all(normalize(w) in rationale for w in witnessed.witnesses)
+    else:
+        rationale_ok = not any(normalize(k) in rationale for k in instance.entity_keys)
+    return gold, parsed.value, 0, {"rationale_accuracy": float(rationale_ok)}
+
+
+def _tuples(instance: RequestInstance, parsed: ParsedAnswer):
+    """Projection: the tuples the answer lists."""
+    gold = frozenset(tuple(normalize(c) for c in t) for t in instance.gold.tuples)
+    return gold, frozenset(parsed.tuples) if isinstance(parsed, TupleList) else None, 0, {}
+
+
+_READERS = {
+    RequestType.RETRIEVAL: _entities,
+    RequestType.DELETION: _kept_rows,
+    RequestType.UPDATE: _updated_cells,
+    RequestType.SUPERLATIVE: _entities,
+    RequestType.SUM: _number,
+    RequestType.COUNT: _number,
+    RequestType.EXISTENCE: _verdict,
+    RequestType.PROJECTION: _tuples,
+}
+
+
+def score(instance: RequestInstance, parsed: ParsedAnswer, model: str = "model") -> EvalRecord:
+    """Score one parsed answer against the instance's gold by the metric of its
+    type's row. An answer in none of the type's formats is flagged unparsed
+    and gets no credit: F1, precision and recall 0, accuracy 0, and for a count
+    the difference of answering 0, so it looks no better than a wrong count."""
+    metric = ROWS[instance.request_type].metric
+    gold, predicted, dropped, extras = _READERS[instance.request_type](instance, parsed)
+    unparsed = predicted is None
+    if metric == F1:
+        precision, recall, value = (0.0, 0.0, 0.0) if unparsed else f1(gold, predicted)
+        extras = {"precision": precision, "recall": recall, **extras}
+    elif metric == ACCURACY:
+        value = 0.0 if unparsed else float(_equal(gold, predicted))
+    else:
+        value = abs((0.0 if unparsed else predicted) - gold)
     return EvalRecord(
         request_id=instance.id,
         model=model,
@@ -91,172 +206,13 @@ def _record(instance: RequestInstance, model: str, value: float, *, unparsed=Fal
         n_conditions=instance.n_conditions,
         portion=instance.portion,
         negated=instance.negated,
-        metric=ROWS[instance.request_type].metric,
+        metric=metric,
         value=value,
         unparsed=unparsed,
         dropped_names=dropped,
         resamples=instance.resamples,
-        extras=extras or {},
+        extras=extras,
     )
-
-
-def _snapshot_keys(table: PipeTable, key_name: str, instance: RequestInstance) -> MatchResult:
-    """Keys present in a predicted table, matched against the instance's entities.
-
-    The key column is found by header name against `key_name`; a table
-    without that header falls back to its first column."""
-    key_col = table.column(key_name, 0)
-    names = tuple(normalize(row[key_col]) for row in table.rows)
-    return match_entities(EntityList(names), instance.entity_keys)
-
-
-def _f1_record(instance: RequestInstance, model: str, gold_keys: frozenset[str],
-               match: MatchResult, *, unparsed=False, extras=None) -> EvalRecord:
-    precision, recall, score = f1(gold_keys, match.keys)
-    merged = {"precision": precision, "recall": recall}
-    merged.update(extras or {})
-    return _record(instance, model, score, unparsed=unparsed, dropped=match.dropped, extras=merged)
-
-
-def score(instance: RequestInstance, parsed: ParsedAnswer, model: str = "model") -> EvalRecord:
-    """Score one parsed answer against the instance's gold. Unparseable answers
-    get zero credit (or the worst plausible count difference) plus a flag."""
-    handler = {
-        RequestType.RETRIEVAL: _score_retrieval,
-        RequestType.DELETION: _score_deletion,
-        RequestType.UPDATE: _score_update,
-        RequestType.SUPERLATIVE: _score_superlative,
-        RequestType.SUM: _score_sum,
-        RequestType.COUNT: _score_count,
-        RequestType.EXISTENCE: _score_existence,
-        RequestType.PROJECTION: _score_projection,
-    }[instance.request_type]
-    return handler(instance, parsed, model)
-
-
-def _score_retrieval(instance, parsed, model):
-    gold: EntitySet = instance.gold
-    if isinstance(parsed, EntityList):
-        match = match_entities(parsed, instance.entity_keys)
-        return _f1_record(instance, model, gold.keys, match)
-    return _f1_record(instance, model, gold.keys, MatchResult(frozenset(), 0), unparsed=True)
-
-
-def _score_deletion(instance, parsed, model):
-    gold: RelationSnapshot = instance.gold
-    gold_keys = frozenset(gold.relation.keys())
-    if isinstance(parsed, PipeTable):
-        match = _snapshot_keys(parsed, gold.relation.key_attr.name, instance)
-        return _f1_record(instance, model, gold_keys, match)
-    if isinstance(parsed, EntityList):
-        match = match_entities(parsed, instance.entity_keys)
-        return _f1_record(instance, model, gold_keys, match)
-    return _f1_record(instance, model, gold_keys, MatchResult(frozenset(), 0), unparsed=True)
-
-
-def _score_update(instance, parsed, model):
-    """Cell-level F1 on the target column: an entity counts as updated when its
-    target cell reads N/A. Entities missing from the prediction count against
-    recall when gold updates them. Damage to non-target cells is tallied as a
-    diagnostic, not folded into the score."""
-    gold: RelationSnapshot = instance.gold
-    target = instance.plan.target_attr
-    gold_rel = gold.relation
-    target_idx = gold_rel.index(target)
-    key_idx = gold_rel.index(gold_rel.key_attr.name)
-    gold_updated = frozenset(
-        r.values[key_idx].strip() for r in gold_rel.rows if normalize(r.values[target_idx]) == "n/a"
-    )
-
-    if not isinstance(parsed, PipeTable):
-        return _f1_record(instance, model, gold_updated, MatchResult(frozenset(), 0), unparsed=True)
-
-    target_col = parsed.column(target)
-    key_col = parsed.column(gold_rel.key_attr.name, 0)
-
-    by_key = {normalize(k): k for k in gold_rel.keys()}
-    gold_rows = {r.values[key_idx].strip(): r for r in gold_rel.rows}
-    shared = [(col, i) for i, a in enumerate(gold_rel.schema)
-              if i != target_idx and (col := parsed.column(a.name)) is not None]
-
-    predicted_updated = set()
-    collateral = 0
-    matched_rows = 0
-    for row in parsed.rows:
-        key = by_key.get(normalize(row[key_col]))
-        if key is None:
-            continue
-        matched_rows += 1
-        if target_col is not None and normalize(row[target_col]) == "n/a":
-            predicted_updated.add(key)
-        gold_row = gold_rows[key]
-        for col, gold_col in shared:
-            if normalize(row[col]) != normalize(gold_row.values[gold_col]):
-                collateral += 1
-
-    match = MatchResult(frozenset(predicted_updated), dropped=len(parsed.rows) - matched_rows)
-    return _f1_record(instance, model, gold_updated, match, extras={"collateral_damage": float(collateral)})
-
-
-def _score_superlative(instance, parsed, model):
-    gold: EntitySet = instance.gold
-    if isinstance(parsed, EntityList):
-        match = match_entities(parsed, instance.entity_keys)
-        value = 1.0 if match.keys == gold.keys else 0.0
-        return _record(instance, model, value, dropped=match.dropped)
-    return _record(instance, model, 0.0, unparsed=True)
-
-
-def _score_sum(instance, parsed, model):
-    gold: Number = instance.gold
-    if not isinstance(parsed, NumberAnswer):
-        return _record(instance, model, 0.0, unparsed=True)
-    if float(gold.value).is_integer():
-        ok = parsed.value == gold.value
-    else:
-        scale = max(abs(gold.value), 1e-12)
-        ok = abs(parsed.value - gold.value) / scale <= 1e-6
-    return _record(instance, model, 1.0 if ok else 0.0)
-
-
-def _score_count(instance, parsed, model):
-    gold: Number = instance.gold
-    if not isinstance(parsed, NumberAnswer):
-        # worst plausible difference, flagged: an unparsed count must not
-        # look better than a wrong one
-        return _record(instance, model, abs(gold.value), unparsed=True)
-    return _record(instance, model, abs(parsed.value - gold.value))
-
-
-def _score_existence(instance, parsed, model):
-    gold: Witnessed = instance.gold
-    expected = gold.value != instance.negated
-    if not isinstance(parsed, Judgement):
-        return _record(instance, model, 0.0, unparsed=True, extras={"rationale_accuracy": 0.0})
-
-    rationale = normalize(parsed.rationale)
-    if gold.value:
-        rationale_ok = all(normalize(w) in rationale for w in gold.witnesses)
-    else:
-        rationale_ok = not any(normalize(k) in rationale for k in instance.entity_keys)
-    return _record(
-        instance,
-        model,
-        1.0 if parsed.value == expected else 0.0,
-        extras={"rationale_accuracy": 1.0 if rationale_ok else 0.0},
-    )
-
-
-def _score_projection(instance, parsed, model):
-    gold: TupleSet = instance.gold
-    gold_tuples = frozenset(tuple(normalize(c) for c in t) for t in gold.tuples)
-    if not isinstance(parsed, TupleList):
-        precision, recall, value = f1(gold_tuples, frozenset())
-        return _record(instance, model, value, unparsed=True,
-                       extras={"precision": precision, "recall": recall})
-    pred = frozenset(parsed.tuples)
-    precision, recall, value = f1(gold_tuples, pred)
-    return _record(instance, model, value, extras={"precision": precision, "recall": recall})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +336,7 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
         )
 
     scored = [d for d in deltas if d.metric in SCORE_METRICS]
-    counted = [d for d in deltas if d.metric == "abs_diff"]
+    counted = [d for d in deltas if d.metric == ABS_DIFF]
     return FormatComparison(
         cells=tuple(deltas),
         mean_improvement_pp=statistics.fmean(d.improvement_pp for d in scored) if scored else 0.0,
@@ -394,6 +350,28 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
             "variants give different numbers), so compare only under a declared convention",
         ),
     )
+
+
+def text_vs_table(rows: list[ReportRow]) -> FormatComparison | None:
+    """compare_formats over the (model, request type) cells that have both a
+    natural- and a table-level row; None when no cell has both."""
+    def cells(level):
+        return [
+            {"model": str(r.key("model")), "request_type": str(r.key("request_type")),
+             "metric": ROWS[RequestType(r.key("request_type"))].metric, "mean": r.mean}
+            for r in rows
+            if str(r.key("level")) == level
+        ]
+
+    text_cells = cells(StructuringLevel.NATURAL.value)
+    table_cells = cells(StructuringLevel.TABLE.value)
+    aligned = {(c["model"], c["request_type"]) for c in text_cells} & {
+        (c["model"], c["request_type"]) for c in table_cells
+    }
+    if not aligned:
+        return None
+    return compare_formats(*([c for c in side if (c["model"], c["request_type"]) in aligned]
+                             for side in (text_cells, table_cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +415,49 @@ def existence_robustness(records: list[EvalRecord]) -> list[RobustnessRow]:
 
 
 # ---------------------------------------------------------------------------
-# Rendering: per-record CSV, aggregate CSV, aligned markdown
+# Rendering: the eval reports
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = (
-    "request_id", "model", "dataset", "request_type", "level", "template_id",
-    "connective", "n_conditions", "portion", "negated", "metric", "value",
-    "unparsed", "dropped_names", "resamples", "extras",
-)
+
+def eval_reports(records: list[EvalRecord]) -> tuple[list[ReportRow], dict[str, str | None]]:
+    """The aggregate rows of the records and the text of every eval report by
+    file name; compare.json and existence.csv are None when the records hold
+    no natural/table pair or no existence request. A mix of portions is also
+    grouped by portion."""
+    grouping = DEFAULT_GROUPING
+    if len({r.portion for r in records}) > 1:
+        grouping = (*grouping, "portion")
+    rows = aggregate(records, grouping)
+    comparison = text_vs_table(rows)
+    robustness = existence_robustness(records)
+    existence_columns = sorted(f.name for f in dataclasses.fields(RobustnessRow))
+    return rows, {
+        "records.csv": records_to_csv(records),
+        "aggregate.csv": report_to_csv(rows),
+        "aggregate.md": report_markdown(rows),
+        "variance.csv": _csv(("level", "model", "request_type", "variance"), (
+            [r.key("level"), r.key("model"), r.key("request_type"), r.variance] for r in rows)) if rows else "",
+        "compare.json": (json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n"
+                         if comparison is not None else None),
+        "existence.csv": (_csv(existence_columns, ([getattr(r, name) for name in existence_columns]
+                                                   for r in robustness)) if robustness else None),
+    }
 
 
 def _csv(header, rows) -> str:
+    """A header line and one line per row; None is written empty, a dict as
+    sorted-key JSON and any other value as str() gives it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([json.dumps(v, sort_keys=True) if isinstance(v, dict) else v for v in row] for row in rows)
     return buf.getvalue()
 
 
 def records_to_csv(records: list[EvalRecord]) -> str:
-    return _csv(RECORD_FIELDS, (
-        [r.request_id, r.model, r.dataset, r.request_type, r.level, r.template_id,
-         r.connective, r.n_conditions, "" if r.portion is None else r.portion,
-         r.negated, r.metric, repr(r.value), r.unparsed, r.dropped_names, r.resamples,
-         json.dumps(r.extras, sort_keys=True)]
-        for r in sorted(records, key=lambda r: r.request_id)
-    ))
+    columns = [f.name for f in dataclasses.fields(EvalRecord)]
+    return _csv(columns, ([getattr(r, name) for name in columns]
+                          for r in sorted(records, key=lambda r: r.request_id)))
 
 
 def report_to_csv(rows: list[ReportRow]) -> str:
@@ -470,17 +465,8 @@ def report_to_csv(rows: list[ReportRow]) -> str:
         return ""
     return _csv(
         [*(k for k, _ in rows[0].group), "mean", "variance", "count", "templates"],
-        ([*(v for _, v in row.group), repr(row.mean), repr(row.variance), row.count, row.templates]
-         for row in rows),
+        ([*(v for _, v in row.group), row.mean, row.variance, row.count, row.templates] for row in rows),
     )
-
-
-def dicts_to_csv(rows: list[dict]) -> str:
-    """One column per key of the first row, in sorted order; "" for no rows."""
-    if not rows:
-        return ""
-    names = sorted(rows[0])
-    return _csv(names, ([row.get(k, "") for k in names] for row in rows))
 
 
 def report_markdown(rows: list[ReportRow]) -> str:

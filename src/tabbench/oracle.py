@@ -446,22 +446,51 @@ def gold_to_json(gold: GoldAnswer) -> dict:
     return {"kind": "witnessed", "witnesses": sorted(gold.witnesses)}
 
 
+def _strings(value, what: str) -> list[str]:
+    """value, when it is a list of strings; a PlanError naming `what` otherwise."""
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise PlanError(f"{what} must be a list of strings, not {value!r}")
+
+
+def _string_rows(value, what: str) -> list[list[str]]:
+    if not isinstance(value, list):
+        raise PlanError(f"{what} must be a list of lists of strings, not {value!r}")
+    return [_strings(row, f"each of {what}") for row in value]
+
+
 def gold_from_json(obj: dict) -> GoldAnswer:
+    """The gold gold_to_json wrote. Each field must hold the type it writes:
+    lists of strings, table rows as wide as the columns, a key among the
+    columns, a number that is not a boolean; a missing degenerate is false."""
     kind = obj["kind"]
     if kind == "entity_set":
-        return EntitySet(frozenset(obj["keys"]), degenerate=bool(obj.get("degenerate", False)))
+        degenerate = obj.get("degenerate", False)
+        if type(degenerate) is not bool:
+            raise PlanError(f"entity_set gold: degenerate must be a bool, not {degenerate!r}")
+        return EntitySet(frozenset(_strings(obj["keys"], "entity_set gold: keys")), degenerate=degenerate)
     if kind == "tuple_set":
-        return TupleSet(frozenset(tuple(t) for t in obj["tuples"]))
+        return TupleSet(frozenset(tuple(t) for t in _string_rows(obj["tuples"], "tuple_set gold: tuples")))
     if kind == "relation":
         from .relation import AttributeSpec
 
+        columns = _strings(obj["columns"], "relation gold: columns")
+        if obj["key"] not in columns:
+            raise PlanError(f"relation gold: key {obj['key']!r} is not one of the columns {columns}")
+        rows = _string_rows(obj["rows"], "relation gold: rows")
+        for row in rows:
+            if len(row) != len(columns):
+                raise PlanError(f"relation gold: row {row!r} is not {len(columns)} cells wide")
         schema = tuple(
             AttributeSpec(name=c, kind="categorical", canonical_phrase=c.lower(), is_key=(c == obj["key"]))
-            for c in obj["columns"]
+            for c in columns
         )
-        return RelationSnapshot(Relation.from_values("snapshot", schema, [tuple(r) for r in obj["rows"]]))
+        return RelationSnapshot(Relation.from_values("snapshot", schema, [tuple(r) for r in rows]))
     if kind == "number":
-        return Number(float(obj["value"]))
+        value = obj["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise PlanError(f"number gold: value must be a number, not {value!r}")
+        return Number(float(value))
     if kind == "witnessed":
-        return Witnessed(frozenset(obj["witnesses"]))
+        return Witnessed(frozenset(_strings(obj["witnesses"], "witnessed gold: witnesses")))
     raise PlanError(f"unknown gold kind {kind!r}")

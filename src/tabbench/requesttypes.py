@@ -23,6 +23,12 @@ class RequestType(Enum):
     PROJECTION = "projection"
 
 
+# metrics, as evaluator.score applies them: set F1, exact match, and the
+# absolute difference from gold (the one where lower is better)
+F1 = "f1"
+ACCURACY = "accuracy"
+ABS_DIFF = "abs_diff"
+
 # answer formats, as answers.parse reads them
 ENTITIES = "entities"
 TABLE = "table"
@@ -39,7 +45,7 @@ MANY_TARGETS = "many"
 @dataclass(frozen=True)
 class TypeRow:
     plan: type  # the oracle plan class that asks this type
-    metric: str  # "f1", "accuracy" or "abs_diff"
+    metric: str  # F1, ACCURACY or ABS_DIFF
     answers: tuple[str, ...]  # answer formats to try, in order
     targets: str  # NO_TARGET, ONE_TARGET or MANY_TARGETS
     wordings: tuple[bool, ...] = (False,)  # the negated flag of each wording asked
@@ -47,15 +53,15 @@ class TypeRow:
 
 
 ROWS: dict[RequestType, TypeRow] = {
-    RequestType.RETRIEVAL: TypeRow(oracle.Retrieve, "f1", (ENTITIES,), NO_TARGET),
-    RequestType.DELETION: TypeRow(oracle.Delete, "f1", (TABLE, ENTITIES), NO_TARGET),
-    RequestType.UPDATE: TypeRow(oracle.Update, "f1", (TABLE,), ONE_TARGET),
-    RequestType.SUPERLATIVE: TypeRow(oracle.Superlative, "accuracy", (ENTITIES,), ONE_TARGET),
-    RequestType.SUM: TypeRow(oracle.Sum, "accuracy", (NUMBER,), ONE_TARGET),
-    RequestType.COUNT: TypeRow(oracle.Count, "abs_diff", (NUMBER,), NO_TARGET),
-    RequestType.EXISTENCE: TypeRow(oracle.Exists, "accuracy", (VERDICT,), NO_TARGET,
+    RequestType.RETRIEVAL: TypeRow(oracle.Retrieve, F1, (ENTITIES,), NO_TARGET),
+    RequestType.DELETION: TypeRow(oracle.Delete, F1, (TABLE, ENTITIES), NO_TARGET),
+    RequestType.UPDATE: TypeRow(oracle.Update, F1, (TABLE,), ONE_TARGET),
+    RequestType.SUPERLATIVE: TypeRow(oracle.Superlative, ACCURACY, (ENTITIES,), ONE_TARGET),
+    RequestType.SUM: TypeRow(oracle.Sum, ACCURACY, (NUMBER,), ONE_TARGET),
+    RequestType.COUNT: TypeRow(oracle.Count, ABS_DIFF, (NUMBER,), NO_TARGET),
+    RequestType.EXISTENCE: TypeRow(oracle.Exists, ACCURACY, (VERDICT,), NO_TARGET,
                                    wordings=(False, True), default=False),
-    RequestType.PROJECTION: TypeRow(oracle.Project, "f1", (TUPLES,), MANY_TARGETS, default=False),
+    RequestType.PROJECTION: TypeRow(oracle.Project, F1, (TUPLES,), MANY_TARGETS, default=False),
 }
 
 CORE_TYPES = tuple(t for t in RequestType if ROWS[t].default)

@@ -392,6 +392,22 @@ def test_eval_rejects_results_of_another_suite(runner, tmp_path):
     assert not (tmp_path / "eval2").exists()
 
 
+@pytest.mark.parametrize("repeat", ["file", "line"])
+def test_eval_rejects_a_result_it_has_already_scored(runner, tmp_path, repeat):
+    suite, results = _generated_and_run(runner, tmp_path)
+    lines = results.read_text(encoding="utf-8").splitlines()
+    if repeat == "file":
+        args, where = ["--results", str(results), "--results", str(results)], f"{results}: line 1"
+    else:
+        results.with_name("results.jsonl.manifest.json").unlink()
+        results.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+        args, where = ["--results", str(results)], f"{results}: line {len(lines) + 1}"
+    result = runner.invoke(main, ["eval", "--suite", str(suite), *args, "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert error.startswith(f"{where}: model 'perfect-oracle' already answered {json.loads(lines[0])['id']!r}")
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("edited,message", [
     ("results", "digest mismatch for results.jsonl"),
     ("manifest", "corrupt manifest"),
@@ -611,6 +627,13 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     if case == "suite manifest digest not a string":
         manifest.write_text(json.dumps({"files": {"suite.jsonl": 5}}), encoding="utf-8")
         return run, str(manifest)
+    if case == "suite gold keys not a list":
+        manifest.unlink()
+        lines = suite.read_text(encoding="utf-8").splitlines()
+        broken = json.loads(lines[0])
+        broken["gold"]["keys"] = "Messi"
+        suite.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+        return run, "keys must be a list of strings"
     if case == "models entry with an unset auth_env":
         monkeypatch.delenv("TABBENCH_KEY", raising=False)
         write_config(tmp_path, models=[REMOTE])
@@ -628,6 +651,7 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
     "pack schema.json naming an attribute twice",
     "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
+    "suite gold keys not a list",
     "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
 ])
 def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch, case):

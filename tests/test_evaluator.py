@@ -19,7 +19,7 @@ from tabbench.evaluator import (
     score,
 )
 from tabbench.gateway import LossyOracle, PerfectOracle
-from tabbench.oracle import Condition, EQ, EntitySet, Witnessed
+from tabbench.oracle import Condition, EQ, GT, EntitySet, Witnessed
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, parse_table
@@ -273,6 +273,16 @@ def test_score_of_each_type_parsed_and_unparsed(pack, f2, request_type, answer, 
     assert record.unparsed == isinstance(answer, Unparseable)
     assert record.dropped_names == dropped
     assert record.extras == extras
+
+
+def test_unparsed_answer_gets_no_credit_against_an_empty_gold(pack, f2):
+    """Gold that deletes every row is an empty set; a parsed empty answer is
+    right (f1 of two empty sets), an answer that did not parse is not."""
+    instance = make_instance(pack, f2, RequestType.DELETION, expr=Condition("Number", GT, 0.0, "number above 0"))
+    assert instance.gold.relation.rows == ()
+    assert score(instance, EntityList(())).value == 1.0
+    record = score(instance, Unparseable("no response text"))
+    assert (record.value, record.extras, record.unparsed) == (0.0, {"precision": 0.0, "recall": 0.0}, True)
 
 
 def test_metric_ranges_on_lossy_noise(pack, f2):

@@ -327,3 +327,30 @@ def test_plan_from_json_rejects_wrong_fields(plan, edit, message):
     obj = {k: v for k, v in obj.items() if v is not None}
     with pytest.raises(PlanError, match=message):
         plan_from_json(obj)
+
+
+RELATION_GOLD = {"columns": ["Name", "Number"], "key": "Name", "kind": "relation", "rows": [["Messi", "10"]]}
+
+
+@pytest.mark.parametrize("gold,message", [
+    ({"kind": "entity_set", "keys": "Messi"}, "keys must be a list of strings"),
+    ({"kind": "entity_set", "keys": [1, 2]}, "keys must be a list of strings"),
+    ({"kind": "entity_set", "keys": ["Messi"], "degenerate": 1}, "degenerate must be a bool"),
+    ({"kind": "tuple_set", "tuples": "ab"}, "tuples must be a list of lists of strings"),
+    ({"kind": "tuple_set", "tuples": [["Messi", 10]]}, "each of tuple_set gold: tuples must be a list of strings"),
+    ({**RELATION_GOLD, "rows": [["Messi", 7]]}, "each of relation gold: rows must be a list of strings"),
+    ({**RELATION_GOLD, "rows": [["Messi"]]}, "is not 2 cells wide"),
+    ({**RELATION_GOLD, "columns": "Name"}, "columns must be a list of strings"),
+    ({**RELATION_GOLD, "key": "Club"}, "key 'Club' is not one of the columns"),
+    ({"kind": "number", "value": "10"}, "value must be a number"),
+    ({"kind": "number", "value": True}, "value must be a number"),
+    ({"kind": "witnessed", "witnesses": "Messi"}, "witnesses must be a list of strings"),
+])
+def test_gold_from_json_rejects_wrong_fields(gold, message):
+    with pytest.raises(PlanError, match=message):
+        gold_from_json(gold)
+
+
+def test_gold_from_json_reads_a_missing_degenerate_as_false():
+    assert gold_from_json({"kind": "entity_set", "keys": ["Messi"]}) == EntitySet(frozenset({"Messi"}))
+    assert gold_from_json(RELATION_GOLD).relation.keys() == ("Messi",)
