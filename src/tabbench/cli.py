@@ -27,6 +27,7 @@ from .gateway import (
     PerfectOracle,
     ProviderConfig,
     RemoteModel,
+    ResultLine,
     SinkError,
     complete,
     run_suite,
@@ -45,8 +46,10 @@ from .requestgen import (
 )
 from .requesttypes import RequestType
 from .runio import (
+    CodecError,
     ManifestError,
     config_hash,
+    from_json,
     read_manifest,
     read_text_and_digest,
     sha256_file,  # noqa: F401  (bench/tracing.py wraps cli.sha256_file)
@@ -99,10 +102,6 @@ CONFIG_KEYS = {"dataset", "sample_n", "models", *SUITE_FIELDS}
 GRID_ENTRIES = {"request_types": RequestType, "connectives": str, "n_conditions": int,
                 "levels": StructuringLevel, "portions": float}
 LIST_FIELDS = (*GRID_ENTRIES, "models")
-# a models entry's keys: its name and ProviderConfig's fields, each with the
-# JSON values it takes; a float field also takes an integer, no field a boolean
-MODEL_FIELDS = {"name": "str", **{f.name: f.type for f in dataclasses.fields(ProviderConfig)}}
-JSON_TYPES = {"int": int, "float": (int, float)}
 
 
 def _validate(raw) -> list[str]:
@@ -150,12 +149,6 @@ def _validate(raw) -> list[str]:
         if name and name in names:
             errors.append(f"models: name {name!r} is given to more than one entry")
         names.append(name)
-        for key, value in model.items():
-            kind = MODEL_FIELDS.get(key)
-            if kind is None:
-                errors.append(f"models: {name!r}: unknown key {key!r}")
-            elif isinstance(value, bool) or not isinstance(value, JSON_TYPES.get(kind, str)):
-                errors.append(f"models: {name!r}: {key} must be {kind}, got {value!r}")
     return errors
 
 
@@ -176,12 +169,13 @@ def load_config(path: str | Path) -> HarnessConfig:
         del grid["portions"]
     models = {}
     for entry in raw.get("models", ()):
-        fields = {key: float(value) if MODEL_FIELDS[key] == "float" else value for key, value in entry.items()}
-        name = fields.pop("name")
+        name = entry["name"]
         try:
-            models[name] = ProviderConfig(**fields)
-        except GatewayError as e:
-            raise ConfigError([f"models: {name!r}: {e}"]) from None
+            models[from_json(str, name)] = from_json(ProviderConfig, {k: v for k, v in entry.items() if k != "name"})
+        except (CodecError, GatewayError) as e:
+            errors.append(f"models: {name!r}: {e}")
+    if errors:
+        raise ConfigError(errors)
     return HarnessConfig(**{key: raw[key] for key in ("dataset", "sample_n") if key in raw},
                          suite=SuiteConfig(**grid), models=models)
 
@@ -288,13 +282,10 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
         raise ConfigError([f"{path}: {e}"]) from None
 
 
-RESULT_FIELDS = {"attempts": int, "error": str | None, "id": str, "model": str, "text": str | None}
-
-
-def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, dict]:
-    """The result objects of a results JSONL file by line number; a line that
-    is not one (a key missing or of the wrong type) raises ConfigError naming
-    the file and the line. Given the digest of the suite being scored, a
+def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, ResultLine]:
+    """The result lines of a results JSONL file by line number; a line that
+    is not one (a key missing, unknown or of the wrong type) raises
+    ConfigError naming the file and the line. Given the digest of the suite being scored, a
     manifest that run left beside the file (<name>.manifest.json) must record
     the file's digest and that suite digest (ManifestError otherwise)."""
     text, digest = _read_input(path)
@@ -310,14 +301,11 @@ def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, dict
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            records[number] = from_json(ResultLine, json.loads(line))
         except json.JSONDecodeError as e:
             raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
-        if not isinstance(record, dict) or not all(
-                k in record and isinstance(record[k], kind) for k, kind in RESULT_FIELDS.items()):
-            raise ConfigError([f"{path}: line {number}: not a result object with keys "
-                               f"{', '.join(RESULT_FIELDS)} of the right types"])
-        records[number] = record
+        except CodecError as e:
+            raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
     return records
 
 
@@ -337,7 +325,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     model = resolve_model(model_name, config)
     instances, suite_digest = _read_suite(Path(suite_path))
     out_file = Path(out_path)
-    existing = {r["id"]: r for r in _read_results(out_file).values()} if out_file.is_file() else {}
+    existing = {r.id: r for r in _read_results(out_file).values()} if out_file.is_file() else {}
 
     out_file.parent.mkdir(parents=True, exist_ok=True)
     manifest = run_suite(instances, model, out_file, existing=existing)
@@ -363,16 +351,16 @@ def cmd_eval(suite_path, results_paths, out_dir):
 
     records, scored = [], {}
     for results_path in results_paths:
-        for number, payload in _read_results(Path(results_path), suite_digest).items():
-            instance = instances.get(payload["id"])
+        for number, result in _read_results(Path(results_path), suite_digest).items():
+            instance = instances.get(result.id)
             if instance is None:
-                raise ConfigError([f"{results_path}: result id {payload['id']!r} is not in the suite"])
-            where, key = f"{results_path}: line {number}", (payload["model"], payload["id"])
+                raise ConfigError([f"{results_path}: result id {result.id!r} is not in the suite"])
+            where, key = f"{results_path}: line {number}", (result.model, result.id)
             if key in scored:
                 raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {scored[key]}"])
             scored[key] = where
-            parsed = parse_answer(payload["text"], instance.request_type)
-            records.append(evaluator.score(instance, parsed, model=payload["model"]))
+            parsed = parse_answer(result.text, instance.request_type)
+            records.append(evaluator.score(instance, parsed, model=result.model))
 
     rows, reports = evaluator.eval_reports(records)
     for row in rows:

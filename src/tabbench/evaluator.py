@@ -99,30 +99,30 @@ def _entities(instance: RequestInstance, parsed: ParsedAnswer):
 def _kept_rows(instance: RequestInstance, parsed: ParsedAnswer):
     """Deletion: the entities the answer keeps, named in a list or in the key
     column of a table (found by header name, else its first column)."""
-    relation = instance.gold.relation
+    snapshot = instance.gold
     if isinstance(parsed, PipeTable):
-        key_col = parsed.column(relation.key_attr.name, 0)
+        key_col = parsed.column(snapshot.key, 0)
         parsed = EntityList(tuple(normalize(row[key_col]) for row in parsed.rows))
-    return _named(frozenset(relation.keys()), instance, parsed)
+    return _named(frozenset(snapshot.keys()), instance, parsed)
 
 
 def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     """Update: the entities whose target cell reads N/A. Entities missing from
     the answer count against recall when gold updates them. Damage to
     non-target cells is tallied as a diagnostic, not folded into the score."""
-    gold_rel = instance.gold.relation
+    snapshot = instance.gold
     target = instance.plan.target_attr
-    target_idx = gold_rel.index(target)
-    gold = frozenset(gold_rel.key_of(r) for r in gold_rel.rows if normalize(r.values[target_idx]) == "n/a")
+    target_idx = snapshot.columns.index(target)
+    gold_rows = dict(zip(snapshot.keys(), snapshot.rows))
+    gold = frozenset(k for k, row in gold_rows.items() if normalize(row[target_idx]) == "n/a")
     if not isinstance(parsed, PipeTable):
         return gold, None, 0, {}
 
     target_col = parsed.column(target)
-    key_col = parsed.column(gold_rel.key_attr.name, 0)
-    by_key = {normalize(k): k for k in gold_rel.keys()}
-    gold_rows = {gold_rel.key_of(r): r for r in gold_rel.rows}
-    shared = [(col, i) for i, a in enumerate(gold_rel.schema)
-              if i != target_idx and (col := parsed.column(a.name)) is not None]
+    key_col = parsed.column(snapshot.key, 0)
+    by_key = {normalize(k): k for k in gold_rows}
+    shared = [(col, i) for i, name in enumerate(snapshot.columns)
+              if i != target_idx and (col := parsed.column(name)) is not None]
 
     predicted = set()
     collateral = 0
@@ -136,7 +136,7 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
             predicted.add(key)
         gold_row = gold_rows[key]
         for col, gold_col in shared:
-            if normalize(row[col]) != normalize(gold_row.values[gold_col]):
+            if normalize(row[col]) != normalize(gold_row[gold_col]):
                 collateral += 1
     return gold, frozenset(predicted), len(parsed.rows) - matched_rows, {"collateral_damage": float(collateral)}
 
@@ -435,8 +435,8 @@ def eval_reports(records: list[EvalRecord]) -> tuple[list[ReportRow], dict[str, 
         "records.csv": records_to_csv(records),
         "aggregate.csv": report_to_csv(rows),
         "aggregate.md": report_markdown(rows),
-        "variance.csv": _csv(("level", "model", "request_type", "variance"), (
-            [r.key("level"), r.key("model"), r.key("request_type"), r.variance] for r in rows)) if rows else "",
+        "variance.csv": _csv((*sorted(grouping), "variance"), (
+            [*(r.key(name) for name in sorted(grouping)), r.variance] for r in rows)) if rows else "",
         "compare.json": (json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n"
                          if comparison is not None else None),
         "existence.csv": (_csv(existence_columns, ([getattr(r, name) for name in existence_columns]

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .requestgen import RequestInstance
+from .runio import to_json
 from .seeding import rng_for
 from .structurer import render_table
 
@@ -54,6 +55,18 @@ class ProviderConfig:
                 raise GatewayError(f"{name} must be at least {least}")
         if not self.timeout_s > 0:
             raise GatewayError("timeout_s must be positive")
+
+
+@dataclass(frozen=True)
+class ResultLine:
+    """One line of a results file: a model's answer to one instance, or the
+    error that ended its attempts; without latency, so it is byte-stable."""
+
+    attempts: int
+    error: str | None
+    id: str
+    model: str
+    text: str | None
 
 
 @dataclass(frozen=True)
@@ -99,8 +112,7 @@ class LossyOracle:
         if isinstance(gold, EntitySet):
             body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
         elif isinstance(gold, RelationSnapshot):
-            rel = gold.relation
-            body = render_table(rel.attribute_names, [row.values for row in rel.rows if rng.random() >= q])
+            body = render_table(gold.columns, [row for row in gold.rows if rng.random() >= q])
         elif isinstance(gold, Number):
             value = gold.value
             if rng.random() < r:
@@ -226,17 +238,6 @@ def complete(instance: RequestInstance, model: ModelKind) -> ModelResponse:
     return model.complete(replace(instance, context=first.text))
 
 
-def response_to_json(response: ModelResponse, model_id: str) -> dict:
-    # latency is deliberately left out: result files must be byte-stable across runs
-    return {
-        "attempts": response.attempts,
-        "error": response.error,
-        "id": response.request_id,
-        "model": model_id,
-        "text": response.text,
-    }
-
-
 def _answers(todo: list[RequestInstance], model: ModelKind):
     """Responses to `todo` in completion order. A mock is CPU-bound, so a pool
     would only add overhead under the GIL: it answers inline, one instance at a
@@ -255,7 +256,7 @@ def run_suite(
     model: ModelKind,
     sink: str | Path,
     *,
-    existing: dict[str, dict] | None = None,
+    existing: dict[str, ResultLine] | None = None,
 ) -> dict:
     """Answer every instance exactly once, streaming results as JSONL.
 
@@ -269,20 +270,21 @@ def run_suite(
     todo = [i for i in instances if i.id not in existing]
 
     started = time.time()
-    lines: dict[str, dict] = dict(existing)
+    lines = {request_id: json.dumps(to_json(line), sort_keys=True) for request_id, line in existing.items()}
     errors = 0
 
     try:
         with open(partial, "w", encoding="utf-8") as stream:
             for response in _answers(todo, model):
-                record = response_to_json(response, model.model_id)
-                stream.write(json.dumps(record, sort_keys=True) + "\n")
-                lines[response.request_id] = record
+                line = ResultLine(attempts=response.attempts, error=response.error, id=response.request_id,
+                                  model=model.model_id, text=response.text)
+                lines[line.id] = json.dumps(to_json(line), sort_keys=True)
+                stream.write(lines[line.id] + "\n")
                 if response.error is not None:
                     errors += 1
         with open(sink, "w", encoding="utf-8") as final:
             for request_id in sorted(lines):
-                final.write(json.dumps(lines[request_id], sort_keys=True) + "\n")
+                final.write(lines[request_id] + "\n")
         partial.unlink(missing_ok=True)
     except OSError as e:
         raise SinkError(f"cannot write results to {sink}: {e}") from e

@@ -6,8 +6,8 @@ code with it (`tests/reference_oracle.py`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar, Union, get_args
+from dataclasses import dataclass
+from typing import ClassVar, Union
 
 from .relation import DuplicateKeyError, Relation, Row, UnknownAttributeError, normalize, parse_number
 
@@ -40,10 +40,15 @@ class PlanAttributeError(PlanError):
 # ---------------------------------------------------------------------------
 
 
+# Each expression, plan and gold class names its JSON form in `kind`, which
+# picks the class when a union of them is read back (runio.from_json).
+
+
 @dataclass(frozen=True)
 class Condition:
     """Atomic predicate over one attribute, with its natural-language phrase."""
 
+    kind: ClassVar[str] = "condition"
     attr: str
     op: str
     value: Union[str, float]
@@ -58,7 +63,8 @@ class Condition:
 
 @dataclass(frozen=True)
 class And:
-    children: tuple["ConditionExpr", ...]
+    kind: ClassVar[str] = "and"
+    children: tuple[ConditionExpr, ...]
 
     def __post_init__(self):
         if len(self.children) < 2:
@@ -67,7 +73,8 @@ class And:
 
 @dataclass(frozen=True)
 class Or:
-    children: tuple["ConditionExpr", ...]
+    kind: ClassVar[str] = "or"
+    children: tuple[ConditionExpr, ...]
 
     def __post_init__(self):
         if len(self.children) < 2:
@@ -78,8 +85,9 @@ class Or:
 class Diff:
     """Set difference: rows satisfying `left` and not `right` (a AND NOT b)."""
 
-    left: "ConditionExpr"
-    right: "ConditionExpr"
+    kind: ClassVar[str] = "diff"
+    left: ConditionExpr
+    right: ConditionExpr
 
 
 ConditionExpr = Union[Condition, And, Or, Diff]
@@ -100,8 +108,7 @@ def leaf_conditions(expr: ConditionExpr) -> list[Condition]:
 # Query plans
 # ---------------------------------------------------------------------------
 
-# Each plan class names its JSON form in `kind`; requesttypes maps it to the
-# request type it asks.
+# requesttypes maps each plan class to the request type it asks.
 
 
 @dataclass(frozen=True)
@@ -178,22 +185,51 @@ QueryPlan = Union[Retrieve, Delete, Update, Count, Sum, Superlative, Exists, Pro
 
 @dataclass(frozen=True)
 class EntitySet:
+    kind: ClassVar[str] = "entity_set"
     keys: frozenset[str]
     degenerate: bool = False  # superlative over an empty satisfying set
 
 
 @dataclass(frozen=True)
 class TupleSet:
+    kind: ClassVar[str] = "tuple_set"
     tuples: frozenset[tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class RelationSnapshot:
-    relation: Relation
+    """A table after a deletion or an update: its column names, the key
+    column's name and its rows of cell strings. Each row is as wide as the
+    columns, the key is one of them, and no key repeats under `normalize`
+    (DuplicateKeyError)."""
+
+    kind: ClassVar[str] = "relation"
+    columns: tuple[str, ...]
+    key: str
+    rows: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        if self.key not in self.columns:
+            raise PlanError(f"key {self.key!r} is not one of the columns {list(self.columns)}")
+        width, key_idx = len(self.columns), self.columns.index(self.key)
+        seen: set[str] = set()
+        for row in self.rows:
+            if len(row) != width:
+                raise PlanError(f"row {list(row)!r} is not {width} cells wide")
+            key = normalize(row[key_idx])
+            if key in seen:
+                raise DuplicateKeyError(f"duplicate key {row[key_idx]!r}")
+            seen.add(key)
+
+    def keys(self) -> tuple[str, ...]:
+        """Each row's key cell, stripped, in row order."""
+        key_idx = self.columns.index(self.key)
+        return tuple(row[key_idx].strip() for row in self.rows)
 
 
 @dataclass(frozen=True)
 class Number:
+    kind: ClassVar[str] = "number"
     value: float
 
 
@@ -203,6 +239,7 @@ class Witnessed:
     existence boolean, true iff witnesses exist; negated questions are flipped
     at scoring time."""
 
+    kind: ClassVar[str] = "witnessed"
     witnesses: frozenset[str]
 
     @property
@@ -299,8 +336,8 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
     if isinstance(plan, Delete):
         keys = eval_expr(plan.expr, rel)
         key_idx = rel.index(rel.key_attr.name)
-        remaining = [row.values for row in rel.rows if row.values[key_idx].strip() not in keys]
-        return RelationSnapshot(Relation.from_values(rel.name, rel.schema, remaining))
+        remaining = tuple(row.values for row in rel.rows if row.values[key_idx].strip() not in keys)
+        return RelationSnapshot(rel.attribute_names, rel.key_attr.name, remaining)
 
     if isinstance(plan, Update):
         _attr(rel, plan.target_attr)
@@ -316,7 +353,7 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
             else:
                 values.append(row.values)
         try:
-            return RelationSnapshot(Relation.from_values(rel.name, rel.schema, values))
+            return RelationSnapshot(rel.attribute_names, rel.key_attr.name, tuple(values))
         except DuplicateKeyError as e:
             # replacing the key column itself can merge rows; that post-state
             # has no keyed representation, so the plan is rejected
@@ -361,136 +398,3 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         return TupleSet(frozenset(tuples))
 
     raise PlanError(f"unknown plan {plan!r}")
-
-
-# ---------------------------------------------------------------------------
-# Canonical JSON forms (stable field names and key order, diffable suites)
-# ---------------------------------------------------------------------------
-
-
-def expr_to_json(expr: ConditionExpr) -> dict:
-    if isinstance(expr, Condition):
-        return {"attr": expr.attr, "kind": "condition", "op": expr.op,
-                "rendered": expr.rendered, "value": expr.value}
-    if isinstance(expr, And):
-        return {"children": [expr_to_json(c) for c in expr.children], "kind": "and"}
-    if isinstance(expr, Or):
-        return {"children": [expr_to_json(c) for c in expr.children], "kind": "or"}
-    return {"kind": "diff", "left": expr_to_json(expr.left), "right": expr_to_json(expr.right)}
-
-
-def expr_from_json(obj: dict) -> ConditionExpr:
-    kind = obj["kind"]
-    if kind == "condition":
-        return Condition(attr=obj["attr"], op=obj["op"], value=obj["value"], rendered=obj["rendered"])
-    if kind == "and":
-        return And(tuple(expr_from_json(c) for c in obj["children"]))
-    if kind == "or":
-        return Or(tuple(expr_from_json(c) for c in obj["children"]))
-    if kind == "diff":
-        return Diff(expr_from_json(obj["left"]), expr_from_json(obj["right"]))
-    raise PlanError(f"unknown expression kind {kind!r}")
-
-
-def plan_to_json(plan: QueryPlan) -> dict:
-    """The plan's kind and its fields by name, tuples as lists."""
-    obj = {"kind": plan.kind}
-    for f in fields(plan):
-        value = getattr(plan, f.name)
-        obj[f.name] = expr_to_json(value) if f.name == "expr" else list(value) if isinstance(value, tuple) else value
-    return obj
-
-
-_PLAN_CLASSES = {cls.kind: cls for cls in get_args(QueryPlan)}
-_SCALAR_FIELDS = {"str": str, "bool": bool}
-
-
-def plan_from_json(obj: dict) -> QueryPlan:
-    """The plan plan_to_json wrote. Every field of its kind's class must be
-    there, and no other, each of the type the class declares."""
-    cls = _PLAN_CLASSES.get(obj["kind"])
-    if cls is None:
-        raise PlanError(f"unknown plan kind {obj['kind']!r}")
-    declared = {f.name: f.type for f in fields(cls)}
-    if obj.keys() != {"kind", *declared}:
-        raise PlanError(f"{cls.kind} plan has the fields {sorted(declared)}, not {sorted(obj.keys() - {'kind'})}")
-    values = {}
-    for name, annotation in declared.items():
-        value = obj[name]
-        if annotation == "ConditionExpr":
-            values[name] = expr_from_json(value)
-        elif annotation == "tuple[str, ...]" and isinstance(value, list) and all(isinstance(v, str) for v in value):
-            values[name] = tuple(value)
-        elif type(value) is _SCALAR_FIELDS.get(annotation):
-            values[name] = value
-        else:
-            raise PlanError(f"{cls.kind} plan: {name} must be a {annotation}, not {value!r}")
-    return cls(**values)
-
-
-def gold_to_json(gold: GoldAnswer) -> dict:
-    if isinstance(gold, EntitySet):
-        return {"degenerate": gold.degenerate, "keys": sorted(gold.keys), "kind": "entity_set"}
-    if isinstance(gold, TupleSet):
-        return {"kind": "tuple_set", "tuples": sorted(list(t) for t in gold.tuples)}
-    if isinstance(gold, RelationSnapshot):
-        rel = gold.relation
-        return {
-            "columns": list(rel.attribute_names),
-            "key": rel.key_attr.name,
-            "kind": "relation",
-            "rows": [list(r.values) for r in rel.rows],
-        }
-    if isinstance(gold, Number):
-        return {"kind": "number", "value": gold.value}
-    return {"kind": "witnessed", "witnesses": sorted(gold.witnesses)}
-
-
-def _strings(value, what: str) -> list[str]:
-    """value, when it is a list of strings; a PlanError naming `what` otherwise."""
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return value
-    raise PlanError(f"{what} must be a list of strings, not {value!r}")
-
-
-def _string_rows(value, what: str) -> list[list[str]]:
-    if not isinstance(value, list):
-        raise PlanError(f"{what} must be a list of lists of strings, not {value!r}")
-    return [_strings(row, f"each of {what}") for row in value]
-
-
-def gold_from_json(obj: dict) -> GoldAnswer:
-    """The gold gold_to_json wrote. Each field must hold the type it writes:
-    lists of strings, table rows as wide as the columns, a key among the
-    columns, a number that is not a boolean; a missing degenerate is false."""
-    kind = obj["kind"]
-    if kind == "entity_set":
-        degenerate = obj.get("degenerate", False)
-        if type(degenerate) is not bool:
-            raise PlanError(f"entity_set gold: degenerate must be a bool, not {degenerate!r}")
-        return EntitySet(frozenset(_strings(obj["keys"], "entity_set gold: keys")), degenerate=degenerate)
-    if kind == "tuple_set":
-        return TupleSet(frozenset(tuple(t) for t in _string_rows(obj["tuples"], "tuple_set gold: tuples")))
-    if kind == "relation":
-        from .relation import AttributeSpec
-
-        columns = _strings(obj["columns"], "relation gold: columns")
-        if obj["key"] not in columns:
-            raise PlanError(f"relation gold: key {obj['key']!r} is not one of the columns {columns}")
-        rows = _string_rows(obj["rows"], "relation gold: rows")
-        for row in rows:
-            if len(row) != len(columns):
-                raise PlanError(f"relation gold: row {row!r} is not {len(columns)} cells wide")
-        schema = tuple(
-            AttributeSpec(name=c, kind="categorical", canonical_phrase=c.lower(), is_key=(c == obj["key"]))
-            for c in columns
-        )
-        return RelationSnapshot(Relation.from_values("snapshot", schema, [tuple(r) for r in rows]))
-    if kind == "number":
-        value = obj["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PlanError(f"number gold: value must be a number, not {value!r}")
-        return Number(float(value))
-    if kind == "witnessed":
-        return Witnessed(frozenset(_strings(obj["witnesses"], "witnessed gold: witnesses")))
-    raise PlanError(f"unknown gold kind {kind!r}")

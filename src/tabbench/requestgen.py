@@ -25,13 +25,10 @@ from .oracle import (
     PlanError,
     QueryPlan,
     evaluate,
-    gold_from_json,
-    gold_to_json,
-    plan_from_json,
-    plan_to_json,
 )
-from .relation import Relation, SchemaError
+from .relation import IngestError, Relation
 from .requesttypes import CORE_TYPES, MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType, type_of
+from .runio import from_json, to_json
 from .seeding import derive_seed
 from .structurer import StructuringLevel, render, render_partial
 
@@ -348,76 +345,23 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 SHARED_FIELDS = ("context", "entity_keys", "gold")
 
 
-def instance_to_json(instance: RequestInstance) -> dict:
-    return {
-        "connective": instance.connective,
-        "context": instance.context,
-        "dataset": instance.dataset,
-        "entity_keys": list(instance.entity_keys),
-        "gold": gold_to_json(instance.gold),
-        "id": instance.id,
-        "level": instance.level.value,
-        "mode": instance.mode,
-        "plan": plan_to_json(instance.plan),
-        "portion": instance.portion,
-        "pre_instruction": instance.pre_instruction,
-        "prompt": instance.prompt,
-        "resamples": instance.resamples,
-        "template_id": instance.template_id,
-    }
-
-
-# The JSON type of each instance_to_json value that is not decoded by a
-# function of its own (the plan and the gold are).
-INSTANCE_TYPES = {"connective": str, "context": str, "dataset": str, "entity_keys": list, "id": str,
-                  "level": str, "mode": str, "portion": float | int | None, "pre_instruction": str | None,
-                  "prompt": str, "resamples": int, "template_id": int}
-
-
-def instance_from_json(obj: dict, shared: dict | None = None) -> RequestInstance:
-    """The instance instance_to_json wrote; a value of the wrong type raises
-    TypeError. `shared` maps some of SHARED_FIELDS to values already decoded
-    for another instance; they are taken as they are, in place of obj's own.
-    A `request_type` key, which suites stated before it was read from the
-    plan, is ignored, and a missing `resamples` is 0."""
-    shared = shared or {}
-    for key, kind in INSTANCE_TYPES.items():
-        value = obj.get(key, 0) if key == "resamples" else obj[key]
-        if key not in shared and not isinstance(value, kind):
-            raise TypeError(f"{key} {value!r} is not of type {getattr(kind, '__name__', kind)}")
-    if "entity_keys" not in shared and not all(isinstance(k, str) for k in obj["entity_keys"]):
-        raise TypeError(f"entity_keys {obj['entity_keys']!r} holds a key that is not a string")
-    if obj["mode"] not in MODES:
-        raise ValueError(f"mode {obj['mode']!r} is not one of {MODES}")
-    return RequestInstance(
-        id=obj["id"],
-        dataset=obj["dataset"],
-        template_id=obj["template_id"],
-        connective=obj["connective"],
-        level=StructuringLevel(obj["level"]),
-        portion=obj["portion"],
-        plan=plan_from_json(obj["plan"]),
-        prompt=obj["prompt"],
-        context=shared.get("context", obj["context"]),
-        pre_instruction=obj["pre_instruction"],
-        gold=shared["gold"] if "gold" in shared else gold_from_json(obj["gold"]),
-        entity_keys=tuple(shared.get("entity_keys", obj["entity_keys"])),
-        mode=obj["mode"],
-        resamples=obj.get("resamples", 0),
-    )
-
-
 def dump_suite(instances: list[RequestInstance]) -> str:
-    """Suite JSONL: one instance_to_json object per line, keys sorted. For each
+    """Suite JSONL: one to_json object per line, keys sorted. For each
     of SHARED_FIELDS, the first line with a given value (equal canonical JSON)
     states it in full; a later line with an equal value holds
     {"same_as": <id of that first line>} instead."""
     first: dict[tuple[str, str], str] = {}
+    # generate_suite hands one object to every instance that shares a value, so
+    # most lines find their source by the object (alive in `instances`) alone
+    known: dict[tuple[str, int], str] = {}
     lines = []
     for instance in instances:
-        obj = instance_to_json(instance)
+        obj = to_json(instance)
         for field in SHARED_FIELDS:
-            source = first.setdefault((field, json.dumps(obj[field], sort_keys=True)), instance.id)
+            source = known.get((field, id(getattr(instance, field))))
+            if source is None:
+                source = first.setdefault((field, json.dumps(obj[field], sort_keys=True)), instance.id)
+                known[(field, id(getattr(instance, field)))] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
@@ -428,7 +372,8 @@ def load_suite(text: str) -> list[RequestInstance]:
     """The instances of a suite, in file order. A {"same_as": id} field takes
     that field's value from the earlier instance with that id, as the same
     object, so each distinct context, gold and key list is decoded and held
-    once. A line stating every value in full loads as it is."""
+    once. A line stating every value in full loads as it is. A `request_type`
+    key, which suites stated before it was read from the plan, is ignored."""
     instances: list[RequestInstance] = []
     by_id: dict[str, RequestInstance] = {}
     for number, line in enumerate(text.splitlines(), 1):
@@ -436,17 +381,20 @@ def load_suite(text: str) -> list[RequestInstance]:
             continue
         try:
             obj = json.loads(line)
-            shared = {}
-            for field in SHARED_FIELDS:
-                value = obj[field]
-                if isinstance(value, dict) and value.keys() == {"same_as"}:
-                    source = by_id.get(value["same_as"])
-                    if source is None:
-                        raise SuiteFormatError(f"line {number}: {field} is the same as {value['same_as']!r}, "
-                                               f"an id that no earlier line has")
-                    shared[field] = getattr(source, field)
-            instance = instance_from_json(obj, shared)
-        except (ValueError, KeyError, TypeError, PlanError, SchemaError) as e:
+            if isinstance(obj, dict):
+                obj.pop("request_type", None)
+                for field in SHARED_FIELDS:
+                    value = obj.get(field)
+                    if isinstance(value, dict) and value.keys() == {"same_as"}:
+                        source = by_id.get(value["same_as"])
+                        if source is None:
+                            raise SuiteFormatError(f"line {number}: {field} is the same as {value['same_as']!r}, "
+                                                   f"an id that no earlier line has")
+                        obj[field] = getattr(source, field)
+            instance = from_json(RequestInstance, obj)
+            if instance.mode not in MODES:
+                raise ValueError(f"mode {instance.mode!r} is not one of {MODES}")
+        except (ValueError, TypeError, PlanError, IngestError) as e:
             raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
         instances.append(instance)
         by_id.setdefault(instance.id, instance)

@@ -1,9 +1,15 @@
-"""Run persistence: file digests and tamper-evident manifests."""
+"""Run persistence: the JSON codec of every record, file digests and
+tamper-evident manifests."""
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import time
+import types
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -11,6 +17,146 @@ from . import __version__
 
 class ManifestError(Exception):
     pass
+
+
+# ---------------------------------------------------------------------------
+# JSON codec: each record's JSON form is declared once, by its dataclass
+# ---------------------------------------------------------------------------
+
+
+class CodecError(ValueError):
+    """A JSON value that is not the form of the type it is read as."""
+
+
+class _Mismatch(Exception):
+    """A value not of the type asked for; the field that holds it names it."""
+
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def to_json(value):
+    """The JSON form of a value. A dataclass is an object of its fields, plus
+    `kind` when the class declares a `kind` ClassVar; a tuple is a list, a
+    frozenset a sorted list and an Enum its value; str, int, float, bool and
+    None are written as they are."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (tuple, frozenset)):
+        items = sorted(value) if isinstance(value, frozenset) else value
+        return list(items) if all(type(x) is str for x in items) else [to_json(x) for x in items]
+    if isinstance(value, enum.Enum):
+        return value.value
+    fields, kind = _declared(type(value))[:2]
+    obj = {name: to_json(getattr(value, name)) for name, _, _ in fields}
+    if kind is not None:
+        obj["kind"] = kind
+    return obj
+
+
+def from_json(tp, obj):
+    """The value of type `tp` (a class or a type hint) that to_json wrote as
+    `obj`. A union of classes that declare a `kind` picks its class by the
+    object's `kind`; a float also takes an integer, which it stores as a
+    float, and no int or float takes a boolean; a tuple or a frozenset takes a
+    list of its items; a dataclass takes a missing field that has a default as
+    that default. A value already of the type, as decoded, is taken as it is.
+    Anything else raises CodecError: `<field> must be <type>, got <value>`, or
+    `unknown key '<k>'`."""
+    try:
+        return _decoder(tp)(obj)
+    except _Mismatch:
+        raise CodecError(f"value must be {getattr(tp, '__name__', tp)}, got {obj!r}") from None
+
+
+@functools.cache
+def _declared(cls):
+    """A dataclass's fields as (name, its scalar type or None, decoder), its
+    `kind` or None, each field's type as written, its required fields and the
+    keys its JSON object has. Type hints are resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    kind = cls.kind if typing.get_origin(hints.get("kind")) is typing.ClassVar else None
+    fields = dataclasses.fields(cls)
+    return ([(f.name, hints[f.name] if hints[f.name] in _SCALARS else None, _decoder(hints[f.name]))
+             for f in fields], kind, {f.name: str(f.type) for f in fields},
+            {f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING},
+            {f.name for f in fields} | ({"kind"} if kind is not None else set()))
+
+
+@functools.cache
+def _decoder(hint):
+    """The function that reads a JSON value as `hint`; it raises _Mismatch for
+    a value that is not of that form."""
+    if hint in _SCALARS:  # read as a union of one member
+        return functools.partial(_union, (hint,), {})
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return functools.partial(_member, hint)
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(_object, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple or origin is frozenset:
+        return functools.partial(_items, origin, args[0], _decoder(args[0]))
+    if origin is typing.Union or origin is types.UnionType:
+        return functools.partial(_union, args, {m.kind: m for m in args if dataclasses.is_dataclass(m)})
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+def _member(cls, value):
+    try:
+        return cls(value)
+    except ValueError:
+        raise _Mismatch from None
+
+
+def _items(origin, item_type, decode_item, value):
+    if type(value) is origin:
+        return value
+    if type(value) is not list:
+        raise _Mismatch
+    if item_type is str and all(type(x) is str for x in value):
+        return origin(value)
+    return origin([decode_item(x) for x in value])
+
+
+def _union(members, by_kind, value):
+    if type(value) is dict and by_kind:
+        kind = value.get("kind")
+        if type(kind) is not str or kind not in by_kind:
+            raise CodecError(f"kind must be {' | '.join(map(repr, by_kind))}, got {kind!r}")
+        return _object(by_kind[kind], value)
+    if type(value) in members:  # a scalar of a member type, or a member class's instance
+        return value
+    if type(value) is int and float in members:
+        return float(value)
+    raise _Mismatch
+
+
+def _object(cls, value):
+    if type(value) is cls:
+        return value
+    if type(value) is not dict:
+        raise _Mismatch
+    fields, kind, type_names, required, keys = _declared(cls)
+    if value.keys() != keys:
+        for key in value:
+            if key not in keys:
+                raise CodecError(f"unknown key {key!r}")
+        for name in type_names:
+            if name in required and name not in value:
+                raise CodecError(f"{name} must be {type_names[name]}, got nothing")
+    if kind is not None and value.get("kind") != kind:
+        raise CodecError(f"kind must be {kind!r}, got {value.get('kind')!r}")
+    values = {}
+    for name, exact, decode in fields:
+        if name in value:
+            if type(value[name]) is exact:  # a scalar of the field's own type
+                values[name] = value[name]
+                continue
+            try:
+                values[name] = decode(value[name])
+            except _Mismatch:
+                raise CodecError(f"{name} must be {type_names[name]}, got {value[name]!r}") from None
+    return cls(**values)
 
 
 def sha256_file(path: str | Path) -> str:

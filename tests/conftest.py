@@ -19,6 +19,7 @@ from tabbench.oracle import (
     Or,
     Project,
     QueryPlan,
+    RelationSnapshot,
     Retrieve,
     Delete,
     Count,
@@ -92,6 +93,13 @@ def bank() -> PhraseBank:
 
 def eq(attr: str, value: str) -> Condition:
     return Condition(attr=attr, op=EQ, value=value, rendered=f"{attr.lower()} is {value}")
+
+
+def snapshot_relation(snapshot: RelationSnapshot, rel: Relation) -> Relation:
+    """The snapshot's rows as a relation with the schema of `rel`, the
+    relation it was taken from, so that a plan can run against it again."""
+    assert snapshot.columns == rel.attribute_names and snapshot.key == rel.key_attr.name
+    return Relation.from_values(rel.name, rel.schema, list(snapshot.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         for row in rel.rows:
             if not _row_satisfies(plan.expr, rel, row):
                 kept.append(row.values)
-        return RelationSnapshot(Relation.from_values(rel.name, rel.schema, kept))
+        return RelationSnapshot(columns=tuple(a.name for a in rel.schema), key=rel.key_attr.name, rows=tuple(kept))
 
     if isinstance(plan, Update):
         if plan.target_attr not in {a.name for a in rel.schema}:
@@ -138,7 +138,8 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
                 cells[pos] = plan.replacement
             out.append(tuple(cells))
         try:
-            return RelationSnapshot(Relation.from_values(rel.name, rel.schema, out))
+            return RelationSnapshot(columns=tuple(a.name for a in rel.schema), key=rel.key_attr.name,
+                                    rows=tuple(out))
         except DuplicateKeyError as e:
             raise PlanError(f"update would duplicate keys: {e}") from None
 

@@ -269,6 +269,22 @@ def test_eval_groups_by_portion_when_grid_present(runner, tmp_path):
     assert header.endswith("portion,mean,variance,count,templates")
 
 
+def test_variance_report_tells_portions_apart(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["count"], pair_count=1, levels=["natural"],
+                          portions=[0.0, 0.5])
+    gen_dir, results, eval_dir = tmp_path / "gen", tmp_path / "r.jsonl", tmp_path / "eval"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "lossy:r=0.5",
+                                "--out", str(results)]).exit_code == 0
+    scored = runner.invoke(main, ["eval", "--suite", str(gen_dir / "suite.jsonl"),
+                                  "--results", str(results), "--out", str(eval_dir)])
+    assert scored.exit_code == 0, scored.output
+    header, *rows = (eval_dir / "variance.csv").read_text().splitlines()
+    assert header == "level,model,portion,request_type,variance"
+    assert [row.split(",")[:4] for row in rows] == [
+        ["natural", "lossy-oracle-q0.0-r0.5", portion, "count"] for portion in ("0.0", "0.5")]
+
+
 def test_generate_sink_failure_exits_3(runner, tmp_path):
     config = write_config(tmp_path, request_types=["retrieval"], pair_count=1)
     blocker = tmp_path / "blocked"
@@ -633,7 +649,24 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
         broken = json.loads(lines[0])
         broken["gold"]["keys"] = "Messi"
         suite.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
-        return run, "keys must be a list of strings"
+        return run, "keys must be frozenset[str], got 'Messi'"
+    if case == "suite relation gold repeating a key":
+        manifest.unlink()
+        lines = suite.read_text(encoding="utf-8").splitlines()
+        broken = json.loads(lines[1])
+        broken["gold"] = {"kind": "relation", "columns": ["Name"], "key": "Name", "rows": [["Messi"], ["messi "]]}
+        suite.write_text("\n".join([lines[0], json.dumps(broken, sort_keys=True), *lines[2:]]) + "\n",
+                         encoding="utf-8")
+        return run, "line 2: not a suite instance (DuplicateKeyError: duplicate key 'messi ')"
+    if case == "results line attempts a boolean":
+        results = tmp_path / "results.jsonl"
+        results.with_name("results.jsonl.manifest.json").unlink()
+        lines = results.read_text(encoding="utf-8").splitlines()
+        broken = json.loads(lines[0])
+        broken["attempts"] = True
+        results.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+        return (["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+                f"{results}: line 1: not a result line (attempts must be int, got True)")
     if case == "models entry with an unset auth_env":
         monkeypatch.delenv("TABBENCH_KEY", raising=False)
         write_config(tmp_path, models=[REMOTE])
@@ -651,7 +684,7 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
     "pack schema.json naming an attribute twice",
     "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
-    "suite gold keys not a list",
+    "suite gold keys not a list", "suite relation gold repeating a key", "results line attempts a boolean",
     "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
 ])
 def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch, case):

@@ -279,7 +279,7 @@ def test_unparsed_answer_gets_no_credit_against_an_empty_gold(pack, f2):
     """Gold that deletes every row is an empty set; a parsed empty answer is
     right (f1 of two empty sets), an answer that did not parse is not."""
     instance = make_instance(pack, f2, RequestType.DELETION, expr=Condition("Number", GT, 0.0, "number above 0"))
-    assert instance.gold.relation.rows == ()
+    assert instance.gold.rows == ()
     assert score(instance, EntityList(())).value == 1.0
     record = score(instance, Unparseable("no response text"))
     assert (record.value, record.extras, record.unparsed) == (0.0, {"precision": 0.0, "recall": 0.0}, True)

@@ -17,11 +17,12 @@ from tabbench.gateway import (
     RemoteModel,
     complete,
     compose_message,
-    response_to_json,
+    ResultLine,
     run_suite,
 )
 from tabbench.oracle import Condition, EQ, GT, EntitySet
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
+from tabbench.runio import from_json
 from tabbench.structurer import StructuringLevel
 
 from conftest import instantiate_one, tiny_soccer_pack
@@ -137,7 +138,7 @@ def test_lossy_flip_moves_number_by_one_to_five(pack, f2):
 def test_deletion_of_every_row_renders_header_alone(pack, f2):
     everyone = Condition("Number", GT, "0", "uniform number is higher than 0")
     instance = _instance(pack, f2, RequestType.DELETION, everyone)
-    assert not instance.gold.relation.rows
+    assert not instance.gold.rows
     header = "ANSWER:\n| Name | Number | Nationality | Club |"
     assert PerfectOracle().complete(instance).text == header
     assert LossyOracle(omission_prob=1.0, flip_prob=1.0, seed=2).complete(instance).text == header
@@ -181,7 +182,7 @@ def test_run_suite_rerun_is_byte_identical(tmp_path, small_suite):
 def test_run_suite_resumes_from_existing(tmp_path, small_suite):
     sink = tmp_path / "results.jsonl"
     run_suite(small_suite, PerfectOracle(), sink)
-    existing = {json.loads(l)["id"]: json.loads(l) for l in sink.read_text().splitlines()}
+    existing = {r.id: r for r in (from_json(ResultLine, json.loads(l)) for l in sink.read_text().splitlines())}
     manifest = run_suite(small_suite, PerfectOracle(), sink, existing=existing)
     assert manifest["dispatched"] == 0
     assert manifest["reused"] == len(small_suite)
@@ -205,10 +206,18 @@ def test_run_suite_answers_a_mock_on_the_calling_thread(tmp_path, small_suite, m
     assert threads == [threading.current_thread()] * len(small_suite)
 
 
-def test_response_json_round_trip():
-    response = ModelResponse("id9", text="ANSWER:\nok", error=None, latency_ms=4.2, attempts=2)
-    payload = response_to_json(response, "m")
-    assert "latency" not in json.dumps(payload)
+def test_response_json_round_trip(small_suite, tmp_path):
+    """run_suite writes each response as a result line, without its latency."""
+    class Timed(PerfectOracle):
+        def complete(self, instance):
+            return ModelResponse(instance.id, text="ANSWER:\nok", error=None, latency_ms=4.2, attempts=2)
+
+    sink = tmp_path / "results.jsonl"
+    run_suite(small_suite[:1], Timed(), sink)
+    [line] = sink.read_text(encoding="utf-8").splitlines()
+    assert "latency" not in line
+    assert from_json(ResultLine, json.loads(line)) == ResultLine(
+        attempts=2, error=None, id=small_suite[0].id, model="perfect-oracle", text="ANSWER:\nok")
 
 
 # ---------------------------------------------------------------------------

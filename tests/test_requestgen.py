@@ -8,7 +8,7 @@ import pytest
 
 from tabbench import requestgen
 from tabbench.condgen import GenError
-from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, Witnessed, evaluate, plan_from_json
+from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, QueryPlan, Witnessed, evaluate
 from tabbench.requestgen import (
     CORE_TYPES,
     PromptTemplate,
@@ -21,12 +21,11 @@ from tabbench.requestgen import (
     dump_suite,
     expr_phrase,
     generate_suite,
-    instance_from_json,
-    instance_to_json,
     load_suite,
     make_pre_instruction,
 )
 from tabbench.requesttypes import ROWS
+from tabbench.runio import from_json, to_json
 from tabbench.structurer import StructuringLevel, render, render_partial
 
 from conftest import eq, instances_per_type, instantiate_one, tiny_soccer_pack
@@ -184,18 +183,16 @@ def test_gold_reproducible_from_serialized_plan(pack, f2):
     config = SuiteConfig(pair_count=2, request_types=CORE_TYPES, seed=2)
     suite = generate_suite(f2, config, pack)
     for instance in load_suite(dump_suite(suite)):
-        payload = instance_to_json(instance)
-        plan = plan_from_json(payload["plan"])
-        from tabbench.oracle import gold_to_json
-
-        assert gold_to_json(evaluate(plan, f2)) == payload["gold"]
+        payload = to_json(instance)
+        plan = from_json(QueryPlan, payload["plan"])
+        assert to_json(evaluate(plan, f2)) == payload["gold"]
 
 
 def test_instance_json_round_trip(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.PROJECTION, RequestType.EXISTENCE),
                          seed=6)
     for instance in generate_suite(f2, config, pack):
-        assert instance_from_json(instance_to_json(instance)) == instance
+        assert from_json(RequestInstance, to_json(instance)) == instance
 
 
 def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
@@ -227,8 +224,7 @@ def test_request_type_is_read_from_the_plan_through_the_codec(pack, f2):
     text = dump_suite(suite)
     assert all("request_type" not in json.loads(line) for line in text.splitlines())
     loaded = load_suite(text)
-    # snapshot golds load with generic column kinds, so compare their JSON
-    assert [instance_to_json(i) for i in loaded] == [instance_to_json(i) for i in suite]
+    assert loaded == suite
     assert [i.request_type for i in loaded] == [i.request_type for i in suite]
     assert all(f"-{i.request_type.value}-" in i.id for i in loaded)
 
@@ -253,18 +249,22 @@ def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
     obj = json.loads(lines[1])
     obj["plan"]["negated"] = "yes"
     lines[1] = json.dumps(obj, sort_keys=True)
-    with pytest.raises(SuiteFormatError, match="line 2: .*negated must be a bool"):
+    with pytest.raises(SuiteFormatError, match="line 2: .*negated must be bool, got 'yes'"):
         load_suite("\n".join(lines))
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("template_id", "x", "template_id 'x' is not of type int"),
-    ("prompt", 5, "prompt 5 is not of type str"),
-    ("context", 5, "context 5 is not of type str"),
-    ("portion", "half", "portion 'half' is not of type float | int | None"),
-    ("entity_keys", "abc", "entity_keys 'abc' is not of type list"),
-    ("entity_keys", [1], "entity_keys \\[1\\] holds a key that is not a string"),
+    ("template_id", "x", "template_id must be int, got 'x'"),
+    ("prompt", 5, "prompt must be str, got 5"),
+    ("context", 5, "context must be str, got 5"),
+    ("portion", "half", "portion must be float \\| None, got 'half'"),
+    ("entity_keys", "abc", "entity_keys must be tuple\\[str, ...\\], got 'abc'"),
+    ("entity_keys", [1], "entity_keys must be tuple\\[str, ...\\], got \\[1\\]"),
     ("mode", "three_turn", "mode 'three_turn' is not one of \\('surrogate', 'two_turn'\\)"),
+    # a boolean is not a number, though Python's bool is an int
+    ("template_id", True, "template_id must be int, got True"),
+    ("portion", False, "portion must be float \\| None, got False"),
+    ("resamples", True, "resamples must be int, got True"),
 ])
 def test_suite_line_with_a_value_of_the_wrong_type_does_not_load(pack, f2, key, value, message):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
@@ -282,7 +282,7 @@ def test_suite_states_each_shared_value_once(pack, f2):
                          levels=(StructuringLevel.NATURAL, StructuringLevel.TABLE), seed=4)
     suite = generate_suite(f2, config, pack)
     text = dump_suite(suite)
-    full = "".join(json.dumps(instance_to_json(i), sort_keys=True) + "\n" for i in suite)
+    full = "".join(json.dumps(to_json(i), sort_keys=True) + "\n" for i in suite)
     assert len(text) < len(full)
     # a suite with every value in full, as written before refs, loads to the same instances
     loaded = load_suite(text)
@@ -291,7 +291,7 @@ def test_suite_states_each_shared_value_once(pack, f2):
     first_id: dict[tuple[str, str], str] = {}
     for line, instance in zip(text.splitlines(), suite):
         obj = json.loads(line)
-        full_obj = instance_to_json(instance)
+        full_obj = to_json(instance)
         assert obj.keys() == full_obj.keys()
         for key, value in obj.items():
             if key not in SHARED_FIELDS:
@@ -307,7 +307,7 @@ def test_suite_states_each_shared_value_once(pack, f2):
         objects = {}
         for instance in loaded:
             value = getattr(instance, field)
-            assert objects.setdefault(json.dumps(instance_to_json(instance)[field], sort_keys=True),
+            assert objects.setdefault(json.dumps(to_json(instance)[field], sort_keys=True),
                                       value) is value
         assert len(objects) < len(loaded)
 
