@@ -146,7 +146,9 @@ def _validate(raw) -> list[str]:
             if not model.get(required):
                 errors.append(f"models: entry missing {required!r}")
         name = model.get("name")
-        if name and name in names:
+        if name is not None and type(name) is not str:  # not a ProviderConfig field
+            errors.append(f"models: {name!r}: name must be str, got {name!r}")
+        elif name and name in names:
             errors.append(f"models: name {name!r} is given to more than one entry")
         names.append(name)
     return errors
@@ -171,7 +173,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     for entry in raw.get("models", ()):
         name = entry["name"]
         try:
-            models[from_json(str, name)] = from_json(ProviderConfig, {k: v for k, v in entry.items() if k != "name"})
+            models[name] = from_json(ProviderConfig, {k: v for k, v in entry.items() if k != "name"})
         except (CodecError, GatewayError) as e:
             errors.append(f"models: {name!r}: {e}")
     if errors:

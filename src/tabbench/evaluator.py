@@ -435,8 +435,8 @@ def eval_reports(records: list[EvalRecord]) -> tuple[list[ReportRow], dict[str, 
         "records.csv": records_to_csv(records),
         "aggregate.csv": report_to_csv(rows),
         "aggregate.md": report_markdown(rows),
-        "variance.csv": _csv((*sorted(grouping), "variance"), (
-            [*(r.key(name) for name in sorted(grouping)), r.variance] for r in rows)) if rows else "",
+        "variance.csv": _csv(("level", "model", "request_type", "variance"), (
+            [r.key("level"), r.key("model"), r.key("request_type"), r.variance] for r in rows)) if rows else "",
         "compare.json": (json.dumps(dataclasses.asdict(comparison), indent=2, sort_keys=True) + "\n"
                          if comparison is not None else None),
         "existence.csv": (_csv(existence_columns, ([getattr(r, name) for name in existence_columns]

@@ -43,12 +43,11 @@ def to_json(value):
     if type(value) in _SCALARS:
         return value
     if isinstance(value, (tuple, frozenset)):
-        items = sorted(value) if isinstance(value, frozenset) else value
-        return list(items) if all(type(x) is str for x in items) else [to_json(x) for x in items]
+        return [to_json(x) for x in (sorted(value) if isinstance(value, frozenset) else value)]
     if isinstance(value, enum.Enum):
         return value.value
     fields, kind = _declared(type(value))[:2]
-    obj = {name: to_json(getattr(value, name)) for name, _, _ in fields}
+    obj = {name: to_json(getattr(value, name)) for name, _ in fields}
     if kind is not None:
         obj["kind"] = kind
     return obj
@@ -71,14 +70,13 @@ def from_json(tp, obj):
 
 @functools.cache
 def _declared(cls):
-    """A dataclass's fields as (name, its scalar type or None, decoder), its
-    `kind` or None, each field's type as written, its required fields and the
-    keys its JSON object has. Type hints are resolved once per class."""
+    """A dataclass's fields as (name, decoder), its `kind` or None, each
+    field's type as written, its required fields and the keys its JSON object
+    has. Type hints are resolved once per class."""
     hints = typing.get_type_hints(cls)
     kind = cls.kind if typing.get_origin(hints.get("kind")) is typing.ClassVar else None
     fields = dataclasses.fields(cls)
-    return ([(f.name, hints[f.name] if hints[f.name] in _SCALARS else None, _decoder(hints[f.name]))
-             for f in fields], kind, {f.name: str(f.type) for f in fields},
+    return ([(f.name, _decoder(hints[f.name])) for f in fields], kind, {f.name: str(f.type) for f in fields},
             {f.name for f in fields if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING},
             {f.name for f in fields} | ({"kind"} if kind is not None else set()))
 
@@ -95,7 +93,7 @@ def _decoder(hint):
         return functools.partial(_object, hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple or origin is frozenset:
-        return functools.partial(_items, origin, args[0], _decoder(args[0]))
+        return functools.partial(_items, origin, _decoder(args[0]))
     if origin is typing.Union or origin is types.UnionType:
         return functools.partial(_union, args, {m.kind: m for m in args if dataclasses.is_dataclass(m)})
     raise TypeError(f"no JSON form for {hint!r}")
@@ -108,13 +106,11 @@ def _member(cls, value):
         raise _Mismatch from None
 
 
-def _items(origin, item_type, decode_item, value):
+def _items(origin, decode_item, value):
     if type(value) is origin:
         return value
     if type(value) is not list:
         raise _Mismatch
-    if item_type is str and all(type(x) is str for x in value):
-        return origin(value)
     return origin([decode_item(x) for x in value])
 
 
@@ -147,11 +143,8 @@ def _object(cls, value):
     if kind is not None and value.get("kind") != kind:
         raise CodecError(f"kind must be {kind!r}, got {value.get('kind')!r}")
     values = {}
-    for name, exact, decode in fields:
+    for name, decode in fields:
         if name in value:
-            if type(value[name]) is exact:  # a scalar of the field's own type
-                values[name] = value[name]
-                continue
             try:
                 values[name] = decode(value[name])
             except _Mismatch:

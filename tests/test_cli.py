@@ -269,22 +269,6 @@ def test_eval_groups_by_portion_when_grid_present(runner, tmp_path):
     assert header.endswith("portion,mean,variance,count,templates")
 
 
-def test_variance_report_tells_portions_apart(runner, tmp_path):
-    config = write_config(tmp_path, request_types=["count"], pair_count=1, levels=["natural"],
-                          portions=[0.0, 0.5])
-    gen_dir, results, eval_dir = tmp_path / "gen", tmp_path / "r.jsonl", tmp_path / "eval"
-    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)]).exit_code == 0
-    assert runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "lossy:r=0.5",
-                                "--out", str(results)]).exit_code == 0
-    scored = runner.invoke(main, ["eval", "--suite", str(gen_dir / "suite.jsonl"),
-                                  "--results", str(results), "--out", str(eval_dir)])
-    assert scored.exit_code == 0, scored.output
-    header, *rows = (eval_dir / "variance.csv").read_text().splitlines()
-    assert header == "level,model,portion,request_type,variance"
-    assert [row.split(",")[:4] for row in rows] == [
-        ["natural", "lossy-oracle-q0.0-r0.5", portion, "count"] for portion in ("0.0", "0.5")]
-
-
 def test_generate_sink_failure_exits_3(runner, tmp_path):
     config = write_config(tmp_path, request_types=["retrieval"], pair_count=1)
     blocker = tmp_path / "blocked"
@@ -483,6 +467,9 @@ REMOTE = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-mo
      "models: 'stub': backoff_base_ms must be at least 0"),
     ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": 0}]},
      "models: 'stub': timeout_s must be positive"),
+    # a name that is not a string
+    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "name": [1]}]},
+     "models: [1]: name must be str, got [1]"),
 ])
 def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
     config = tmp_path / "config.json"
