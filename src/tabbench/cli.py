@@ -32,10 +32,9 @@ from .gateway import (
     complete,
     run_suite,
 )
-from .oracle import AND, CONNECTIVES, Condition, Delete, EQ, evaluate
+from .oracle import AND, Condition, Delete, EQ, evaluate
 from .relation import Relation, sample_entities
 from .requestgen import (
-    MODES,
     TEMPLATES_PER_TYPE,
     RequestInstance,
     SuiteConfig,
@@ -44,7 +43,6 @@ from .requestgen import (
     load_suite,
     make_pre_instruction,
 )
-from .requesttypes import RequestType
 from .runio import (
     CodecError,
     ManifestError,
@@ -53,11 +51,12 @@ from .runio import (
     read_manifest,
     read_text_and_digest,
     sha256_file,  # noqa: F401  (bench/tracing.py wraps cli.sha256_file)
+    to_json,
     verify_manifest,
     write_manifest,
 )
 from .seeding import derive_seed
-from .structurer import PORTIONS, ParseError, StructuringLevel, cell_fill_rate, parse_table, render
+from .structurer import ParseError, StructuringLevel, cell_fill_rate, parse_table, render
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -83,103 +82,49 @@ def _read_input(path: Path) -> tuple[str, str]:
 @dataclass(frozen=True)
 class HarnessConfig:
     """One run's full configuration: the pack, how many of its entities to
-    sample, the suite grid and the remote models by name. Seeds are
-    mandatory: no implicit entropy."""
+    sample, the suite grid and the remote models, each asked for by its name.
+    Seeds are mandatory: no implicit entropy. A partial mix has no structuring
+    level, so a config with portions takes at most one level."""
 
     dataset: str
     suite: SuiteConfig
-    models: dict[str, ProviderConfig]
+    models: tuple[ProviderConfig, ...] = ()
     sample_n: int = 100
 
-    def payload(self) -> dict:
-        """The resolved settings as JSON values, defaults filled in."""
-        return json.loads(json.dumps(dataclasses.asdict(self), default=lambda member: member.value))
-
-
-SUITE_FIELDS = {f.name for f in dataclasses.fields(SuiteConfig)}
-CONFIG_KEYS = {"dataset", "sample_n", "models", *SUITE_FIELDS}
-# what each entry of a grid list is read into
-GRID_ENTRIES = {"request_types": RequestType, "connectives": str, "n_conditions": int,
-                "levels": StructuringLevel, "portions": float}
-LIST_FIELDS = (*GRID_ENTRIES, "models")
-
-
-def _validate(raw) -> list[str]:
-    if not isinstance(raw, dict):
-        return ["config: must be a JSON object"]
-    errors = [f"{key}: unknown key; the keys are {', '.join(sorted(CONFIG_KEYS))}"
-              for key in raw if key not in CONFIG_KEYS]
-    errors += [f"{name}: must be a list" for name in LIST_FIELDS if not isinstance(raw.get(name, []), list)]
-    if errors:
-        return errors
-    if not raw.get("dataset") or not isinstance(raw["dataset"], str):
-        errors.append("dataset: required (builtin name or pack directory)")
-    if "seed" not in raw:
-        errors.append("seed: required, runs must not draw implicit entropy")
-    elif type(raw["seed"]) is not int:
-        errors.append("seed: must be an integer")
-    for field_name in ("sample_n", "pair_count", "min_support", "max_resample"):
-        least = 1 if field_name == "min_support" else 0
-        if field_name in raw and (type(raw[field_name]) is not int or raw[field_name] < least):
-            errors.append(f"{field_name}: must be a {('non-negative', 'positive')[least]} integer")
-    for n in raw.get("n_conditions", ()):
-        if type(n) is not int or n < 1:
-            errors.append(f"n_conditions: {n!r} is not a positive integer")
-    for field_name, allowed in (("request_types", {x.value for x in RequestType}), ("connectives", CONNECTIVES),
-                                ("levels", {x.value for x in StructuringLevel})):
-        for value in raw.get(field_name, ()):
-            if not isinstance(value, str) or value not in allowed:
-                errors.append(f"{field_name}: unknown value {value!r}")
-    for portion in raw.get("portions", ()):
-        if isinstance(portion, bool) or portion not in PORTIONS:
-            errors.append(f"portions: {portion!r} not in {PORTIONS}")
-    if raw.get("portions") and len(raw.get("levels", ())) > 1:
-        errors.append("portions: a partial mix has no structuring level, so it takes at most one level")
-    if raw.get("mode", MODES[0]) not in MODES:
-        errors.append(f"mode: must be {' or '.join(MODES)}")
-    names = []
-    for model in raw.get("models", ()):
-        if not isinstance(model, dict):
-            errors.append(f"models: entry {model!r} is not a JSON object")
-            continue
-        for required in ("name", "endpoint", "model", "auth_env"):
-            if not model.get(required):
-                errors.append(f"models: entry missing {required!r}")
-        name = model.get("name")
-        if name is not None and type(name) is not str:  # not a ProviderConfig field
-            errors.append(f"models: {name!r}: name must be str, got {name!r}")
-        elif name and name in names:
-            errors.append(f"models: name {name!r} is given to more than one entry")
-        names.append(name)
-    return errors
+    def __post_init__(self):
+        if not self.dataset:
+            raise ConfigError(["dataset must be non-empty, got ''"])
+        if self.sample_n < 0:
+            raise ConfigError([f"sample_n must be at least 0, got {self.sample_n!r}"])
+        names = [model.name for model in self.models]
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            raise ConfigError([f"models: name {repeated[0]!r} is given to more than one entry"])
+        if self.suite.portions and len(self.suite.levels) > 1:
+            raise ConfigError([f"portions: a partial mix has no structuring level, so it takes at most one level, "
+                               f"got levels {to_json(self.suite.levels)}"])
 
 
 def load_config(path: str | Path) -> HarnessConfig:
+    """The config file read into the settings the stages run on. It is one
+    JSON object: `dataset`, `sample_n` and `models` fill the HarnessConfig,
+    and every other key is a SuiteConfig field. The first bad field is a
+    ConfigError naming it."""
     text, _ = _read_input(Path(path))
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
-
-    errors = _validate(raw)
-    if errors:
-        raise ConfigError(errors)
-
-    grid = {key: tuple(map(GRID_ENTRIES[key], value)) if key in GRID_ENTRIES else value
-            for key, value in raw.items() if key in SUITE_FIELDS}
-    if grid.get("portions") == ():
-        del grid["portions"]
-    models = {}
-    for entry in raw.get("models", ()):
-        name = entry["name"]
-        try:
-            models[name] = from_json(ProviderConfig, {k: v for k, v in entry.items() if k != "name"})
-        except (CodecError, GatewayError) as e:
-            errors.append(f"models: {name!r}: {e}")
-    if errors:
-        raise ConfigError(errors)
-    return HarnessConfig(**{key: raw[key] for key in ("dataset", "sample_n") if key in raw},
-                         suite=SuiteConfig(**grid), models=models)
+    if not isinstance(raw, dict):
+        raise ConfigError(["config: must be a JSON object"])
+    if "seed" not in raw:
+        raise ConfigError(["seed: required, runs must not draw implicit entropy"])
+    own = {field.name for field in dataclasses.fields(HarnessConfig)} - {"suite"}
+    try:
+        return from_json(HarnessConfig, {**{key: value for key, value in raw.items() if key in own},
+                                         "suite": {key: value for key, value in raw.items() if key not in own}})
+    except (CodecError, GatewayError, GenError) as e:
+        raise ConfigError([str(e)]) from None
 
 
 def sampled_relation(pack: DatasetPack, config: HarnessConfig) -> Relation:
@@ -205,7 +150,7 @@ def resolve_model(name: str, config: HarnessConfig | None) -> ModelKind:
                 if key != "seed" and not 0.0 <= params[key] <= 1.0:
                     raise ConfigError([f"model: lossy parameter {key!r} must lie in [0, 1], got {value!r}"])
         return LossyOracle(omission_prob=params["q"], flip_prob=params["r"], seed=params["seed"])
-    provider = config.models.get(name) if config else None
+    provider = next((entry for entry in config.models if entry.name == name), None) if config else None
     if provider is None:
         raise ConfigError([f"model: unknown model {name!r} (use perfect, lossy:..., or a configured name)"])
     if not os.environ.get(provider.auth_env):
@@ -259,7 +204,7 @@ def cmd_generate(config_path, out_dir, seed_override):
     suite_path.write_text(dump_suite(instances), encoding="utf-8")
     write_manifest(
         out / "suite.manifest.json",
-        config_digest=config_hash(config.payload()),
+        config_digest=config_hash(to_json(config)),
         files={"suite.jsonl": suite_path},
         extra={"seed": config.suite.seed, "dataset": pack.name},
     )
@@ -287,17 +232,11 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
 def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, ResultLine]:
     """The result lines of a results JSONL file by line number; a line that
     is not one (a key missing, unknown or of the wrong type) raises
-    ConfigError naming the file and the line. Given the digest of the suite being scored, a
-    manifest that run left beside the file (<name>.manifest.json) must record
-    the file's digest and that suite digest (ManifestError otherwise)."""
+    ConfigError naming the file and the line. Given the digest of the suite
+    being answered or scored, a manifest that run left beside the file
+    (<name>.manifest.json) must then record the file's digest and that suite
+    digest (ManifestError otherwise)."""
     text, digest = _read_input(path)
-    manifest_path = path.with_name(path.name + ".manifest.json")
-    if suite_digest is not None and manifest_path.is_file():
-        manifest = read_manifest(manifest_path)
-        verify_manifest(manifest, path.parent, known={path.name: digest})
-        if manifest.get("suite_digest") != suite_digest:
-            raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
-                                f"not the suite being scored ({suite_digest[:12]}..)")
     records = {}
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -308,6 +247,13 @@ def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, Resu
             raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
         except CodecError as e:
             raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
+    manifest_path = path.with_name(path.name + ".manifest.json")
+    if suite_digest is not None and manifest_path.is_file():
+        manifest = read_manifest(manifest_path)
+        verify_manifest(manifest, path.parent, known={path.name: digest})
+        if manifest.get("suite_digest") != suite_digest:
+            raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
+                                f"not the suite being scored or answered ({suite_digest[:12]}..)")
     return records
 
 
@@ -327,13 +273,19 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     model = resolve_model(model_name, config)
     instances, suite_digest = _read_suite(Path(suite_path))
     out_file = Path(out_path)
-    existing = {r.id: r for r in _read_results(out_file).values()} if out_file.is_file() else {}
+    existing = {}
+    if out_file.is_file():
+        for number, line in _read_results(out_file, suite_digest).items():
+            if line.model != model.model_id:
+                raise ConfigError([f"{out_file}: line {number}: answered by model {line.model!r}, "
+                                   f"not by {model.model_id!r}, the model of this run"])
+            existing[line.id] = line
 
     out_file.parent.mkdir(parents=True, exist_ok=True)
     manifest = run_suite(instances, model, out_file, existing=existing)
     write_manifest(
         out_file.with_name(out_file.name + ".manifest.json"),
-        config_digest=config_hash(config.payload()) if config else "",
+        config_digest=config_hash(to_json(config)) if config else "",
         files={out_file.name: out_file},
         extra={"run": manifest, "suite_digest": suite_digest},
     )

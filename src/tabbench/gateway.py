@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
-from .requestgen import RequestInstance
+from .requestgen import Mode, RequestInstance
 from .runio import to_json
 from .seeding import rng_for
 from .structurer import render_table
@@ -37,9 +37,11 @@ class SinkError(GatewayError):
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    """One remote chat endpoint. max_retries counts retries after the first
-    attempt; the backoff doubles per retry starting from backoff_base_ms."""
+    """One remote chat endpoint, which `--model` asks for by its name.
+    max_retries counts retries after the first attempt; the backoff doubles
+    per retry starting from backoff_base_ms."""
 
+    name: str
     endpoint: str
     model: str
     auth_env: str
@@ -50,11 +52,14 @@ class ProviderConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
+        for name in ("name", "endpoint", "model", "auth_env"):
+            if not getattr(self, name):
+                raise GatewayError(f"{name} must be non-empty, got {getattr(self, name)!r}")
         for name, least in (("max_in_flight", 1), ("max_retries", 0), ("backoff_base_ms", 0)):
             if getattr(self, name) < least:
-                raise GatewayError(f"{name} must be at least {least}")
+                raise GatewayError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         if not self.timeout_s > 0:
-            raise GatewayError("timeout_s must be positive")
+            raise GatewayError(f"timeout_s must be positive, got {self.timeout_s!r}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,7 @@ def complete(instance: RequestInstance, model: ModelKind) -> ModelResponse:
     """Answer one instance. In two-turn mode a remote model is first asked to
     lay the facts out as a table, and its own table replaces the context for
     the main instruction; a mock never reads the context, so it answers at once."""
-    if instance.mode != "two_turn" or not isinstance(model, RemoteModel):
+    if instance.mode != Mode.TWO_TURN or not isinstance(model, RemoteModel):
         return model.complete(instance)
     first = model.complete(replace(instance, prompt=instance.pre_instruction or ""))
     if first.error is not None:

@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .runio import from_json
+
 log = logging.getLogger(__name__)
 
 KINDS = ("categorical", "numeric", "freetext")
@@ -240,20 +242,9 @@ def unique_values(rel: Relation, attr: str) -> list[str]:
 
 
 def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:
-    """Schema file format: JSON array of {name, kind, canonical_phrase, paraphrases, is_key}."""
-    raw = json.loads(text)
-    if not isinstance(raw, list):
-        raise SchemaError("schema file must be a JSON array of attribute objects")
-    schema = tuple(
-        AttributeSpec(
-            name=obj["name"],
-            kind=obj["kind"],
-            canonical_phrase=obj["canonical_phrase"],
-            paraphrases=tuple(obj.get("paraphrases", ())),
-            is_key=bool(obj.get("is_key", False)),
-        )
-        for obj in raw
-    )
+    """Schema file format: JSON array of {name, kind, canonical_phrase, paraphrases, is_key},
+    read by the codec; paraphrases and is_key may be left out."""
+    schema = from_json(tuple[AttributeSpec, ...], json.loads(text))
     names = [a.name for a in schema]
     for name in names:
         if names.count(name) > 1:

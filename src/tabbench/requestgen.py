@@ -9,12 +9,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import oracle
 from .condgen import ConditionPolicy, GenError, draw_condition_set, render_negated
 from .oracle import (
     AND,
+    CONNECTIVES,
     OR,
     And,
     Condition,
@@ -30,7 +32,7 @@ from .relation import IngestError, Relation
 from .requesttypes import CORE_TYPES, MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType, type_of
 from .runio import from_json, to_json
 from .seeding import derive_seed
-from .structurer import StructuringLevel, render, render_partial
+from .structurer import PORTIONS, StructuringLevel, render, render_partial
 
 if TYPE_CHECKING:
     from .datasets import DatasetPack
@@ -45,9 +47,14 @@ class SuiteFormatError(GenError):
 
 
 TEMPLATES_PER_TYPE = 3
-# how an instance is put to the model: its context as given, or first laid out
-# by the model as a table
-MODES = ("surrogate", "two_turn")
+
+
+class Mode(str, Enum):
+    """How an instance is put to the model: its context as given, or first laid
+    out by the model as a table. A str, so a mode's value compares equal to it."""
+
+    SURROGATE = "surrogate"
+    TWO_TURN = "two_turn"
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class RequestInstance:
     pre_instruction: str | None
     gold: GoldAnswer
     entity_keys: tuple[str, ...]
-    mode: str = "surrogate"
+    mode: Mode = Mode.SURROGATE
     resamples: int = 0
 
     @property
@@ -209,7 +216,7 @@ def instantiate(
     instance_id: str,
     portion: float | None = None,
     connective: str = AND,
-    mode: str = "surrogate",
+    mode: Mode = Mode.SURROGATE,
     pre_instruction: str | None = None,
     resamples: int = 0,
 ) -> RequestInstance:
@@ -262,18 +269,39 @@ def make_pre_instruction(noun_plural: str, column_phrases: tuple[str, ...] | Non
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Grid of a suite: pairs x connectives x templates x levels x condition counts."""
+    """Grid of a suite: pairs x connectives x templates x levels x condition
+    counts x portions. No portions renders each level whole; a portion is a
+    partial mix, with that share of the entities as a table. A library caller
+    may also list None beside the mixes, for the whole render. No axis repeats
+    a value, so no cell is counted twice."""
 
     pair_count: int = 100
     request_types: tuple[RequestType, ...] = CORE_TYPES
     connectives: tuple[str, ...] = (AND, OR)
     n_conditions: tuple[int, ...] = (2,)
     levels: tuple[StructuringLevel, ...] = (StructuringLevel.TABLE,)
-    portions: tuple[float | None, ...] = (None,)
+    portions: tuple[float, ...] = ()
     seed: int = 0
     min_support: int = 1
     max_resample: int = 1000
-    mode: str = "surrogate"
+    mode: Mode = Mode.SURROGATE
+
+    def __post_init__(self):
+        for name, least in (("pair_count", 0), ("min_support", 1), ("max_resample", 0)):
+            if getattr(self, name) < least:
+                raise GenError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        for connective in self.connectives:
+            if connective not in CONNECTIVES:
+                raise GenError(f"connectives must each be one of {CONNECTIVES}, got {connective!r}")
+        for portion in self.portions:
+            if portion not in PORTIONS and portion is not None:
+                raise GenError(f"portions must each be one of {PORTIONS}, got {portion!r}")
+        for n in self.n_conditions:
+            if n < 1:
+                raise GenError(f"n_conditions must each be at least 1, got {n!r}")
+        for name in ("request_types", "connectives", "n_conditions", "levels", "portions"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise GenError(f"{name} must not repeat a value, got {to_json(getattr(self, name))}")
 
 
 def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> list[RequestInstance]:
@@ -289,7 +317,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     pre-instruction once per suite; instantiate only fills each wording."""
     instances: list[RequestInstance] = []
     entity_keys = rel.keys()
-    pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == "two_turn" else None
+    pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == Mode.TWO_TURN else None
     for request_type in config.request_types:
         target = pack.target_for(request_type)
         for n in config.n_conditions:
@@ -310,7 +338,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                         plan = build_plan(request_type, exprs[connective], target, rel, negated=negated)
                         slots.append((connective, negated, plan, evaluate(plan, rel)))
                 for level in config.levels:
-                    for portion in config.portions:
+                    for portion in config.portions or (None,):
                         if portion is None:
                             context = render(rel, level, context_seed, pack.bank)
                         else:
@@ -392,8 +420,10 @@ def load_suite(text: str) -> list[RequestInstance]:
                                                    f"an id that no earlier line has")
                         obj[field] = getattr(source, field)
             instance = from_json(RequestInstance, obj)
-            if instance.mode not in MODES:
-                raise ValueError(f"mode {instance.mode!r} is not one of {MODES}")
+            scored_against = ROWS[instance.request_type].gold
+            if type(instance.gold) is not scored_against:
+                raise ValueError(f"gold must be {scored_against.kind} for {instance.request_type.value}, "
+                                 f"got {instance.gold.kind}")
         except (ValueError, TypeError, PlanError, IngestError) as e:
             raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
         instances.append(instance)

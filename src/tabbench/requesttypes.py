@@ -45,6 +45,7 @@ MANY_TARGETS = "many"
 @dataclass(frozen=True)
 class TypeRow:
     plan: type  # the oracle plan class that asks this type
+    gold: type  # the oracle gold class its answer is scored against
     metric: str  # F1, ACCURACY or ABS_DIFF
     answers: tuple[str, ...]  # answer formats to try, in order
     targets: str  # NO_TARGET, ONE_TARGET or MANY_TARGETS
@@ -53,15 +54,15 @@ class TypeRow:
 
 
 ROWS: dict[RequestType, TypeRow] = {
-    RequestType.RETRIEVAL: TypeRow(oracle.Retrieve, F1, (ENTITIES,), NO_TARGET),
-    RequestType.DELETION: TypeRow(oracle.Delete, F1, (TABLE, ENTITIES), NO_TARGET),
-    RequestType.UPDATE: TypeRow(oracle.Update, F1, (TABLE,), ONE_TARGET),
-    RequestType.SUPERLATIVE: TypeRow(oracle.Superlative, ACCURACY, (ENTITIES,), ONE_TARGET),
-    RequestType.SUM: TypeRow(oracle.Sum, ACCURACY, (NUMBER,), ONE_TARGET),
-    RequestType.COUNT: TypeRow(oracle.Count, ABS_DIFF, (NUMBER,), NO_TARGET),
-    RequestType.EXISTENCE: TypeRow(oracle.Exists, ACCURACY, (VERDICT,), NO_TARGET,
+    RequestType.RETRIEVAL: TypeRow(oracle.Retrieve, oracle.EntitySet, F1, (ENTITIES,), NO_TARGET),
+    RequestType.DELETION: TypeRow(oracle.Delete, oracle.RelationSnapshot, F1, (TABLE, ENTITIES), NO_TARGET),
+    RequestType.UPDATE: TypeRow(oracle.Update, oracle.RelationSnapshot, F1, (TABLE,), ONE_TARGET),
+    RequestType.SUPERLATIVE: TypeRow(oracle.Superlative, oracle.EntitySet, ACCURACY, (ENTITIES,), ONE_TARGET),
+    RequestType.SUM: TypeRow(oracle.Sum, oracle.Number, ACCURACY, (NUMBER,), ONE_TARGET),
+    RequestType.COUNT: TypeRow(oracle.Count, oracle.Number, ABS_DIFF, (NUMBER,), NO_TARGET),
+    RequestType.EXISTENCE: TypeRow(oracle.Exists, oracle.Witnessed, ACCURACY, (VERDICT,), NO_TARGET,
                                    wordings=(False, True), default=False),
-    RequestType.PROJECTION: TypeRow(oracle.Project, F1, (TUPLES,), MANY_TARGETS, default=False),
+    RequestType.PROJECTION: TypeRow(oracle.Project, oracle.TupleSet, F1, (TUPLES,), MANY_TARGETS, default=False),
 }
 
 CORE_TYPES = tuple(t for t in RequestType if ROWS[t].default)

@@ -259,6 +259,6 @@ def instances_per_type(config, request_type) -> int:
         * TEMPLATES_PER_TYPE
         * len(config.levels)
         * len(config.n_conditions)
-        * len(config.portions)
+        * len(config.portions or (None,))
         * len(ROWS[request_type].wordings)
     )

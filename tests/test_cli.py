@@ -370,6 +370,32 @@ def test_eval_suite_ref_to_an_id_not_read_earlier_exits_2(runner, tmp_path, ref)
     assert str(suite) in error and "line 2: context is the same as" in error
 
 
+def test_run_does_not_resume_results_of_another_suite(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["count"], pair_count=1)
+    suites = {seed: tmp_path / f"gen{seed}" / "suite.jsonl" for seed in (1, 2)}
+    for seed, suite in suites.items():
+        assert runner.invoke(main, ["generate", "--config", str(config), "--seed", str(seed),
+                                    "--out", str(suite.parent)]).exit_code == 0
+    results = tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["run", "--suite", str(suites[1]), "--model", "lossy:r=1",
+                                "--out", str(results)]).exit_code == 0
+    answered = results.read_bytes()
+    crossed = runner.invoke(main, ["run", "--suite", str(suites[2]), "--model", "perfect", "--out", str(results)])
+    [error] = _config_errors(crossed)
+    assert str(results) in error and "not the suite being scored or answered" in error
+    assert results.read_bytes() == answered
+
+
+def test_run_does_not_resume_answers_of_another_model(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    answered = results.read_bytes()
+    result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.5", "--out", str(results)])
+    [error] = _config_errors(result)
+    assert error == (f"{results}: line 1: answered by model 'perfect-oracle', "
+                     f"not by 'lossy-oracle-q0.5-r0.0', the model of this run")
+    assert results.read_bytes() == answered
+
+
 def test_eval_rejects_results_of_another_suite(runner, tmp_path):
     config = write_config(tmp_path, request_types=["count"], pair_count=2)
     suites = {seed: tmp_path / f"gen{seed}" / "suite.jsonl" for seed in (1, 2)}
@@ -427,49 +453,77 @@ def test_eval_rejects_results_or_manifest_edited_after_run(runner, tmp_path, edi
 REMOTE = {"name": "stub", "endpoint": "http://127.0.0.1:9/v1", "model": "stub-model", "auth_env": "TABBENCH_KEY"}
 
 
+# Each case keeps the id it had when its expected message was the rule it
+# breaks ("payload<n>-<rule>"); the message is now the one the codec or the
+# class that owns the field reports: the first bad field and its value.
 @pytest.mark.parametrize("payload,message", [
-    ([], "config: must be a JSON object"),
-    ({"dataset": "soccer", "seed": 1, "models": [5]}, "models: entry 5 is not a JSON object"),
-    ({"dataset": "soccer", "seed": 1, "request_types": 5}, "request_types: must be a list"),
+    pytest.param([], "config: must be a JSON object", id="payload0-config: must be a JSON object"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [5]},
+                 "models must be tuple[ProviderConfig, ...], got [5]",
+                 id="payload1-models: entry 5 is not a JSON object"),
+    pytest.param({"dataset": "soccer", "seed": 1, "request_types": 5},
+                 "request_types must be tuple[RequestType, ...], got 5", id="payload2-request_types: must be a list"),
     # entries of the wrong type
-    ({"dataset": "soccer", "seed": 1, "n_conditions": ["x"]}, "n_conditions: 'x' is not a positive integer"),
-    ({"dataset": "soccer", "seed": 1, "n_conditions": [0]}, "n_conditions: 0 is not a positive integer"),
-    ({"dataset": "soccer", "seed": 1, "n_conditions": [True]}, "n_conditions: True is not a positive integer"),
-    ({"dataset": "soccer", "seed": 1, "levels": [{}]}, "levels: unknown value {}"),
-    ({"dataset": "soccer", "seed": 1, "request_types": [[]]}, "request_types: unknown value []"),
-    ({"dataset": "soccer", "seed": 1, "connectives": [1]}, "connectives: unknown value 1"),
-    ({"dataset": "soccer", "seed": 1, "portions": [True]}, "portions: True not in (0.0, 0.25, 0.5, 1.0)"),
-    ({"dataset": "soccer", "seed": 1, "pair_count": True}, "pair_count: must be a non-negative integer"),
-    ({"dataset": "soccer", "seed": False}, "seed: must be an integer"),
-    ({"dataset": ["soccer"], "seed": 1}, "dataset: required (builtin name or pack directory)"),
-    ({"dataset": "soccer", "seed": 1, "min_support": 0}, "min_support: must be a positive integer"),
+    pytest.param({"dataset": "soccer", "seed": 1, "n_conditions": ["x"]},
+                 "n_conditions must be tuple[int, ...], got ['x']",
+                 id="payload3-n_conditions: 'x' is not a positive integer"),
+    pytest.param({"dataset": "soccer", "seed": 1, "n_conditions": [0]},
+                 "n_conditions must each be at least 1, got 0", id="payload4-n_conditions: 0 is not a positive integer"),
+    pytest.param({"dataset": "soccer", "seed": 1, "n_conditions": [True]},
+                 "n_conditions must be tuple[int, ...], got [True]",
+                 id="payload5-n_conditions: True is not a positive integer"),
+    pytest.param({"dataset": "soccer", "seed": 1, "levels": [{}]},
+                 "levels must be tuple[StructuringLevel, ...], got [{}]", id="payload6-levels: unknown value {}"),
+    pytest.param({"dataset": "soccer", "seed": 1, "request_types": [[]]},
+                 "request_types must be tuple[RequestType, ...], got [[]]",
+                 id="payload7-request_types: unknown value []"),
+    pytest.param({"dataset": "soccer", "seed": 1, "connectives": [1]},
+                 "connectives must be tuple[str, ...], got [1]", id="payload8-connectives: unknown value 1"),
+    pytest.param({"dataset": "soccer", "seed": 1, "portions": [True]},
+                 "portions must be tuple[float, ...], got [True]",
+                 id="payload9-portions: True not in (0.0, 0.25, 0.5, 1.0)"),
+    pytest.param({"dataset": "soccer", "seed": 1, "pair_count": True},
+                 "pair_count must be int, got True", id="payload10-pair_count: must be a non-negative integer"),
+    pytest.param({"dataset": "soccer", "seed": False}, "seed must be int, got False",
+                 id="payload11-seed: must be an integer"),
+    pytest.param({"dataset": ["soccer"], "seed": 1}, "dataset must be str, got ['soccer']",
+                 id="payload12-dataset: required (builtin name or pack directory)"),
+    pytest.param({"dataset": "soccer", "seed": 1, "min_support": 0}, "min_support must be at least 1, got 0",
+                 id="payload13-min_support: must be a positive integer"),
     # keys the config does not have
-    ({"dataset": "soccer", "seed": 1, "request_type": ["count"]},
-     "request_type: unknown key; the keys are connectives, dataset, levels, max_resample, min_support, mode, "
-     "models, n_conditions, pair_count, portions, request_types, sample_n, seed"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retires": 0}]},
-     "models: 'stub': unknown key 'max_retires'"),
+    pytest.param({"dataset": "soccer", "seed": 1, "request_type": ["count"]}, "unknown key 'request_type'",
+                 id="payload14-request_type: unknown key; the keys are connectives, dataset, levels, max_resample, "
+                    "min_support, mode, models, n_conditions, pair_count, portions, request_types, sample_n, seed"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retires": 0}]},
+                 "unknown key 'max_retires'", id="payload15-models: 'stub': unknown key 'max_retires'"),
     # models fields of the wrong type, and one name given twice
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_in_flight": "4"}]},
-     "models: 'stub': max_in_flight must be int, got '4'"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": "2"}]},
-     "models: 'stub': max_retries must be int, got '2'"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": "1"}]},
-     "models: 'stub': timeout_s must be float, got '1'"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "temperature": False}]},
-     "models: 'stub': temperature must be float, got False"),
-    ({"dataset": "soccer", "seed": 1, "models": [REMOTE, {**REMOTE, "model": "other"}]},
-     "models: name 'stub' is given to more than one entry"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_in_flight": "4"}]},
+                 "max_in_flight must be int, got '4'", id="payload16-models: 'stub': max_in_flight must be int, got '4'"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": "2"}]},
+                 "max_retries must be int, got '2'", id="payload17-models: 'stub': max_retries must be int, got '2'"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": "1"}]},
+                 "timeout_s must be float, got '1'", id="payload18-models: 'stub': timeout_s must be float, got '1'"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "temperature": False}]},
+                 "temperature must be float, got False",
+                 id="payload19-models: 'stub': temperature must be float, got False"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [REMOTE, {**REMOTE, "model": "other"}]},
+                 "models: name 'stub' is given to more than one entry",
+                 id="payload20-models: name 'stub' is given to more than one entry"),
     # models fields out of range
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": -1}]},
-     "models: 'stub': max_retries must be at least 0"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "backoff_base_ms": -1}]},
-     "models: 'stub': backoff_base_ms must be at least 0"),
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": 0}]},
-     "models: 'stub': timeout_s must be positive"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "max_retries": -1}]},
+                 "max_retries must be at least 0, got -1",
+                 id="payload21-models: 'stub': max_retries must be at least 0"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "backoff_base_ms": -1}]},
+                 "backoff_base_ms must be at least 0, got -1",
+                 id="payload22-models: 'stub': backoff_base_ms must be at least 0"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "timeout_s": 0}]},
+                 "timeout_s must be positive, got 0.0", id="payload23-models: 'stub': timeout_s must be positive"),
     # a name that is not a string
-    ({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "name": [1]}]},
-     "models: [1]: name must be str, got [1]"),
+    pytest.param({"dataset": "soccer", "seed": 1, "models": [{**REMOTE, "name": [1]}]},
+                 "name must be str, got [1]", id="payload24-models: [1]: name must be str, got [1]"),
+    # a grid axis that repeats a value would count its cells twice
+    pytest.param({"dataset": "soccer", "seed": 1, "request_types": ["count", "count"]},
+                 "request_types must not repeat a value, got ['count', 'count']", id="repeated request type"),
 ])
 def test_config_of_the_wrong_shape_exits_2(runner, tmp_path, payload, message):
     config = tmp_path / "config.json"
@@ -645,6 +699,13 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
         suite.write_text("\n".join([lines[0], json.dumps(broken, sort_keys=True), *lines[2:]]) + "\n",
                          encoding="utf-8")
         return run, "line 2: not a suite instance (DuplicateKeyError: duplicate key 'messi ')"
+    if case == "suite retrieval gold a number":
+        manifest.unlink()
+        lines = suite.read_text(encoding="utf-8").splitlines()
+        broken = json.loads(lines[0])
+        broken["gold"] = {"kind": "number", "value": 3}
+        suite.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+        return run, "line 1: not a suite instance (ValueError: gold must be entity_set for retrieval, got number)"
     if case == "results line attempts a boolean":
         results = tmp_path / "results.jsonl"
         results.with_name("results.jsonl.manifest.json").unlink()
@@ -671,7 +732,8 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
     "pack schema.json naming an attribute twice",
     "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
-    "suite gold keys not a list", "suite relation gold repeating a key", "results line attempts a boolean",
+    "suite gold keys not a list", "suite relation gold repeating a key", "suite retrieval gold a number",
+    "results line attempts a boolean",
     "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
 ])
 def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch, case):

@@ -2,7 +2,7 @@
 
 Every record the stages read and write goes through it: suite lines
 (RequestInstance, with its plan and gold), results lines (ResultLine) and
-config `models` entries (ProviderConfig).
+the config (HarnessConfig, with its SuiteConfig and ProviderConfig entries).
 """
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import typing
 
 import pytest
 
+from tabbench.cli import ConfigError, HarnessConfig
+from tabbench.condgen import GenError
 from tabbench.gateway import GatewayError, ProviderConfig, ResultLine
 from tabbench.oracle import (
     And,
@@ -37,7 +39,8 @@ from tabbench.oracle import (
     evaluate,
 )
 from tabbench.relation import DuplicateKeyError
-from tabbench.requestgen import RequestInstance
+from tabbench.requestgen import Mode, RequestInstance, SuiteConfig
+from tabbench.requesttypes import RequestType
 from tabbench.runio import CodecError, from_json, to_json
 from tabbench.structurer import StructuringLevel
 
@@ -148,19 +151,44 @@ def test_result_line_and_provider_config_round_trip():
     assert to_json(line) == {"attempts": 2, "error": None, "id": "000001-soccer-count-and-t0", "model": "m",
                              "text": "ANSWER:\n3"}
     assert from_json(ResultLine, to_json(line)) == line
-    config = ProviderConfig(endpoint="http://127.0.0.1:9/v1", model="m", auth_env="KEY", temperature=0.5)
+    config = ProviderConfig(name="n", endpoint="http://127.0.0.1:9/v1", model="m", auth_env="KEY", temperature=0.5)
     assert from_json(ProviderConfig, json.loads(json.dumps(to_json(config)))) == config
+
+
+FULL_GRID = SuiteConfig(pair_count=3, request_types=tuple(RequestType), connectives=("and", "or", "diff"),
+                        n_conditions=(1, 2, 3), levels=(StructuringLevel.NATURAL,), portions=(0.0, 0.25, 0.5, 1.0),
+                        seed=9, min_support=2, max_resample=10, mode=Mode.TWO_TURN)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(SuiteConfig(), id="default grid"),
+    pytest.param(FULL_GRID, id="full grid"),
+])
+def test_suite_config_round_trip(config):
+    assert from_json(SuiteConfig, json.loads(json.dumps(to_json(config)))) == config
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(HarnessConfig(dataset="soccer", suite=SuiteConfig()), id="defaults"),
+    pytest.param(HarnessConfig(dataset="pii", suite=FULL_GRID, sample_n=0, models=(
+        ProviderConfig(name="a", endpoint="e", model="m", auth_env="K"),
+        ProviderConfig(name="b", endpoint="e", model="m", auth_env="K", timeout_s=5.0, max_in_flight=1),
+    )), id="full"),
+])
+def test_harness_config_round_trip(config):
+    assert from_json(HarnessConfig, json.loads(json.dumps(to_json(config)))) == config
 
 
 def test_a_missing_field_with_a_default_takes_it():
     assert from_json(GoldAnswer, {"kind": "entity_set", "keys": ["Messi"]}) == EntitySet(frozenset({"Messi"}))
-    assert from_json(ProviderConfig, {"endpoint": "e", "model": "m", "auth_env": "K"}) == ProviderConfig("e", "m", "K")
+    assert from_json(ProviderConfig, {"name": "n", "endpoint": "e", "model": "m", "auth_env": "K"}) == ProviderConfig(
+        "n", "e", "m", "K")
 
 
 def test_a_float_takes_an_integer_and_stores_a_float():
     number = from_json(GoldAnswer, {"kind": "number", "value": 3})
     assert number == Number(3.0) and type(number.value) is float
-    assert type(from_json(ProviderConfig, {"endpoint": "e", "model": "m", "auth_env": "K",
+    assert type(from_json(ProviderConfig, {"name": "n", "endpoint": "e", "model": "m", "auth_env": "K",
                                            "timeout_s": 5}).timeout_s) is float
 
 
@@ -177,7 +205,7 @@ def test_a_value_already_decoded_is_taken_as_it_is():
 
 SUM_PLAN = to_json(Sum(target_attr="Number", expr=PLAN_EXPR))
 RELATION_GOLD = {"columns": ["Name", "Number"], "key": "Name", "kind": "relation", "rows": [["Messi", "10"]]}
-REMOTE = {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "auth_env": "KEY"}
+REMOTE = {"name": "n", "endpoint": "http://127.0.0.1:9/v1", "model": "m", "auth_env": "KEY"}
 LINE = {"attempts": 1, "error": None, "id": "x", "model": "m", "text": "ANSWER:\n3"}
 
 
@@ -242,8 +270,35 @@ LINE = {"attempts": 1, "error": None, "id": "x", "model": "m", "text": "ANSWER:\
                  "key 'Club' is not one of the columns ['Name', 'Number']", id="relation key"),
     pytest.param(GoldAnswer, {**RELATION_GOLD, "rows": [["Messi", "10"], [" messi", "7"]]}, DuplicateKeyError,
                  "duplicate key ' messi'", id="relation duplicate key"),
-    pytest.param(ProviderConfig, {**REMOTE, "max_in_flight": 0}, GatewayError, "max_in_flight must be at least 1",
-                 id="models range"),
+    pytest.param(ProviderConfig, {**REMOTE, "max_in_flight": 0}, GatewayError,
+                 "max_in_flight must be at least 1, got 0", id="models range"),
+    pytest.param(ProviderConfig, {**REMOTE, "auth_env": ""}, GatewayError, "auth_env must be non-empty, got ''",
+                 id="models empty string"),
+    pytest.param(SuiteConfig, {"pair_count": -1}, GenError, "pair_count must be at least 0, got -1",
+                 id="grid pair_count"),
+    pytest.param(SuiteConfig, {"max_resample": -1}, GenError, "max_resample must be at least 0, got -1",
+                 id="grid max_resample"),
+    pytest.param(SuiteConfig, {"min_support": 0}, GenError, "min_support must be at least 1, got 0",
+                 id="grid min_support"),
+    pytest.param(SuiteConfig, {"n_conditions": [2, 0]}, GenError, "n_conditions must each be at least 1, got 0",
+                 id="grid n_conditions"),
+    pytest.param(SuiteConfig, {"connectives": ["and", "xor"]}, GenError,
+                 "connectives must each be one of ('and', 'or', 'diff'), got 'xor'", id="grid connective"),
+    pytest.param(SuiteConfig, {"portions": [0.3]}, GenError,
+                 "portions must each be one of (0.0, 0.25, 0.5, 1.0), got 0.3", id="grid portion"),
+    pytest.param(SuiteConfig, {"levels": ["table", "natural", "table"]}, GenError,
+                 "levels must not repeat a value, got ['table', 'natural', 'table']", id="grid repeat"),
+    pytest.param(SuiteConfig, {"mode": "three_turn"}, CodecError, "mode must be Mode, got 'three_turn'",
+                 id="grid mode"),
+    pytest.param(HarnessConfig, {"dataset": "", "suite": {}}, ConfigError, "dataset must be non-empty, got ''",
+                 id="config dataset"),
+    pytest.param(HarnessConfig, {"dataset": "soccer", "suite": {}, "sample_n": -1}, ConfigError,
+                 "sample_n must be at least 0, got -1", id="config sample_n"),
+    pytest.param(HarnessConfig, {"dataset": "soccer", "suite": {}, "models": [REMOTE, REMOTE]}, ConfigError,
+                 "models: name 'n' is given to more than one entry", id="config model names"),
+    pytest.param(HarnessConfig, {"dataset": "soccer", "suite": {"portions": [0.5], "levels": ["natural", "table"]}},
+                 ConfigError, "portions: a partial mix has no structuring level, so it takes at most one level, "
+                 "got levels ['natural', 'table']", id="config portions with levels"),
 ])
 def test_rejections(tp, obj, error, message):
     with pytest.raises(error) as raised:

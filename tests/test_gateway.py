@@ -262,7 +262,7 @@ def stub_server():
 
 
 def _remote(endpoint, **overrides):
-    fields = dict(endpoint=endpoint, model="stub-model", auth_env="TABBENCH_TEST_TOKEN",
+    fields = dict(name="stub", endpoint=endpoint, model="stub-model", auth_env="TABBENCH_TEST_TOKEN",
                   max_retries=2, backoff_base_ms=1, timeout_s=5)
     fields.update(overrides)
     return RemoteModel(ProviderConfig(**fields))

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
+
+from tabbench.cli import HarnessConfig, load_config
+from tabbench.requestgen import SuiteConfig
+from tabbench.runio import to_json
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -14,3 +19,17 @@ def test_library_use_example_runs(capsys):
     printed = capsys.readouterr().out
     assert "ReportRow(group=(('model', 'model'), ('request_type', 'retrieval'), ('level', 'table'))" in printed
     assert "mean=1.0" in printed
+
+
+def test_config_keys_listed_are_the_keys_the_config_takes(tmp_path):
+    """README's list of config keys names exactly the keys load_config reads,
+    and a config spelling out each of them at its default loads as the default."""
+    section = README.read_text(encoding="utf-8").split("The config's keys", 1)[1].split("\n\n")[1]
+    listed = set(re.findall(r"`(\w+)`\s+\(", section))
+    default = HarnessConfig(dataset="soccer", suite=SuiteConfig())
+    every_key = {**{key: value for key, value in to_json(default).items() if key != "suite"},
+                 **to_json(default.suite)}
+    assert listed == set(every_key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(every_key), encoding="utf-8")
+    assert load_config(config) == default

@@ -193,3 +193,28 @@ def test_schema_json_round_trip(schema):
         for a in schema
     ], indent=2)
     assert schema_from_json(text) == schema
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("is_key", "false", "is_key must be bool, got 'false'"),
+    ("paraphrases", "nm", "paraphrases must be tuple[str, ...], got 'nm'"),
+])
+def test_schema_json_of_the_wrong_type_is_not_read(schema, tmp_path, field, value, message):
+    """A schema attribute is read by the codec: a string is neither a boolean
+    nor a list of phrases, and a pack with such a schema does not load."""
+    import shutil
+
+    from tabbench.datasets import DATA_DIR, PackError, load_pack
+    from tabbench.relation import schema_from_json
+    from tabbench.runio import CodecError
+
+    pack = tmp_path / "pack"
+    shutil.copytree(DATA_DIR / "soccer", pack)
+    attributes = json.loads((pack / "schema.json").read_text(encoding="utf-8"))
+    attributes[1][field] = value
+    text = json.dumps(attributes)
+    with pytest.raises(CodecError, match=message.replace("[", "\\[")):
+        schema_from_json(text)
+    (pack / "schema.json").write_text(text, encoding="utf-8")
+    with pytest.raises(PackError, match=f"CodecError: {message}".replace("[", "\\[")):
+        load_pack(pack)

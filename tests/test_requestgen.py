@@ -260,7 +260,7 @@ def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
     ("portion", "half", "portion must be float \\| None, got 'half'"),
     ("entity_keys", "abc", "entity_keys must be tuple\\[str, ...\\], got 'abc'"),
     ("entity_keys", [1], "entity_keys must be tuple\\[str, ...\\], got \\[1\\]"),
-    ("mode", "three_turn", "mode 'three_turn' is not one of \\('surrogate', 'two_turn'\\)"),
+    ("mode", "three_turn", "mode must be Mode, got 'three_turn'"),
     # a boolean is not a number, though Python's bool is an int
     ("template_id", True, "template_id must be int, got True"),
     ("portion", False, "portion must be float \\| None, got False"),
