@@ -265,12 +265,15 @@ def run_suite(
 ) -> dict:
     """Answer every instance exactly once, streaming results as JSONL.
 
-    Results stream to "<sink>.partial" in completion order; at the end the file
-    is sorted by request id and atomically renamed, so a leftover .partial file
-    marks an interrupted run. Lines in `existing` are kept and not re-dispatched.
+    Results stream to "<sink>.partial" in completion order; at the end they are
+    written sorted by request id to "<sink>.tmp", which is atomically renamed
+    onto the sink, so a failed or interrupted write leaves the previous sink as
+    it was and a leftover .partial file marks an interrupted run. Lines in
+    `existing` are kept and not re-dispatched.
     """
     sink = Path(sink)
     partial = sink.with_name(sink.name + ".partial")
+    staged = sink.with_name(sink.name + ".tmp")
     existing = dict(existing or {})
     todo = [i for i in instances if i.id not in existing]
 
@@ -287,11 +290,14 @@ def run_suite(
                 stream.write(lines[line.id] + "\n")
                 if response.error is not None:
                     errors += 1
-        with open(sink, "w", encoding="utf-8") as final:
+        # the sorted file replaces the sink only once it is whole
+        with open(staged, "w", encoding="utf-8") as final:
             for request_id in sorted(lines):
                 final.write(lines[request_id] + "\n")
+        os.replace(staged, sink)
         partial.unlink(missing_ok=True)
     except OSError as e:
+        staged.unlink(missing_ok=True)
         raise SinkError(f"cannot write results to {sink}: {e}") from e
 
     return {

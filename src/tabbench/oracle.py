@@ -6,6 +6,7 @@ code with it (`tests/reference_oracle.py`).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -282,26 +283,33 @@ def _literal_number(value: Union[str, float]) -> float | None:
 
 
 def _condition_keys(cond: Condition, rel: Relation) -> frozenset[str]:
+    """Keys of the rows that satisfy one condition. The scan runs once per
+    relation and is kept in rel.key_sets under what it reads: the column, the
+    op and the literal as compared (a float on a numeric column, else the
+    normalized string, so text literals 7 and 7.0 stay apart)."""
     _check_condition(cond, rel)
-    spec = _attr(rel, cond.attr)
     idx = rel.index(cond.attr)
-    key_idx = rel.index(rel.key_attr.name)
-    matched = []
-    for row in rel.rows:
-        cell = row.values[idx]
-        if cond.op == EQ and spec.kind == "numeric":
-            ok = row.numbers[idx] is not None and row.numbers[idx] == _literal_number(cond.value)
-        elif cond.op == EQ:
-            ok = normalize(cell) == normalize(str(cond.value))
-        elif cond.op == GT:
-            ok = row.numbers[idx] is not None and row.numbers[idx] > _literal_number(cond.value)
-        elif cond.op == LT:
-            ok = row.numbers[idx] is not None and row.numbers[idx] < _literal_number(cond.value)
-        else:  # CONTAINS
-            ok = normalize(str(cond.value)) in normalize(cell)
-        if ok:
-            matched.append(row.values[key_idx].strip())
-    return frozenset(matched)
+    numeric = rel.schema[idx].kind == "numeric"
+    scan = (idx, cond.op, _literal_number(cond.value) if numeric else normalize(str(cond.value)))
+    keys = rel.key_sets.get(scan)
+    if keys is None:
+        keys = rel.key_sets[scan] = _scan(rel, *scan)
+    return keys
+
+
+_COMPARE = {EQ: operator.eq, GT: operator.gt, LT: operator.lt}
+
+
+def _scan(rel: Relation, idx: int, op: str, literal: Union[str, float]) -> frozenset[str]:
+    """A float literal is compared with each row's parsed number, a string
+    literal with each normalized cell."""
+    if isinstance(literal, float):
+        compare = _COMPARE[op]
+        cells = (row.numbers[idx] for row in rel.rows)
+        return frozenset(k for k, x in zip(rel.keys(), cells) if x is not None and compare(x, literal))
+    if op == EQ:
+        return frozenset(k for k, cell in zip(rel.keys(), rel.normalized[idx]) if cell == literal)
+    return frozenset(k for k, cell in zip(rel.keys(), rel.normalized[idx]) if literal in cell)
 
 
 def eval_expr(expr: ConditionExpr, rel: Relation) -> frozenset[str]:

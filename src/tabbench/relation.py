@@ -1,12 +1,15 @@
 """In-memory tabular data model: typed schema, CSV ingestion, deterministic sampling.
 
-Relations are immutable after construction and safe to share across threads.
-Cell values are kept as their original source strings; numeric columns carry a
-parsed float alongside so renderers can reproduce source formatting exactly.
+Relations are immutable after construction and safe to share across threads:
+the facts a relation derives from its rows are computed on first use and kept,
+and computing one twice gives the same value. Cell values are kept as their
+original source strings; numeric columns carry a parsed float alongside so
+renderers can reproduce source formatting exactly.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -108,7 +111,11 @@ class Row:
 
 @dataclass(frozen=True)
 class Relation:
-    """An ordered, keyed table. Row order is the ingestion order and is stable."""
+    """An ordered, keyed table. Row order is the ingestion order and is stable.
+
+    Each column's normalized cells and distinct values are computed once per
+    relation, on first use. `key_sets` holds the keys each condition scan of
+    the oracle found, by what the scan read, so each is scanned once too."""
 
     name: str
     schema: tuple[AttributeSpec, ...]
@@ -126,6 +133,7 @@ class Relation:
             positions.setdefault(a.name, i)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_key_index", key_idx)
+        object.__setattr__(self, "key_sets", {})
         seen: set[str] = set()
         for i, row in enumerate(self.rows):
             if len(row.values) != len(self.schema):
@@ -167,6 +175,16 @@ class Relation:
 
     def value(self, row: Row, attr: str) -> str:
         return row.values[self.index(attr)]
+
+    @functools.cached_property
+    def normalized(self) -> tuple[tuple[str, ...], ...]:
+        """Each column's cells under normalize, in row order."""
+        return tuple(tuple(normalize(row.values[i]) for row in self.rows) for i in range(len(self.schema)))
+
+    @functools.cached_property
+    def distinct(self) -> tuple[tuple[str, ...], ...]:
+        """Each column's distinct values (see unique_values)."""
+        return tuple(_distinct(self, i) for i in range(len(self.schema)))
 
 
 def load_csv(source, schema: tuple[AttributeSpec, ...], name: str = "dataset") -> Relation:
@@ -227,18 +245,20 @@ def unique_values(rel: Relation, attr: str) -> list[str]:
     Duplicates collapse under trim+casefold; numeric columns also collapse
     by parsed value so "7" and "7.0" count once.
     """
-    spec = rel.attribute(attr)
-    idx = rel.index(attr)
+    return list(rel.distinct[rel.index(attr)])
+
+
+def _distinct(rel: Relation, idx: int) -> tuple[str, ...]:
+    numeric = rel.schema[idx].kind == "numeric"
     seen: set = set()
     out: list[str] = []
-    for row in rel.rows:
-        cell = row.values[idx].strip()
-        marker = row.numbers[idx] if spec.kind == "numeric" and row.numbers[idx] is not None else normalize(cell)
+    for row, norm in zip(rel.rows, rel.normalized[idx]):
+        marker = row.numbers[idx] if numeric and row.numbers[idx] is not None else norm
         if marker in seen:
             continue
         seen.add(marker)
-        out.append(cell)
-    return out
+        out.append(row.values[idx].strip())
+    return tuple(out)
 
 
 def schema_from_json(text: str) -> tuple[AttributeSpec, ...]:

@@ -380,18 +380,25 @@ def dump_suite(instances: list[RequestInstance]) -> str:
     {"same_as": <id of that first line>} instead."""
     first: dict[tuple[str, str], str] = {}
     # generate_suite hands one object to every instance that shares a value, so
-    # most lines find their source by the object (alive in `instances`) alone
+    # a value is encoded when its object is first met (it stays alive in
+    # `instances`) and a later line finds its source by the object alone
     known: dict[tuple[str, int], str] = {}
+    own_fields = [f.name for f in dataclasses.fields(RequestInstance) if f.name not in SHARED_FIELDS]
     lines = []
     for instance in instances:
-        obj = to_json(instance)
+        # RequestInstance declares no `kind`: its JSON object is its fields
+        obj = {name: to_json(getattr(instance, name)) for name in own_fields}
         for field in SHARED_FIELDS:
-            source = known.get((field, id(getattr(instance, field))))
+            value = getattr(instance, field)
+            source = known.get((field, id(value)))
             if source is None:
+                obj[field] = to_json(value)
                 source = first.setdefault((field, json.dumps(obj[field], sort_keys=True)), instance.id)
-                known[(field, id(getattr(instance, field)))] = source
+                known[(field, id(value))] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}
+            elif field not in obj:  # an id stated twice: its later line states the value again
+                obj[field] = to_json(value)
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 

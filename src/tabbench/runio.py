@@ -7,6 +7,7 @@ import enum
 import functools
 import hashlib
 import json
+import re
 import time
 import types
 import typing
@@ -65,7 +66,13 @@ def from_json(tp, obj):
     try:
         return _decoder(tp)(obj)
     except _Mismatch:
-        raise CodecError(f"value must be {getattr(tp, '__name__', tp)}, got {obj!r}") from None
+        raise CodecError(f"value must be {_written(tp)}, got {obj!r}") from None
+
+
+def _written(tp) -> str:
+    """A class or type hint as written in the source, as a field's type is
+    named: `AttributeSpec`, `tuple[AttributeSpec, ...]`."""
+    return tp.__name__ if isinstance(tp, type) else re.sub(r"[\w.]+\.(?=\w)", "", str(tp))
 
 
 @functools.cache

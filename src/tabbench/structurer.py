@@ -11,6 +11,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .relation import AttributeSpec, Relation, normalize, parse_number
 from .seeding import rng_for
@@ -97,29 +98,10 @@ def bank_from_json(text: str) -> PhraseBank:
     return PhraseBank(frames=frames, clauses=clauses)
 
 
-def _fill(template: str, **slots: str) -> str:
-    out = template
-    for slot, value in slots.items():
-        out = out.replace("{" + slot + "}", value)
-    return out
-
-
 def render_table(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:
     """Pipe table: the header row then one line per row of cell strings,
     single spaces around cells."""
     return "\n".join(["| " + " | ".join(cells) + " |" for cells in (header, *rows)])
-
-
-def _sentence(rel: Relation, row, frame_head: str, order: tuple[str, ...], pick, bank: PhraseBank) -> str:
-    """One entity's sentence; pick(n) chooses among n wordings, first each
-    attribute's clause and then its phrase."""
-    parts = [_fill(frame_head, key=rel.key_of(row))]
-    for attr_name in order:
-        templates = bank.clauses[attr_name]
-        clause = templates[pick(len(templates))]
-        paraphrases = rel.attribute(attr_name).paraphrases
-        parts.append(_fill(clause, value=rel.value(row, attr_name), phrase=paraphrases[pick(len(paraphrases))]))
-    return " ".join(parts) + "."
 
 
 def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank | None = None) -> str:
@@ -139,21 +121,29 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
     bank.check_schema(rel.schema)
 
     canonical = bank.frames[0]
+    # each attribute's column, clause templates and phrases, looked up once per call
+    wording = {name: (rel.index(name), bank.clauses[name], rel.attribute(name).paraphrases)
+               for name in canonical.order}
     lines = []
     for entity_index, row in enumerate(rel.rows):
+        key = rel.key_of(row)
         if level is StructuringLevel.TEMPLATE_BASED:
-            lines.append(_sentence(rel, row, canonical.head, canonical.order, lambda n: 0, bank))
-            continue
-
-        rng = rng_for(seed, "render", level.value, entity_index, rel.key_of(row))
-        head = bank.frames[rng.randrange(len(bank.frames))].head
-        if level is StructuringLevel.ORDER_FIXED:
-            order = canonical.order
-        else:  # NATURAL: per-entity permutation of the attribute order
-            order = list(canonical.order)
-            rng.shuffle(order)
-            order = tuple(order)
-        lines.append(_sentence(rel, row, head, order, rng.randrange, bank))
+            head, order, pick = canonical.head, canonical.order, itemgetter(0)
+        else:
+            # per entity: the frame, then (natural) the attribute order, then
+            # each attribute's clause and phrase; rng.choice(seq) draws as
+            # seq[rng.randrange(len(seq))] does
+            rng = rng_for(seed, "render", level.value, entity_index, key)
+            head, order, pick = rng.choice(bank.frames).head, canonical.order, rng.choice
+            if level is StructuringLevel.NATURAL:
+                order = list(order)
+                rng.shuffle(order)
+        parts = [head.replace("{key}", key)]
+        for name in order:
+            column, clauses, phrases = wording[name]
+            clause = pick(clauses)
+            parts.append(clause.replace("{value}", row.values[column]).replace("{phrase}", pick(phrases)))
+        lines.append(" ".join(parts) + ".")
     return "\n".join(lines)
 
 

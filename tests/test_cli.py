@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import tabbench
+from tabbench import gateway
 from tabbench.cli import main
 
 
@@ -324,6 +326,38 @@ def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)])
     [error] = _config_errors(result)
     assert str(results) in error and f"line {lines}" in error
+
+
+class _FullDisk:
+    """A file that takes one write and then fails, as a full disk does."""
+
+    def __init__(self, stream):
+        self.stream, self.writes = stream, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def write(self, text):
+        if self.writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        return self.stream.write(text)
+
+
+def test_run_results_write_failing_part_way_keeps_previous_results(runner, tmp_path, monkeypatch):
+    suite, results = _generated_and_run(runner, tmp_path)
+    before, names = results.read_bytes(), {p.name for p in tmp_path.iterdir()}
+    # every answer is reused, so the only write is the sorted results file
+    monkeypatch.setattr(gateway, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False)
+    result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)])
+    assert result.exit_code == 3, result.output
+    assert "No space left on device" in json.loads(result.stderr)["errors"][0]
+    assert results.read_bytes() == before
+    # only the .partial of the interrupted run is left beside it
+    assert {p.name for p in tmp_path.iterdir()} - names == {"results.jsonl.partial"}
 
 
 def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):

@@ -54,6 +54,29 @@ def test_numeric_equality_matches_parsed_value(f1):
     assert eval_expr(Condition("Number", EQ, "7.0", "number is 7.0"), f1) == {"Ronaldo"}
 
 
+def test_condition_key_sets_are_kept_by_the_literal_as_compared(schema):
+    """A text column compares str(literal), so 7 and 7.0 keep their own key
+    sets although the two conditions are equal; a numeric column compares the
+    parsed number, so there they share one scan. A bad condition raises on
+    every call, scanned or not."""
+    from tabbench.relation import load_csv
+
+    rel = load_csv("Name,Number,Nationality,Club\nA,7,X,7\nB,7.0,Y,7.0\n", schema)
+    assert Condition("Club", EQ, 7, "club is 7") == Condition("Club", EQ, 7.0, "club is 7")
+    assert eval_expr(Condition("Club", EQ, 7, "club is 7"), rel) == {"A"}
+    assert eval_expr(Condition("Club", EQ, 7.0, "club is 7.0"), rel) == {"B"}
+    assert eval_expr(Condition("Club", EQ, 7, "club is 7"), rel) == {"A"}
+    assert len(rel.key_sets) == 2
+    assert eval_expr(Condition("Number", EQ, 7, "number is 7"), rel) == {"A", "B"}
+    assert eval_expr(Condition("Number", EQ, "7.0", "number is 7.0"), rel) == {"A", "B"}
+    assert len(rel.key_sets) == 3
+    for _ in range(2):
+        with pytest.raises(PlanTypeError):
+            eval_expr(Condition("Club", GT, 7, "club is higher than 7"), rel)
+        with pytest.raises(PlanTypeError):
+            eval_expr(Condition("Number", EQ, "seven", "number is seven"), rel)
+
+
 def test_contains_is_case_insensitive_substring(f1):
     assert eval_expr(Condition("Club", CONTAINS, "juve", "club contains juve"), f1) == {"Ronaldo"}
 

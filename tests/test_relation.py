@@ -218,3 +218,17 @@ def test_schema_json_of_the_wrong_type_is_not_read(schema, tmp_path, field, valu
     (pack / "schema.json").write_text(text, encoding="utf-8")
     with pytest.raises(PackError, match=f"CodecError: {message}".replace("[", "\\[")):
         load_pack(pack)
+
+
+@pytest.mark.parametrize("text", ["{}", "[5]", '"Name"'])
+def test_schema_json_not_a_list_of_attributes_names_the_type_as_written(text):
+    """A schema that is not a list of attribute objects names the hint as a
+    field's message would, not only its origin `tuple`."""
+    import re
+
+    from tabbench.relation import schema_from_json
+    from tabbench.runio import CodecError
+
+    message = f"value must be tuple[AttributeSpec, ...], got {json.loads(text)!r}"
+    with pytest.raises(CodecError, match=f"^{re.escape(message)}$"):
+        schema_from_json(text)

@@ -371,6 +371,44 @@ def test_suite_bytes_pinned(pack, f2):
     )
 
 
+# natural, order_fixed and table over every request type and connective, n 1-3;
+# diff takes exactly two conditions, so n=3 is asked under and/or only
+PACK_CONFIGS = tuple(
+    SuiteConfig(pair_count=2, request_types=tuple(RequestType), connectives=connectives, n_conditions=n,
+                levels=(StructuringLevel.NATURAL, StructuringLevel.ORDER_FIXED, StructuringLevel.TABLE), seed=23)
+    for connectives, n in (((AND, OR, DIFF), (1, 2)), ((AND, OR), (3,)))
+)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
+    ("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
+    ("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
+])
+def test_pack_suite_bytes_pinned(name, digest):
+    """Each built-in pack's phrase bank, schema and ops through the whole
+    generator: the digest of the dumps of PACK_CONFIGS, one after the other,
+    on 16 sampled entities. The conditions use every op the pack allows, and
+    pii's e-mail column is drawn under `contains` as an @domain token. The
+    digests were taken before render looked each wording up once per call and
+    before condition scans were kept on the relation; they must not move."""
+    from tabbench.datasets import load_pack
+    from tabbench.oracle import leaf_conditions
+    from tabbench.relation import sample_entities
+
+    pack = load_pack(name)
+    rel = sample_entities(pack.relation, 16, 5)
+    digest_of = hashlib.sha256()
+    conditions = []
+    for config in PACK_CONFIGS:
+        suite = generate_suite(rel, config, pack)
+        digest_of.update(dump_suite(suite).encode("utf-8"))
+        conditions += [c for i in suite for c in leaf_conditions(i.plan.expr)]
+    assert {c.op for c in conditions} == set(pack.allowed_ops)
+    assert any(c.attr == "Email" and c.value.startswith("@") for c in conditions) == (name == "pii")
+    assert digest_of.hexdigest() == digest
+
+
 def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):
     config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE, RequestType.COUNT),
                          connectives=(AND, OR), n_conditions=(1, 2),
@@ -396,3 +434,38 @@ def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):
     assert calls["render_partial"] == slots * len(config.levels)
     assert calls["evaluate"] == len(config.n_conditions) * config.pair_count * len(config.connectives) * sum(
         len(ROWS[t].wordings) for t in config.request_types)
+
+
+def test_suite_scans_each_column_and_condition_once(pack, f2, monkeypatch):
+    """One generate_suite finds each column's distinct values once, and scans
+    the rows for each distinct condition once, however many draws, connectives
+    and negation slots ask for it."""
+    from tabbench import oracle, relation
+    from tabbench.oracle import eval_expr
+
+    config = SuiteConfig(pair_count=3, request_types=(RequestType.EXISTENCE, RequestType.COUNT),
+                         connectives=(AND, OR, DIFF), n_conditions=(1, 2), seed=17)
+    expected = dump_suite(generate_suite(f2, config, pack))
+    calls = {"_distinct": [], "_scan": []}
+
+    def recording(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(rel, *args):
+            calls[name].append(args)
+            return fn(rel, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(relation, "_distinct")
+    recording(oracle, "_scan")
+    rel = dataclasses.replace(f2)  # nothing derived from its rows yet
+    suite = generate_suite(rel, config, pack)
+    assert dump_suite(suite) == expected
+
+    assert sorted(calls["_distinct"]) == [(i,) for i in range(len(rel.schema))]
+    scans = list(calls["_scan"])
+    assert len(scans) == len(set(scans)) == len(rel.key_sets)
+    # every condition in the suite was among them: evaluating them again scans nothing
+    for instance in suite:
+        eval_expr(instance.plan.expr, rel)
+    assert calls["_scan"] == scans
