@@ -231,7 +231,8 @@ def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
 
 def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, ResultLine]:
     """The result lines of a results JSONL file by line number; a line that
-    is not one (a key missing, unknown or of the wrong type) raises
+    is not one (a key missing, unknown or of the wrong type, or both or
+    neither of text and error set) raises
     ConfigError naming the file and the line. Given the digest of the suite
     being answered or scored, a manifest that run left beside the file
     (<name>.manifest.json) must then record the file's digest and that suite
@@ -245,7 +246,7 @@ def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, Resu
             records[number] = from_json(ResultLine, json.loads(line))
         except json.JSONDecodeError as e:
             raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
-        except CodecError as e:
+        except (CodecError, GatewayError) as e:
             raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
     manifest_path = path.with_name(path.name + ".manifest.json")
     if suite_digest is not None and manifest_path.is_file():

@@ -101,35 +101,31 @@ def value_pool(rel: Relation, spec: AttributeSpec, op: str) -> list[str]:
     return domains
 
 
+# each op's phrase after the attribute phrase, asserted and negated; a
+# contains condition on an "@domain" token speaks of the domain
+_PHRASES = {
+    EQ: ("is {}", "is not {}"),
+    GT: ("is higher than {}", "is not higher than {}"),
+    LT: ("is lower than {}", "is not lower than {}"),
+    CONTAINS: ("contains {}", "does not contain {}"),
+    "@domain": ("domain is {}", "domain is not {}"),
+}
+
+
+def _phrase(rel: Relation, attr: str, op: str, value: str, negated: bool) -> str:
+    if op == CONTAINS and value.startswith("@"):
+        op, value = "@domain", value[1:]
+    return f"{rel.attribute(attr).canonical_phrase} " + _PHRASES[op][negated].format(value)
+
+
 def make_condition(rel: Relation, attr: str, op: str, value: str) -> Condition:
     """Condition with its natural-language phrase built from the canonical attribute phrase."""
-    phrase = rel.attribute(attr).canonical_phrase
-    if op == EQ:
-        rendered = f"{phrase} is {value}"
-    elif op == GT:
-        rendered = f"{phrase} is higher than {value}"
-    elif op == LT:
-        rendered = f"{phrase} is lower than {value}"
-    elif value.startswith("@"):
-        rendered = f"{phrase} domain is {value[1:]}"
-    else:
-        rendered = f"{phrase} contains {value}"
-    return Condition(attr=attr, op=op, value=value, rendered=rendered)
+    return Condition(attr=attr, op=op, value=value, rendered=_phrase(rel, attr, op, value, False))
 
 
 def render_negated(rel: Relation, cond: Condition) -> str:
     """Negative phrasing for the subtracted side of a difference condition."""
-    phrase = rel.attribute(cond.attr).canonical_phrase
-    value = str(cond.value)
-    if cond.op == EQ:
-        return f"{phrase} is not {value}"
-    if cond.op == GT:
-        return f"{phrase} is not higher than {value}"
-    if cond.op == LT:
-        return f"{phrase} is not lower than {value}"
-    if value.startswith("@"):
-        return f"{phrase} domain is not {value[1:]}"
-    return f"{phrase} does not contain {value}"
+    return _phrase(rel, cond.attr, cond.op, str(cond.value), True)
 
 
 def combine(conditions: tuple[Condition, ...], connective: str) -> ConditionExpr:

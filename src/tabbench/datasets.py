@@ -6,15 +6,17 @@ directory with the same layout loads the same way.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .condgen import GenError
-from .relation import AttributeSpec, IngestError, Relation, SchemaError, load_csv, schema_from_json
-from .requestgen import TemplatePack, template_pack_from_json
+from .relation import IngestError, Relation, SchemaError, load_csv, schema_from_json
+from .requestgen import TemplatePack
 from .requesttypes import MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType
-from .structurer import PhraseBank, RenderError, bank_from_json
+from .runio import from_json
+from .structurer import PhraseBank, RenderError
 
 DATA_DIR = Path(__file__).parent / "data"
 BUILTIN_PACKS = ("soccer", "movie", "pii")
@@ -25,71 +27,79 @@ class PackError(Exception):
 
 
 @dataclass(frozen=True)
+class PackFiles:
+    """The files of a pack, as its dataset.json names them, relative to it."""
+
+    schema: str = "schema.json"
+    rows: str = "rows.csv"
+    phrases: str = "phrases.json"
+    templates: str = "templates.json"
+
+
+@dataclass(frozen=True)
 class DatasetPack:
+    """A pack: every key of its dataset.json but the file names, which
+    PackFiles holds, and the relation, phrase bank and templates read from
+    those files. Without projection_attrs, a projection asks for the key."""
+
     name: str
     entity_noun: str
     entity_noun_plural: str
-    schema: tuple[AttributeSpec, ...]
+    allowed_ops: tuple[str, ...]
+    numeric_target: str
     relation: Relation
     bank: PhraseBank
     templates: TemplatePack
-    allowed_ops: tuple[str, ...]
-    numeric_target: str
-    projection_attrs: tuple[str, ...]
+    projection_attrs: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in ("name", "entity_noun", "entity_noun_plural", "allowed_ops"):
+            if not getattr(self, name):
+                raise PackError(f"{name} must be non-empty, got {getattr(self, name)!r}")
+        known = self.relation.attribute_names
+        if self.numeric_target not in known:
+            raise PackError(f"numeric_target must be a schema attribute, got {self.numeric_target!r}")
+        for attr in self.projection_attrs:
+            if attr not in known:
+                raise PackError(f"projection_attrs must each be a schema attribute, got {attr!r}")
 
     def target_for(self, request_type: RequestType) -> tuple[str, ...]:
         """Default target attributes for plan shapes that need them."""
         return {NO_TARGET: (), ONE_TARGET: (self.numeric_target,),
-                MANY_TARGETS: self.projection_attrs}[ROWS[request_type].targets]
+                MANY_TARGETS: self.projection_attrs or (self.relation.key_attr.name,)}[ROWS[request_type].targets]
 
     def column_phrases(self) -> tuple[str, ...]:
-        return tuple(a.canonical_phrase for a in self.schema)
+        return tuple(a.canonical_phrase for a in self.relation.schema)
 
 
 def load_pack(name_or_path: str | Path) -> DatasetPack:
-    """Load a pack by builtin name ("soccer", "movie", "pii") or directory path."""
+    """Load a pack by builtin name ("soccer", "movie", "pii") or directory
+    path. The codec reads dataset.json into PackFiles and DatasetPack, and
+    each file it names into the class its content fills. The first file
+    that cannot be read, or that holds a value not of its field's type or
+    bounds, is a PackError naming the file and the field."""
     path = DATA_DIR / name_or_path if str(name_or_path) in BUILTIN_PACKS else Path(name_or_path)
-    meta_file = path / "dataset.json"
-    if not meta_file.is_file():
+    file = path / "dataset.json"
+    if not file.is_file():
         raise PackError(f"no dataset.json under {path}")
+    # `file` is the file being read, which an error names
     try:
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-
-        for field_name in ("name", "entity_noun", "entity_noun_plural", "allowed_ops", "numeric_target"):
-            if not meta.get(field_name):
-                raise PackError(f"{meta_file}: missing or empty {field_name!r}")
-
-        schema = schema_from_json((path / meta.get("schema", "schema.json")).read_text(encoding="utf-8"))
-        rows_file = path / meta.get("rows", "rows.csv")
-        relation = load_csv(rows_file.read_bytes(), schema, name=meta["name"])
-        bank = bank_from_json((path / meta.get("phrases", "phrases.json")).read_text(encoding="utf-8"))
+        meta = json.loads(file.read_text(encoding="utf-8"))
+        if type(meta) is not dict:
+            raise ValueError(f"must be a JSON object, got {meta!r}")
+        named = {field.name for field in dataclasses.fields(PackFiles)}
+        files = from_json(PackFiles, {key: meta.pop(key) for key in named & meta.keys()})
+        file = path / files.schema
+        schema = schema_from_json(file.read_text(encoding="utf-8"))
+        file = path / files.rows
+        relation = load_csv(file.read_bytes(), schema, name=meta.get("name"))
+        file = path / files.phrases
+        bank = from_json(PhraseBank, json.loads(file.read_text(encoding="utf-8")))
         bank.check_schema(schema)
-        templates = template_pack_from_json((path / meta.get("templates", "templates.json")).read_text(encoding="utf-8"))
-
-        known = {a.name for a in schema}
-        numeric_target = meta["numeric_target"]
-        if numeric_target not in known:
-            raise PackError(f"numeric_target {numeric_target!r} is not a schema attribute")
-        projection_attrs = tuple(meta.get("projection_attrs", ()))
-        for attr in projection_attrs:
-            if attr not in known:
-                raise PackError(f"projection attribute {attr!r} is not a schema attribute")
-        if not projection_attrs:
-            key = next(a.name for a in schema if a.is_key)
-            projection_attrs = (key,)
-
-        return DatasetPack(
-            name=meta["name"],
-            entity_noun=meta["entity_noun"],
-            entity_noun_plural=meta["entity_noun_plural"],
-            schema=schema,
-            relation=relation,
-            bank=bank,
-            templates=templates,
-            allowed_ops=tuple(meta["allowed_ops"]),
-            numeric_target=numeric_target,
-            projection_attrs=projection_attrs,
-        )
-    except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            SchemaError, IngestError, RenderError, GenError) as e:
-        raise PackError(f"{path}: cannot load pack ({type(e).__name__}: {e})") from None
+        file = path / files.templates
+        templates = from_json(TemplatePack, json.loads(file.read_text(encoding="utf-8")))
+        file = path / "dataset.json"
+        # a dataset.json key naming a loaded part is read, and refused, as that part
+        return from_json(DatasetPack, {"relation": relation, "bank": bank, "templates": templates, **meta})
+    except (OSError, ValueError, PackError, SchemaError, IngestError, RenderError, GenError) as e:
+        raise PackError(f"{file}: cannot load pack ({type(e).__name__}: {e})") from None

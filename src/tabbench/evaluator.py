@@ -391,17 +391,15 @@ class RobustnessRow:
 def existence_robustness(records: list[EvalRecord]) -> list[RobustnessRow]:
     """Accuracy on original vs negated existence wording per (model, level),
     with the absolute gap between the two as the robustness figure."""
-    cells: dict[tuple[str, str], dict[bool, list[float]]] = {}
-    for record in records:
-        if record.request_type != RequestType.EXISTENCE.value:
-            continue
-        cells.setdefault((record.model, record.level), {}).setdefault(record.negated, []).append(record.value)
+    cells: dict[tuple[str, str], dict[bool, float]] = {}
+    existence = [r for r in records if r.request_type == RequestType.EXISTENCE.value]
+    for row in aggregate(existence, ("model", "level", "negated")):
+        model, level, negated = (value for _, value in row.group)
+        cells.setdefault((model, level), {})[negated] = row.mean
 
     rows = []
-    for (model, level) in sorted(cells):
-        sides = cells[(model, level)]
-        original = statistics.fmean(sides.get(False, [])) if sides.get(False) else 0.0
-        negated = statistics.fmean(sides.get(True, [])) if sides.get(True) else 0.0
+    for (model, level), sides in sorted(cells.items()):
+        original, negated = sides.get(False, 0.0), sides.get(True, 0.0)
         rows.append(
             RobustnessRow(
                 model=model,

@@ -73,6 +73,11 @@ class ResultLine:
     model: str
     text: str | None
 
+    def __post_init__(self):
+        if (self.text is None) == (self.error is None):
+            got = "neither" if self.text is None else "both"
+            raise GatewayError(f"exactly one of text and error must be set, got {got}")
+
 
 @dataclass(frozen=True)
 class ModelResponse:
@@ -154,7 +159,7 @@ class RemoteModel:
     """Chat-completions adapter: messages array, model id, temperature.
 
     Auth comes from the environment variable named in the config, never from
-    files. Other wire shapes plug in by overriding build_payload/extract_text.
+    files.
     """
 
     def __init__(self, config: ProviderConfig):
@@ -164,16 +169,6 @@ class RemoteModel:
     def model_id(self) -> str:
         return self.config.model
 
-    def build_payload(self, message: str) -> dict:
-        return {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": message}],
-            "temperature": self.config.temperature,
-        }
-
-    def extract_text(self, payload: dict) -> str:
-        return payload["choices"][0]["message"]["content"]
-
     def complete(self, instance: RequestInstance) -> ModelResponse:
         # imported here, so that only a process that asks a remote model loads the HTTP stack
         import requests
@@ -182,7 +177,11 @@ class RemoteModel:
         if not token:
             raise MissingAuthError(f"environment variable {self.config.auth_env!r} is not set")
         headers = {"Content-Type": "application/json", "Authorization": f"Bearer {token}"}
-        message = compose_message(instance)
+        payload = {
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": compose_message(instance)}],
+            "temperature": self.config.temperature,
+        }
         started = time.monotonic()
         error = "no attempt made"
         attempts = 0
@@ -194,7 +193,7 @@ class RemoteModel:
                 reply = requests.post(
                     self.config.endpoint,
                     headers=headers,
-                    json=self.build_payload(message),
+                    json=payload,
                     timeout=self.config.timeout_s,
                 )
             except requests.RequestException as e:
@@ -202,7 +201,7 @@ class RemoteModel:
                 continue
             if reply.ok:
                 try:
-                    text = self.extract_text(reply.json())
+                    text = reply.json()["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError) as e:
                     error = f"provider: malformed response body ({e})"
                     continue

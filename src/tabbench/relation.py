@@ -173,9 +173,6 @@ class Relation:
         idx = self._key_index
         return tuple(r.values[idx].strip() for r in self.rows)
 
-    def value(self, row: Row, attr: str) -> str:
-        return row.values[self.index(attr)]
-
     @functools.cached_property
     def normalized(self) -> tuple[tuple[str, ...], ...]:
         """Each column's cells under normalize, in row order."""

@@ -60,8 +60,9 @@ class Mode(str, Enum):
 @dataclass(frozen=True)
 class PromptTemplate:
     """One wording of one request type. The pattern must use {conditions}
-    exactly once; {target}, {target_plural}, {targets}, {noun} and {nouns}
-    are filled when present."""
+    exactly once, and a target slot ({target}, {target_plural}, {targets})
+    only when its type takes target attributes; the target slots, {noun} and
+    {nouns} are filled when present."""
 
     request_type: RequestType
     template_id: int
@@ -69,51 +70,58 @@ class PromptTemplate:
     negated: bool = False
 
     def __post_init__(self):
+        name = f"template {self.request_type.value}/{self.template_id}"
         if self.pattern.count("{conditions}") != 1:
-            raise TemplateMismatchError(
-                f"template {self.request_type.value}/{self.template_id} must use "
-                f"{{conditions}} exactly once"
-            )
+            raise TemplateMismatchError(f"{name} must use {{conditions}} exactly once")
+        slots = [slot for slot in ("{target}", "{target_plural}", "{targets}") if slot in self.pattern]
+        if slots and ROWS[self.request_type].targets == NO_TARGET:
+            raise TemplateMismatchError(f"{name} uses {', '.join(slots)}, but {self.request_type.value} "
+                                        f"takes no target attribute")
 
 
 @dataclass(frozen=True)
 class TemplatePack:
-    """All templates and answer-format footers for one dataset."""
+    """A pack's templates.json, as the codec reads it: the
+    TEMPLATES_PER_TYPE wordings of each request type under its value (the
+    negated existence wordings under existence_negated), and each type's
+    answer footer under `footers`. A type left out has no templates."""
 
-    patterns: dict[tuple[str, bool], tuple[PromptTemplate, ...]]
-    footers: dict[str, str]
+    retrieval: tuple[str, ...] = ()
+    deletion: tuple[str, ...] = ()
+    update: tuple[str, ...] = ()
+    superlative: tuple[str, ...] = ()
+    sum: tuple[str, ...] = ()
+    count: tuple[str, ...] = ()
+    existence: tuple[str, ...] = ()
+    existence_negated: tuple[str, ...] = ()
+    projection: tuple[str, ...] = ()
+    footers: dict[str, str] = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        # every wording's templates, built and checked once
+        templates = {}
+        for request_type, row in ROWS.items():
+            for negated in row.wordings:
+                key = request_type.value + ("_negated" if negated else "")
+                patterns = getattr(self, key)
+                if patterns and len(patterns) != TEMPLATES_PER_TYPE:
+                    raise TemplateMismatchError(f"{key}: expected {TEMPLATES_PER_TYPE} templates, "
+                                                f"got {len(patterns)}")
+                templates[(request_type, negated)] = tuple(
+                    PromptTemplate(request_type, i, pattern, negated) for i, pattern in enumerate(patterns))
+        object.__setattr__(self, "_templates", templates)
 
     def templates_for(self, request_type: RequestType, negated: bool = False) -> tuple[PromptTemplate, ...]:
-        try:
-            return self.patterns[(request_type.value, negated)]
-        except KeyError:
-            raise TemplateMismatchError(
-                f"no templates for {request_type.value} (negated={negated})"
-            ) from None
+        templates = self._templates.get((request_type, negated))
+        if not templates:
+            raise TemplateMismatchError(f"no templates for {request_type.value} (negated={negated})")
+        return templates
 
     def footer_for(self, request_type: RequestType) -> str:
         try:
             return self.footers[request_type.value]
         except KeyError:
             raise TemplateMismatchError(f"no answer footer for {request_type.value}") from None
-
-
-def template_pack_from_json(text: str) -> TemplatePack:
-    raw = json.loads(text)
-    patterns: dict[tuple[str, bool], tuple[PromptTemplate, ...]] = {}
-    for key, entries in raw.items():
-        if key == "footers":
-            continue
-        negated = key.endswith("_negated")
-        type_value = key[: -len("_negated")] if negated else key
-        request_type = RequestType(type_value)
-        if len(entries) != TEMPLATES_PER_TYPE:
-            raise TemplateMismatchError(f"{key}: expected {TEMPLATES_PER_TYPE} templates, got {len(entries)}")
-        patterns[(type_value, negated)] = tuple(
-            PromptTemplate(request_type=request_type, template_id=i, pattern=p, negated=negated)
-            for i, p in enumerate(entries)
-        )
-    return TemplatePack(patterns=patterns, footers=dict(raw.get("footers", {})))
 
 
 @dataclass(frozen=True)
@@ -186,22 +194,6 @@ def build_plan(request_type: RequestType, expr: ConditionExpr, target: tuple[str
     return row.plan(**{f.name: candidates[f.name] for f in dataclasses.fields(row.plan)})
 
 
-def _fill_pattern(pattern: str, *, conditions: str, target: tuple[str, ...],
-                  rel: Relation, noun: str, nouns: str) -> str:
-    out = pattern.replace("{conditions}", conditions)
-    out = out.replace("{noun}", noun).replace("{nouns}", nouns)
-    if target:
-        phrases = [rel.attribute(a).canonical_phrase for a in target]
-        out = out.replace("{target}", phrases[0])
-        out = out.replace("{target_plural}", _plural(phrases[0]))
-        out = out.replace("{targets}", " and ".join(phrases))
-    if "{" in out and "}" in out:
-        leftovers = [s for s in ("{target}", "{target_plural}", "{targets}") if s in out]
-        if leftovers:
-            raise TemplateMismatchError(f"pattern needs a target attribute for slots {leftovers}")
-    return out
-
-
 def instantiate(
     template: PromptTemplate,
     target: tuple[str, ...],
@@ -230,14 +222,13 @@ def instantiate(
         raise TemplateMismatchError(
             f"template is for {template.request_type.value}, not {request_type.value}"
         )
-    body = _fill_pattern(
-        template.pattern,
-        conditions=expr_phrase(rel, plan.expr),
-        target=target,
-        rel=rel,
-        noun=pack.entity_noun,
-        nouns=pack.entity_noun_plural,
-    )
+    body = template.pattern.replace("{conditions}", expr_phrase(rel, plan.expr))
+    body = body.replace("{noun}", pack.entity_noun).replace("{nouns}", pack.entity_noun_plural)
+    if target:
+        phrases = [rel.attribute(a).canonical_phrase for a in target]
+        body = body.replace("{target}", phrases[0])
+        body = body.replace("{target_plural}", _plural(phrases[0]))
+        body = body.replace("{targets}", " and ".join(phrases))
     prompt = body + "\n" + pack.templates.footer_for(request_type)
 
     return RequestInstance(

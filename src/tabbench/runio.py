@@ -59,8 +59,9 @@ def from_json(tp, obj):
     `obj`. A union of classes that declare a `kind` picks its class by the
     object's `kind`; a float also takes an integer, which it stores as a
     float, and no int or float takes a boolean; a tuple or a frozenset takes a
-    list of its items; a dataclass takes a missing field that has a default as
-    that default. A value already of the type, as decoded, is taken as it is.
+    list of its items, and a `dict[str, X]` an object of X values; a dataclass
+    takes a missing field that has a default as that default. A value already
+    of the type, as decoded, is taken as it is.
     Anything else raises CodecError: `<field> must be <type>, got <value>`, or
     `unknown key '<k>'`."""
     try:
@@ -101,6 +102,8 @@ def _decoder(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple or origin is frozenset:
         return functools.partial(_items, origin, _decoder(args[0]))
+    if origin is dict and args[0] is str:  # a JSON object's keys are strings
+        return functools.partial(_entries, _decoder(args[1]))
     if origin is typing.Union or origin is types.UnionType:
         return functools.partial(_union, args, {m.kind: m for m in args if dataclasses.is_dataclass(m)})
     raise TypeError(f"no JSON form for {hint!r}")
@@ -119,6 +122,12 @@ def _items(origin, decode_item, value):
     if type(value) is not list:
         raise _Mismatch
     return origin([decode_item(x) for x in value])
+
+
+def _entries(decode_value, value):
+    if type(value) is not dict:
+        raise _Mismatch
+    return {key: decode_value(item) for key, item in value.items()}
 
 
 def _union(members, by_kind, value):

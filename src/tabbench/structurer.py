@@ -6,7 +6,6 @@ is identical and checkable by substring search.
 """
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -65,7 +64,8 @@ class SentenceFrame:
 
 @dataclass(frozen=True)
 class PhraseBank:
-    """Per-dataset wording: sentence frames plus clause templates per attribute.
+    """Per-dataset wording: sentence frames plus clause templates per
+    attribute, as the codec reads them from a pack's phrases.json.
 
     frames[0] is the canonical frame; clauses[attr][0] the canonical clause.
     Clause templates use {value} for the cell and {phrase} for the attribute
@@ -89,13 +89,6 @@ class PhraseBank:
         for name in non_key:
             if not self.clauses.get(name):
                 raise NoBankError(f"no clause templates for attribute {name!r}")
-
-
-def bank_from_json(text: str) -> PhraseBank:
-    raw = json.loads(text)
-    frames = tuple(SentenceFrame(head=f["head"], order=tuple(f["order"])) for f in raw["frames"])
-    clauses = {attr: tuple(templates) for attr, templates in raw["clauses"].items()}
-    return PhraseBank(frames=frames, clauses=clauses)
 
 
 def render_table(header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> str:

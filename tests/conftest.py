@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -138,7 +139,7 @@ def random_condition(rng: random.Random, rel: Relation) -> Condition:
         value = rng.choice(("0", "1", "2", "3", "5", "7", "10", "10.5", "-4"))
     else:
         op = rng.choice((EQ, CONTAINS))
-        pool = [rel.value(r, spec.name) for r in rel.rows] or list(_WORDS)
+        pool = [r.values[rel.index(spec.name)] for r in rel.rows] or list(_WORDS)
         value = rng.choice(pool + list(_WORDS))
         if op == CONTAINS and rng.random() < 0.5 and value:
             start = rng.randrange(len(value))
@@ -204,17 +205,17 @@ def tiny_soccer_pack(relation: Relation):
     from pathlib import Path
 
     from tabbench.datasets import DatasetPack
-    from tabbench.requestgen import template_pack_from_json
+    from tabbench.requestgen import TemplatePack
+    from tabbench.runio import from_json
 
     templates_file = Path(__file__).parent.parent / "src" / "tabbench" / "data" / "soccer" / "templates.json"
     return DatasetPack(
         name="soccer",
         entity_noun="soccer player",
         entity_noun_plural="soccer players",
-        schema=relation.schema,
         relation=relation,
         bank=soccer_bank(),
-        templates=template_pack_from_json(templates_file.read_text(encoding="utf-8")),
+        templates=from_json(TemplatePack, json.loads(templates_file.read_text(encoding="utf-8"))),
         allowed_ops=(EQ,),
         numeric_target="Number",
         projection_attrs=("Name", "Club"),

@@ -673,6 +673,32 @@ def test_report_compare_file_with_a_mean_that_is_not_a_number_exits_2(runner, tm
     assert error.startswith(f"cannot compare {compare_file}:") and "'abc'" in error
 
 
+# a pack file, the path of one value in it, a bad value for it, and the
+# start of the error it must give
+_BAD_PACK_VALUES = {
+    "pack entity_noun_plural a number": ("dataset.json", ["entity_noun_plural"], 5,
+                                         "CodecError: entity_noun_plural must be str, got 5"),
+    "pack entity_noun a list": ("dataset.json", ["entity_noun"], ["x"],
+                                "CodecError: entity_noun must be str, got ['x']"),
+    "pack dataset.json with a misspelt key": ("dataset.json", ["projection_atrs"], ["Name"],
+                                              "CodecError: unknown key 'projection_atrs'"),
+    "pack footer a number": ("templates.json", ["footers", "count"], 5,
+                             "CodecError: footers must be dict[str, str], got"),
+    "pack clause template a number": ("phrases.json", ["clauses", "Club", 1], 5,
+                                      "CodecError: clauses must be dict[str, tuple[str, ...]], got"),
+    "pack sentence frame with an unknown key": ("phrases.json", ["frames", 0, "tail"], ".",
+                                                "CodecError: unknown key 'tail'"),
+    "pack numeric_target not in the schema": ("dataset.json", ["numeric_target"], "Goals",
+                                              "PackError: numeric_target must be a schema attribute, got 'Goals'"),
+    "pack projection attribute not in the schema": (
+        "dataset.json", ["projection_attrs", 1], "Goals",
+        "PackError: projection_attrs must each be a schema attribute, got 'Goals'"),
+    "pack retrieval template with a target slot": (
+        "templates.json", ["retrieval", 0], "List the {target} of soccer players with {conditions}.",
+        "TemplateMismatchError: template retrieval/0 uses {target}, but retrieval takes no target attribute"),
+}
+
+
 def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[list[str], str]:
     """The command line that reads one broken input, and the file or setting its error must name."""
     from tabbench.datasets import DATA_DIR
@@ -708,6 +734,15 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     if case == "pack without phrases.json":
         (pack / "phrases.json").unlink()
         return generate, str(pack)
+    if case in _BAD_PACK_VALUES:
+        file, path, value, named = _BAD_PACK_VALUES[case]
+        obj = json.loads((pack / file).read_text(encoding="utf-8"))
+        holder = obj
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        (pack / file).write_text(json.dumps(obj), encoding="utf-8")
+        return generate, f"{pack / file}: cannot load pack ({named}"
     if case == "report aggregate.md not UTF-8":
         (tmp_path / "eval").mkdir()
         (tmp_path / "eval" / "aggregate.md").write_bytes(b"\xff\xfe| Request Type |\n")
@@ -749,6 +784,18 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
         results.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
         return (["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
                 f"{results}: line 1: not a result line (attempts must be int, got True)")
+    if case in ("results line with neither text nor error", "results line with both text and error"):
+        results = tmp_path / "results.jsonl"
+        results.with_name("results.jsonl.manifest.json").unlink()
+        lines = results.read_text(encoding="utf-8").splitlines()
+        broken = json.loads(lines[0])
+        neither = case == "results line with neither text nor error"
+        broken["text" if neither else "error"] = None if neither else "provider: 500"
+        results.write_text("\n".join([json.dumps(broken, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+        # eval reads the file, and so does run when it resumes it
+        args = (["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")]
+                if neither else [*run[:5], "--out", str(results)])
+        return args, f"{results}: line 1: not a result line (exactly one of text and error must be set"
     if case == "models entry with an unset auth_env":
         monkeypatch.delenv("TABBENCH_KEY", raising=False)
         write_config(tmp_path, models=[REMOTE])
@@ -764,10 +811,11 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
 @pytest.mark.parametrize("case", [
     "--config a directory", "--suite a directory", "--results a directory",
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
-    "pack schema.json naming an attribute twice",
+    "pack schema.json naming an attribute twice", *_BAD_PACK_VALUES,
     "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
     "suite gold keys not a list", "suite relation gold repeating a key", "suite retrieval gold a number",
-    "results line attempts a boolean",
+    "results line attempts a boolean", "results line with neither text nor error",
+    "results line with both text and error",
     "models entry with an unset auth_env", "models entry with max_in_flight 0", "--max-in-flight 0",
 ])
 def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch, case):

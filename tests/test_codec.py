@@ -2,7 +2,9 @@
 
 Every record the stages read and write goes through it: suite lines
 (RequestInstance, with its plan and gold), results lines (ResultLine) and
-the config (HarnessConfig, with its SuiteConfig and ProviderConfig entries).
+the config (HarnessConfig, with its SuiteConfig and ProviderConfig entries)
+and a pack's files (DatasetPack, PackFiles, AttributeSpec, PhraseBank and
+TemplatePack).
 """
 from __future__ import annotations
 
@@ -39,10 +41,10 @@ from tabbench.oracle import (
     evaluate,
 )
 from tabbench.relation import DuplicateKeyError
-from tabbench.requestgen import Mode, RequestInstance, SuiteConfig
+from tabbench.requestgen import Mode, RequestInstance, SuiteConfig, TemplatePack
 from tabbench.requesttypes import RequestType
 from tabbench.runio import CodecError, from_json, to_json
-from tabbench.structurer import StructuringLevel
+from tabbench.structurer import PhraseBank, SentenceFrame, StructuringLevel
 
 from conftest import PLAN_SHAPES, eq, random_plan
 
@@ -203,6 +205,14 @@ def test_a_value_already_decoded_is_taken_as_it_is():
     assert from_json(tuple[str, ...], keys) is keys
 
 
+def test_a_dict_takes_an_object_of_its_values():
+    assert from_json(dict[str, tuple[str, ...]], {"Club": ["at {value}"], "League": []}) == {
+        "Club": ("at {value}",), "League": ()}
+    bank = from_json(PhraseBank, {"frames": [{"head": "{key} plays", "order": ["Club"]}],
+                                  "clauses": {"Club": ["at {value}", "for {value}"]}})
+    assert bank == PhraseBank((SentenceFrame("{key} plays", ("Club",)),), {"Club": ("at {value}", "for {value}")})
+
+
 SUM_PLAN = to_json(Sum(target_attr="Number", expr=PLAN_EXPR))
 RELATION_GOLD = {"columns": ["Name", "Number"], "key": "Name", "kind": "relation", "rows": [["Messi", "10"]]}
 REMOTE = {"name": "n", "endpoint": "http://127.0.0.1:9/v1", "model": "m", "auth_env": "KEY"}
@@ -263,6 +273,13 @@ LINE = {"attempts": 1, "error": None, "id": "x", "model": "m", "text": "ANSWER:\
     pytest.param(ConditionExpr, {"kind": "and", "children": [5, 6]}, CodecError,
                  "children must be tuple[ConditionExpr, ...], got [5, 6]", id="expression children"),
     pytest.param(ResultLine, [1], CodecError, "value must be ResultLine, got [1]", id="not an object"),
+    # a dict takes an object of its values
+    pytest.param(TemplatePack, {"footers": ["ANSWER:"]}, CodecError, "footers must be dict[str, str], got ['ANSWER:']",
+                 id="dict from a list"),
+    pytest.param(TemplatePack, {"footers": {"count": 5}}, CodecError, "footers must be dict[str, str], got {'count': 5}",
+                 id="dict value"),
+    pytest.param(PhraseBank, {"frames": [], "clauses": {"Club": "at {value}"}}, CodecError,
+                 "clauses must be dict[str, tuple[str, ...]], got {'Club': 'at {value}'}", id="dict of tuples"),
     # a class's own checks run on the values it is built from
     pytest.param(GoldAnswer, {**RELATION_GOLD, "rows": [["Messi"]]}, PlanError,
                  "row ['Messi'] is not 2 cells wide", id="relation row width"),
@@ -270,6 +287,10 @@ LINE = {"attempts": 1, "error": None, "id": "x", "model": "m", "text": "ANSWER:\
                  "key 'Club' is not one of the columns ['Name', 'Number']", id="relation key"),
     pytest.param(GoldAnswer, {**RELATION_GOLD, "rows": [["Messi", "10"], [" messi", "7"]]}, DuplicateKeyError,
                  "duplicate key ' messi'", id="relation duplicate key"),
+    pytest.param(ResultLine, {**LINE, "text": None}, GatewayError,
+                 "exactly one of text and error must be set, got neither", id="result neither"),
+    pytest.param(ResultLine, {**LINE, "error": "provider: 500"}, GatewayError,
+                 "exactly one of text and error must be set, got both", id="result both"),
     pytest.param(ProviderConfig, {**REMOTE, "max_in_flight": 0}, GatewayError,
                  "max_in_flight must be at least 1, got 0", id="models range"),
     pytest.param(ProviderConfig, {**REMOTE, "auth_env": ""}, GatewayError, "auth_env must be non-empty, got ''",

@@ -20,15 +20,13 @@ def test_builtin_pack_loads_complete(name):
     assert pack.entity_noun and pack.entity_noun_plural
     assert len(pack.relation.rows) >= 100
     assert pack.relation.attribute(pack.numeric_target).kind == "numeric"
-    # one set of templates per wording the type's row asks, and no other
-    assert set(pack.templates.patterns) == {(t.value, negated) for t, row in ROWS.items() for negated in row.wordings}
     for request_type, row in ROWS.items():
         for negated in row.wordings:
             assert len(pack.templates.templates_for(request_type, negated)) == 3
         assert pack.templates.footer_for(request_type)
     assert set(pack.templates.footers) == {t.value for t in RequestType}
     assert len(pack.templates.templates_for(RequestType.EXISTENCE, negated=True)) == 3
-    pack.bank.check_schema(pack.schema)
+    pack.bank.check_schema(pack.relation.schema)
 
 
 def test_movie_and_pii_allow_inequality_and_partial_equality():
@@ -76,3 +74,20 @@ def test_pack_validation_rejects_empty_noun(tmp_path):
     (tmp_path / "dataset.json").write_text(json.dumps(meta), encoding="utf-8")
     with pytest.raises(PackError):
         load_pack(tmp_path)
+
+
+def test_dataset_json_keys_left_out_take_their_defaults(tmp_path):
+    """A pack's files take their default names unless dataset.json names
+    them, and without projection_attrs a projection asks for the key."""
+    import shutil
+
+    from tabbench.datasets import DATA_DIR
+
+    shutil.copytree(DATA_DIR / "soccer", tmp_path / "pack")
+    (tmp_path / "pack" / "phrases.json").rename(tmp_path / "pack" / "wording.json")
+    meta = {"name": "soccer", "entity_noun": "soccer player", "entity_noun_plural": "soccer players",
+            "allowed_ops": ["eq"], "numeric_target": "Number", "phrases": "wording.json"}
+    (tmp_path / "pack" / "dataset.json").write_text(json.dumps(meta), encoding="utf-8")
+    pack, builtin = load_pack(tmp_path / "pack"), load_pack("soccer")
+    assert pack.target_for(RequestType.PROJECTION) == ("Name",)
+    assert (pack.relation, pack.bank, pack.templates) == (builtin.relation, builtin.bank, builtin.templates)

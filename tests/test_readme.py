@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 from tabbench.cli import HarnessConfig, load_config
+from tabbench.datasets import DATA_DIR, DatasetPack, PackFiles
 from tabbench.requestgen import SuiteConfig
 from tabbench.runio import to_json
 
@@ -33,3 +35,14 @@ def test_config_keys_listed_are_the_keys_the_config_takes(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(every_key), encoding="utf-8")
     assert load_config(config) == default
+
+
+def test_pack_keys_listed_are_the_keys_dataset_json_takes():
+    """README's list of dataset.json keys names exactly the fields the pack's
+    classes read from it, and the keys a builtin pack spells out."""
+    section = README.read_text(encoding="utf-8").split("A pack's `dataset.json` keys", 1)[1].split("\n\n")[1]
+    listed = set(re.findall(r"`(\w+)`\s+\(", section))
+    loaded = {"relation", "bank", "templates"}  # read from the files, not from dataset.json
+    fields = {f.name for f in dataclasses.fields(DatasetPack)} - loaded | {f.name for f in dataclasses.fields(PackFiles)}
+    assert listed == fields
+    assert set(json.loads((DATA_DIR / "soccer" / "dataset.json").read_text(encoding="utf-8"))) == listed

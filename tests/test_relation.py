@@ -37,7 +37,7 @@ def test_load_csv_reference_rows(f1):
     assert len(f1.rows) == 2
     assert f1.key_attr.name == "Name"
     assert f1.keys() == ("Ronaldo", "Messi")
-    assert f1.value(f1.rows[1], "Club") == "Barcelona"
+    assert f1.rows[1].values[f1.index("Club")] == "Barcelona"
     assert f1.rows[0].numbers[f1.index("Number")] == 7.0
 
 
@@ -49,8 +49,8 @@ def test_lookups_by_name_and_key_column(schema):
     assert rel.attribute("Club") is keyed_last[2]
     assert rel.key_attr is keyed_last[3]
     assert rel.key_of(rel.rows[0]) == "Ronaldo" and rel.keys() == ("Ronaldo",)
-    assert rel.value(rel.rows[0], "Club") == "Juventus"
-    for lookup in (rel.index, rel.attribute, lambda name: rel.value(rel.rows[0], name)):
+    assert rel.rows[0].values[rel.index("Club")] == "Juventus"
+    for lookup in (rel.index, rel.attribute):
         with pytest.raises(UnknownAttributeError, match="^no attribute 'Stadium' in 'Soccer'$"):
             lookup("Stadium")
 
@@ -83,7 +83,7 @@ def test_load_csv_header_order_insensitive_and_drops_extras(schema):
     csv_text = "Club,Name,Agent,Nationality,Number\nJuventus,Ronaldo,X,Portugal,7\n"
     rel = load_csv(csv_text, schema)
     assert rel.keys() == ("Ronaldo",)
-    assert rel.value(rel.rows[0], "Number") == "7"
+    assert rel.rows[0].values[rel.index("Number")] == "7"
     assert rel.dropped_columns == ("Agent",)
 
 
@@ -151,7 +151,7 @@ def test_unique_values_covers_rows_property():
             assert len(values) <= len(rel.rows) or not rel.rows
             normalized = {v.strip().casefold() for v in values}
             for row in rel.rows:
-                cell = rel.value(row, spec.name).strip().casefold()
+                cell = row.values[rel.index(spec.name)].strip().casefold()
                 if spec.kind == "numeric":
                     assert any(float(v) == float(cell) for v in values)
                 else:

@@ -81,9 +81,9 @@ def test_information_equivalence_all_levels(f2, bank):
 def test_order_fixed_keeps_attribute_order(f2, bank):
     text = render(f2, StructuringLevel.ORDER_FIXED, 9, bank)
     for line, row in zip(text.splitlines(), f2.rows):
-        nationality = line.index(f2.value(row, "Nationality"))
-        club = line.index(f2.value(row, "Club"))
-        number = line.rindex(f2.value(row, "Number"))
+        nationality = line.index(row.values[f2.index("Nationality")])
+        club = line.index(row.values[f2.index("Club")])
+        number = line.rindex(row.values[f2.index("Number")])
         assert nationality < club < number
 
 
