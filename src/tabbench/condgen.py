@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OR, And, Condition, ConditionExpr, Diff, Or, eval_expr
+from .oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OPS, OR, And, Condition, ConditionExpr, Diff, Or, eval_expr
 from .relation import AttributeSpec, Relation, unique_values
 from .seeding import rng_for
 
@@ -39,7 +39,7 @@ class ConditionPolicy:
             raise GenError("n_conditions must be at least 1")
         if self.min_support < 1:
             raise GenError("min_support must be at least 1")
-        bad = set(self.allowed_ops) - {EQ, GT, LT, CONTAINS}
+        bad = set(self.allowed_ops) - set(OPS)
         if bad:
             raise GenError(f"unknown ops in policy: {sorted(bad)}")
 

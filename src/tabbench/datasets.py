@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .condgen import GenError
+from .oracle import OPS
 from .relation import IngestError, Relation, SchemaError, load_csv, schema_from_json
 from .requestgen import TemplatePack
 from .requesttypes import MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType
@@ -56,6 +57,9 @@ class DatasetPack:
         for name in ("name", "entity_noun", "entity_noun_plural", "allowed_ops"):
             if not getattr(self, name):
                 raise PackError(f"{name} must be non-empty, got {getattr(self, name)!r}")
+        for op in self.allowed_ops:
+            if op not in OPS:
+                raise PackError(f"allowed_ops must each be one of {', '.join(OPS)}, got {op!r}")
         known = self.relation.attribute_names
         if self.numeric_target not in known:
             raise PackError(f"numeric_target must be a schema attribute, got {self.numeric_target!r}")

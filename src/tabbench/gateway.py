@@ -65,7 +65,8 @@ class ProviderConfig:
 @dataclass(frozen=True)
 class ResultLine:
     """One line of a results file: a model's answer to one instance, or the
-    error that ended its attempts; without latency, so it is byte-stable."""
+    error that ended its attempts, as every model's complete returns it;
+    without latency, so it is byte-stable."""
 
     attempts: int
     error: str | None
@@ -77,19 +78,6 @@ class ResultLine:
         if (self.text is None) == (self.error is None):
             got = "neither" if self.text is None else "both"
             raise GatewayError(f"exactly one of text and error must be set, got {got}")
-
-
-@dataclass(frozen=True)
-class ModelResponse:
-    request_id: str
-    text: str | None
-    error: str | None
-    latency_ms: float
-    attempts: int
-
-    def __post_init__(self):
-        if (self.text is None) == (self.error is None):
-            raise GatewayError("exactly one of text/error must be set")
 
 
 def _format_number(value: float) -> str:
@@ -114,7 +102,7 @@ class LossyOracle:
     def model_id(self) -> str:
         return f"lossy-oracle-q{self.omission_prob}-r{self.flip_prob}"
 
-    def complete(self, instance: RequestInstance) -> ModelResponse:
+    def complete(self, instance: RequestInstance) -> ResultLine:
         rng = rng_for(self.seed, "lossy", instance.id)
         gold = instance.gold
         q, r = self.omission_prob, self.flip_prob
@@ -142,8 +130,7 @@ class LossyOracle:
         else:
             raise GatewayError(f"unknown gold answer {gold!r}")
 
-        return ModelResponse(request_id=instance.id, text="ANSWER:\n" + body, error=None,
-                             latency_ms=0.0, attempts=1)
+        return ResultLine(attempts=1, error=None, id=instance.id, model=self.model_id, text="ANSWER:\n" + body)
 
 
 class PerfectOracle(LossyOracle):
@@ -169,7 +156,7 @@ class RemoteModel:
     def model_id(self) -> str:
         return self.config.model
 
-    def complete(self, instance: RequestInstance) -> ModelResponse:
+    def complete(self, instance: RequestInstance) -> ResultLine:
         # imported here, so that only a process that asks a remote model loads the HTTP stack
         import requests
 
@@ -182,7 +169,6 @@ class RemoteModel:
             "messages": [{"role": "user", "content": compose_message(instance)}],
             "temperature": self.config.temperature,
         }
-        started = time.monotonic()
         error = "no attempt made"
         attempts = 0
         for attempt in range(self.config.max_retries + 1):
@@ -202,24 +188,14 @@ class RemoteModel:
             if reply.ok:
                 try:
                     text = reply.json()["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError) as e:
+                    if not isinstance(text, str):
+                        raise TypeError(f"content must be str, got {text!r}")
+                except (ValueError, LookupError, TypeError) as e:
                     error = f"provider: malformed response body ({e})"
                     continue
-                return ModelResponse(
-                    request_id=instance.id,
-                    text=text,
-                    error=None,
-                    latency_ms=(time.monotonic() - started) * 1000.0,
-                    attempts=attempts,
-                )
+                return ResultLine(attempts=attempts, error=None, id=instance.id, model=self.model_id, text=text)
             error = f"provider: {reply.status_code}"
-        return ModelResponse(
-            request_id=instance.id,
-            text=None,
-            error=error,
-            latency_ms=(time.monotonic() - started) * 1000.0,
-            attempts=attempts,
-        )
+        return ResultLine(attempts=attempts, error=error, id=instance.id, model=self.model_id, text=None)
 
 
 ModelKind = LossyOracle | RemoteModel
@@ -230,20 +206,23 @@ def compose_message(instance: RequestInstance) -> str:
     return instance.context + "\n\n" + instance.prompt
 
 
-def complete(instance: RequestInstance, model: ModelKind) -> ModelResponse:
-    """Answer one instance. In two-turn mode a remote model is first asked to
-    lay the facts out as a table, and its own table replaces the context for
-    the main instruction; a mock never reads the context, so it answers at once."""
+def complete(instance: RequestInstance, model: ModelKind) -> ResultLine:
+    """Answer one instance with the line that run writes. In two-turn mode a
+    remote model is first asked to lay the facts out as a table, and its own
+    table replaces the context for the main instruction; the line counts the
+    attempts of both turns, and an error in the first ends the instance. A
+    mock never reads the context, so it answers at once."""
     if instance.mode != Mode.TWO_TURN or not isinstance(model, RemoteModel):
         return model.complete(instance)
     first = model.complete(replace(instance, prompt=instance.pre_instruction or ""))
     if first.error is not None:
         return first
-    return model.complete(replace(instance, context=first.text))
+    second = model.complete(replace(instance, context=first.text))
+    return replace(second, attempts=first.attempts + second.attempts)
 
 
 def _answers(todo: list[RequestInstance], model: ModelKind):
-    """Responses to `todo` in completion order. A mock is CPU-bound, so a pool
+    """Result lines of `todo` in completion order. A mock is CPU-bound, so a pool
     would only add overhead under the GIL: it answers inline, one instance at a
     time. A remote model is asked through a pool of its config's max_in_flight."""
     if not isinstance(model, RemoteModel):
@@ -282,12 +261,10 @@ def run_suite(
 
     try:
         with open(partial, "w", encoding="utf-8") as stream:
-            for response in _answers(todo, model):
-                line = ResultLine(attempts=response.attempts, error=response.error, id=response.request_id,
-                                  model=model.model_id, text=response.text)
+            for line in _answers(todo, model):
                 lines[line.id] = json.dumps(to_json(line), sort_keys=True)
                 stream.write(lines[line.id] + "\n")
-                if response.error is not None:
+                if line.error is not None:
                     errors += 1
         # the sorted file replaces the sink only once it is whole
         with open(staged, "w", encoding="utf-8") as final:

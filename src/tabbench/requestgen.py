@@ -194,29 +194,12 @@ def build_plan(request_type: RequestType, expr: ConditionExpr, target: tuple[str
     return row.plan(**{f.name: candidates[f.name] for f in dataclasses.fields(row.plan)})
 
 
-def instantiate(
-    template: PromptTemplate,
-    target: tuple[str, ...],
-    rel: Relation,
-    level: StructuringLevel,
-    context: str,
-    plan: QueryPlan,
-    gold: GoldAnswer,
-    *,
-    pack: "DatasetPack",
-    entity_keys: tuple[str, ...],
-    instance_id: str,
-    portion: float | None = None,
-    connective: str = AND,
-    mode: Mode = Mode.SURROGATE,
-    pre_instruction: str | None = None,
-    resamples: int = 0,
-) -> RequestInstance:
-    """Assemble one benchmark instance around a context, a plan and its gold
-    answer that the caller rendered, built and evaluated: check the template
-    and fill its wording. generate_suite renders each context once per
-    (level, portion) and evaluates each plan once per (connective, negation),
-    then calls this for every template."""
+def fill(template: PromptTemplate, plan: QueryPlan, target: tuple[str, ...], rel: Relation,
+         pack: "DatasetPack") -> str:
+    """The prompt of one wording of a plan: check that the template is for the
+    plan's request type, fill its slots and append the type's answer footer.
+    It depends on neither the level nor the portion, so generate_suite fills
+    each wording once and every rendered context shares it."""
     request_type = type_of(plan)
     if template.request_type is not request_type:
         raise TemplateMismatchError(
@@ -229,24 +212,7 @@ def instantiate(
         body = body.replace("{target}", phrases[0])
         body = body.replace("{target_plural}", _plural(phrases[0]))
         body = body.replace("{targets}", " and ".join(phrases))
-    prompt = body + "\n" + pack.templates.footer_for(request_type)
-
-    return RequestInstance(
-        id=instance_id,
-        dataset=pack.name,
-        template_id=template.template_id,
-        connective=connective,
-        level=level,
-        portion=portion,
-        plan=plan,
-        prompt=prompt,
-        context=context,
-        pre_instruction=pre_instruction,
-        gold=gold,
-        entity_keys=entity_keys,
-        mode=mode,
-        resamples=resamples,
-    )
+    return body + "\n" + pack.templates.footer_for(request_type)
 
 
 def make_pre_instruction(noun_plural: str, column_phrases: tuple[str, ...] | None = None) -> str:
@@ -303,9 +269,10 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     instance per slot.
 
     Each piece of work runs at the loop level where its inputs are fixed: the
-    plan and gold answer once per (pair, connective, negation), the context
-    once per (pair, level, portion), the entity keys and the two-turn
-    pre-instruction once per suite; instantiate only fills each wording."""
+    plan and gold answer once per (pair, connective, negation), each prompt
+    once per (pair, connective, negation, template), the context once per
+    (pair, level, portion), the entity keys and the two-turn pre-instruction
+    once per suite; each instance is then built from these."""
     instances: list[RequestInstance] = []
     entity_keys = rel.keys()
     pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == Mode.TWO_TURN else None
@@ -323,34 +290,41 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                 draw_seed = derive_seed(config.seed, "conditions", pack.name, request_type.value, n, pair)
                 exprs, _, resamples = draw_condition_set(rel, policy, config.connectives, draw_seed)
                 context_seed = derive_seed(config.seed, "context", pack.name, request_type.value, n, pair)
-                slots = []
+                wordings = []
                 for connective in config.connectives:
                     for negated in ROWS[request_type].wordings:
                         plan = build_plan(request_type, exprs[connective], target, rel, negated=negated)
-                        slots.append((connective, negated, plan, evaluate(plan, rel)))
+                        gold = evaluate(plan, rel)
+                        suffix = "-neg" if negated else ""
+                        for template in pack.templates.templates_for(request_type, negated):
+                            wordings.append((connective, suffix, template, plan, gold,
+                                             fill(template, plan, target, rel, pack)))
                 for level in config.levels:
                     for portion in config.portions or (None,):
                         if portion is None:
                             context = render(rel, level, context_seed, pack.bank)
                         else:
                             context = render_partial(rel, portion, context_seed, pack.bank)
-                        for connective, negated, plan, gold in slots:
-                            suffix = "-neg" if negated else ""
-                            for template in pack.templates.templates_for(request_type, negated):
-                                instances.append(instantiate(
-                                    template, target, rel, level, context, plan, gold,
-                                    pack=pack,
-                                    entity_keys=entity_keys,
-                                    portion=portion,
-                                    connective=connective,
-                                    mode=config.mode,
-                                    pre_instruction=pre_instruction,
-                                    instance_id=(
-                                        f"{len(instances):06d}-{pack.name}-{request_type.value}{suffix}"
-                                        f"-{connective}-t{template.template_id}"
-                                    ),
-                                    resamples=resamples,
-                                ))
+                        for connective, suffix, template, plan, gold, prompt in wordings:
+                            instances.append(RequestInstance(
+                                id=(
+                                    f"{len(instances):06d}-{pack.name}-{request_type.value}{suffix}"
+                                    f"-{connective}-t{template.template_id}"
+                                ),
+                                dataset=pack.name,
+                                template_id=template.template_id,
+                                connective=connective,
+                                level=level,
+                                portion=portion,
+                                plan=plan,
+                                prompt=prompt,
+                                context=context,
+                                pre_instruction=pre_instruction,
+                                gold=gold,
+                                entity_keys=entity_keys,
+                                mode=config.mode,
+                                resamples=resamples,
+                            ))
     return instances
 
 

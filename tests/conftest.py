@@ -223,18 +223,30 @@ def tiny_soccer_pack(relation: Relation):
 
 
 def instantiate_one(request_type, template, expr, target, rel: Relation, level, seed, *, pack,
-                    instance_id: str = "single", **kwargs):
-    """One instance outside a suite: build and evaluate the plan, render the
-    context at `level`, and assemble them with `instantiate` as generate_suite
-    does."""
-    from tabbench.oracle import evaluate
-    from tabbench.requestgen import build_plan, instantiate
+                    instance_id: str = "single", mode: str = "surrogate", pre_instruction: str | None = None):
+    """One instance outside a suite: build and evaluate the plan, fill the
+    template's prompt, render the context at `level`, and build the instance
+    from them as generate_suite does."""
+    from tabbench.oracle import AND, evaluate
+    from tabbench.requestgen import RequestInstance, build_plan, fill
     from tabbench.structurer import render
 
     plan = build_plan(request_type, expr, target, rel, negated=template.negated)
-    return instantiate(template, target, rel, level,
-                       render(rel, level, seed, pack.bank), plan, evaluate(plan, rel),
-                       pack=pack, entity_keys=rel.keys(), instance_id=instance_id, **kwargs)
+    return RequestInstance(
+        id=instance_id,
+        dataset=pack.name,
+        template_id=template.template_id,
+        connective=AND,
+        level=level,
+        portion=None,
+        plan=plan,
+        prompt=fill(template, plan, target, rel, pack),
+        context=render(rel, level, seed, pack.bank),
+        pre_instruction=pre_instruction,
+        gold=evaluate(plan, rel),
+        entity_keys=rel.keys(),
+        mode=mode,
+    )
 
 
 def as_pipe_table(rel: Relation) -> PipeTable:

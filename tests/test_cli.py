@@ -693,6 +693,9 @@ _BAD_PACK_VALUES = {
     "pack projection attribute not in the schema": (
         "dataset.json", ["projection_attrs", 1], "Goals",
         "PackError: projection_attrs must each be a schema attribute, got 'Goals'"),
+    "pack allowed_ops with an unknown op": ("dataset.json", ["allowed_ops"], ["eq", "between"],
+                                            "PackError: allowed_ops must each be one of eq, gt, lt, contains, "
+                                            "got 'between'"),
     "pack retrieval template with a target slot": (
         "templates.json", ["retrieval", 0], "List the {target} of soccer players with {conditions}.",
         "TemplateMismatchError: template retrieval/0 uses {target}, but retrieval takes no target attribute"),

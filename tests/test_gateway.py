@@ -11,7 +11,6 @@ from tabbench.gateway import (
     GatewayError,
     LossyOracle,
     MissingAuthError,
-    ModelResponse,
     PerfectOracle,
     ProviderConfig,
     RemoteModel,
@@ -57,13 +56,6 @@ def test_perfect_oracle_count_format(pack, f2):
                                StructuringLevel.TABLE, 0, pack=pack)
     response = PerfectOracle().complete(instance)
     assert response.text == "ANSWER:\n2"
-
-
-def test_model_response_exclusivity():
-    with pytest.raises(GatewayError):
-        ModelResponse("x", text="hi", error="boom", latency_ms=0, attempts=1)
-    with pytest.raises(GatewayError):
-        ModelResponse("x", text=None, error=None, latency_ms=0, attempts=1)
 
 
 def test_lossy_full_omission(pack, f2):
@@ -207,17 +199,23 @@ def test_run_suite_answers_a_mock_on_the_calling_thread(tmp_path, small_suite, m
 
 
 def test_response_json_round_trip(small_suite, tmp_path):
-    """run_suite writes each response as a result line, without its latency."""
-    class Timed(PerfectOracle):
+    """run_suite writes each line as the model's complete returns it."""
+    class Retried(PerfectOracle):
         def complete(self, instance):
-            return ModelResponse(instance.id, text="ANSWER:\nok", error=None, latency_ms=4.2, attempts=2)
+            return ResultLine(attempts=2, error=None, id=instance.id, model=self.model_id, text="ANSWER:\nok")
 
     sink = tmp_path / "results.jsonl"
-    run_suite(small_suite[:1], Timed(), sink)
+    run_suite(small_suite[:1], Retried(), sink)
     [line] = sink.read_text(encoding="utf-8").splitlines()
-    assert "latency" not in line
     assert from_json(ResultLine, json.loads(line)) == ResultLine(
         attempts=2, error=None, id=small_suite[0].id, model="perfect-oracle", text="ANSWER:\nok")
+
+
+def test_mock_answers_are_lines_stamped_with_its_model_id(small_suite):
+    lossy = LossyOracle(omission_prob=0.5, seed=3)
+    for model in (PerfectOracle(), lossy):
+        line = model.complete(small_suite[0])
+        assert (line.id, line.model, line.attempts, line.error) == (small_suite[0].id, model.model_id, 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +223,32 @@ def test_response_json_round_trip(small_suite, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# 200 replies whose body is not the chat shape with a string content
+_MALFORMED_REPLIES = {
+    "null content": {"choices": [{"message": {"content": None}}]},
+    "list body": [{"message": {"content": "ANSWER:\n3"}}],
+    "number content": {"choices": [{"message": {"content": 5}}]},
+}
+
+
 class _StubHandler(BaseHTTPRequestHandler):
+    """Chat endpoint that records each request body. `behavior` is "ok" (echo
+    the model id), "fail" (500 on every request), "fail first" (500 on the
+    first request only) or a key of _MALFORMED_REPLIES."""
+
     behavior = "ok"
-    hits = 0
+    bodies: list[dict] = []
 
     def do_POST(self):
-        type(self).hits += 1
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
-        if type(self).behavior == "fail":
+        type(self).bodies.append(body)
+        behavior = type(self).behavior
+        if behavior == "fail" or (behavior == "fail first" and len(type(self).bodies) == 1):
             self.send_response(500)
             self.end_headers()
             return
-        reply = {"choices": [{"message": {"content": f"echo:{body['model']}"}}]}
+        reply = _MALFORMED_REPLIES.get(behavior, {"choices": [{"message": {"content": f"echo:{body['model']}"}}]})
         payload = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -252,10 +263,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits up to one poll interval, 0.5 s by default, for the loop to see it
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     _StubHandler.behavior = "ok"
-    _StubHandler.hits = 0
+    _StubHandler.bodies = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -289,7 +301,7 @@ def test_remote_500_retries_then_records_provider_error(stub_server, small_suite
     response = model.complete(small_suite[0])
     assert response.error == "provider: 500"
     assert response.attempts == model.config.max_retries + 1
-    assert _StubHandler.hits == model.config.max_retries + 1
+    assert len(_StubHandler.bodies) == model.config.max_retries + 1
 
 
 def test_remote_transport_error(small_suite, monkeypatch):
@@ -320,15 +332,55 @@ def test_run_suite_asks_a_remote_model_from_its_pool(stub_server, small_suite, t
     assert len(set(threads)) <= 2
 
 
-def test_two_turn_mock_passes_table_context(pack, f2):
-    import dataclasses
+@pytest.mark.parametrize("behavior", sorted(_MALFORMED_REPLIES))
+def test_remote_malformed_reply_is_retried_then_recorded_as_an_error(stub_server, small_suite, tmp_path,
+                                                                    monkeypatch, behavior):
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    _StubHandler.behavior = behavior
+    sink = tmp_path / "results.jsonl"
+    manifest = run_suite(small_suite[:2], _remote(stub_server, max_retries=1), sink)
+    assert manifest["errors"] == 2
+    lines = [from_json(ResultLine, json.loads(l)) for l in sink.read_text().splitlines()]
+    assert [(l.text, l.attempts) for l in lines] == [(None, 2)] * 2
+    assert all(l.error.startswith("provider: malformed response body (") for l in lines)
 
+
+def _two_turn(pack, f2):
     template = pack.templates.templates_for(RequestType.RETRIEVAL)[0]
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
-    instance = instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
-                               StructuringLevel.TABLE, 0, pack=pack, mode="two_turn",
-                               pre_instruction="Create a table of soccer players.")
-    response = complete(instance, PerfectOracle())
+    return instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
+                           StructuringLevel.NATURAL, 0, pack=pack, mode="two_turn",
+                           pre_instruction="Create a table of soccer players.")
+
+
+def _sent(body: dict) -> str:
+    [message] = body["messages"]
+    return message["content"]
+
+
+def test_two_turn_remote_sends_its_own_table_in_place_of_the_context(stub_server, pack, f2, monkeypatch):
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    _StubHandler.behavior = "fail first"
+    instance = _two_turn(pack, f2)
+    line = complete(instance, _remote(stub_server))
+    turn_1, retried_1, turn_2 = map(_sent, _StubHandler.bodies)
+    assert turn_1 == retried_1 == instance.context + "\n\n" + instance.pre_instruction
+    assert turn_2 == "echo:stub-model\n\n" + instance.prompt
+    assert (line.id, line.text, line.attempts) == (instance.id, "echo:stub-model", 3)
+
+
+def test_two_turn_remote_error_in_the_first_turn_ends_the_instance(stub_server, pack, f2, monkeypatch):
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    _StubHandler.behavior = "fail"
+    instance = _two_turn(pack, f2)
+    model = _remote(stub_server)
+    line = complete(instance, model)
+    assert (line.id, line.error, line.attempts) == (instance.id, "provider: 500", model.config.max_retries + 1)
+    assert {_sent(body) for body in _StubHandler.bodies} == {instance.context + "\n\n" + instance.pre_instruction}
+
+
+def test_two_turn_mock_passes_table_context(pack, f2):
+    response = complete(_two_turn(pack, f2), PerfectOracle())
     assert response.text.startswith("ANSWER:")
 
 
