@@ -1,15 +1,18 @@
 """Seeded sampling of conditions and condition expressions with support validation.
 
 Every emitted expression is re-checked against the relation: expressions whose
-satisfying set is below the policy's support floor are resampled, never emitted.
+satisfying set is below the suite's min_support are resampled, never emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OPS, OR, And, Condition, ConditionExpr, Diff, Or, eval_expr
+from .oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OP_KINDS, OR, And, Condition, ConditionExpr, Diff, Or, eval_expr
 from .relation import AttributeSpec, Relation, unique_values
 from .seeding import rng_for
+
+if TYPE_CHECKING:
+    from .requestgen import SuiteConfig
 
 
 class GenError(Exception):
@@ -24,53 +27,9 @@ class UnsatisfiableConditionsError(GenError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionPolicy:
-    """What conditions a dataset allows and how expressions are validated."""
-
-    allowed_ops: tuple[str, ...] = (EQ,)
-    n_conditions: int = 2
-    connectives: tuple[str, ...] = (AND, OR)
-    min_support: int = 1
-    max_resample: int = 1000
-
-    def __post_init__(self):
-        if self.n_conditions < 1:
-            raise GenError("n_conditions must be at least 1")
-        if self.min_support < 1:
-            raise GenError("min_support must be at least 1")
-        bad = set(self.allowed_ops) - set(OPS)
-        if bad:
-            raise GenError(f"unknown ops in policy: {sorted(bad)}")
-
-
-def ops_for(spec: AttributeSpec, policy: ConditionPolicy) -> tuple[str, ...]:
-    """Policy ops that make sense for one attribute's kind."""
-    out = []
-    for op in policy.allowed_ops:
-        if op in (GT, LT) and spec.kind != "numeric":
-            continue
-        if op == CONTAINS and spec.kind == "numeric":
-            continue
-        out.append(op)
-    return tuple(out)
-
-
-def eligible_attributes(rel: Relation, policy: ConditionPolicy) -> list[AttributeSpec]:
-    """Non-key attributes with at least one compatible op and one observed value.
-
-    The key is excluded: conditions qualify entities by their properties, and a
-    key-equality condition would collapse the request to a single known entity.
-    """
-    out = []
-    for spec in rel.schema:
-        if spec.is_key:
-            continue
-        if not ops_for(spec, policy):
-            continue
-        if unique_values(rel, spec.name):
-            out.append(spec)
-    return out
+def ops_for(spec: AttributeSpec, ops: tuple[str, ...]) -> tuple[str, ...]:
+    """The ops, in their order, that apply to one attribute's kind (oracle.OP_KINDS)."""
+    return tuple(op for op in ops if spec.kind in OP_KINDS[op])
 
 
 def _domain_token(value: str) -> str | None:
@@ -145,43 +104,47 @@ def combine(conditions: tuple[Condition, ...], connective: str) -> ConditionExpr
 
 def draw_condition_set(
     rel: Relation,
-    policy: ConditionPolicy,
-    connectives: tuple[str, ...],
+    ops: tuple[str, ...],
+    n: int,
+    config: "SuiteConfig",
     seed: int,
 ) -> tuple[dict[str, ConditionExpr], tuple[Condition, ...], int]:
-    """Draw n distinct-attribute conditions, resampling until every requested
-    connective's expression has support >= min_support.
+    """Draw n conditions on distinct attributes, each with one of `ops` (a
+    pack's allowed_ops) that applies to it, resampling up to the suite's
+    max_resample times until every one of its connectives' expressions has
+    support >= its min_support.
+
+    An attribute is eligible when it is not the key and some op applies to
+    it. The key is excluded: conditions qualify entities by their properties,
+    and a key-equality condition would collapse the request to a single known
+    entity.
 
     Returns (expression per connective, conditions, resample count). Raises
     rather than ever emitting an unsupported expression.
     """
     if not rel.rows:
         raise GenError("cannot sample conditions from an empty relation")
-    eligible = eligible_attributes(rel, policy)
+    eligible = [spec for spec in rel.schema if not spec.is_key and ops_for(spec, ops)]
     if not eligible:
-        raise NoEligibleAttributeError("no attribute is compatible with the policy ops")
-    n = policy.n_conditions
+        raise NoEligibleAttributeError(f"no non-key attribute takes one of the pack's allowed_ops {list(ops)}")
     if n > len(eligible):
         raise NoEligibleAttributeError(
-            f"need {n} distinct attributes but only {len(eligible)} are eligible"
+            f"need {n} distinct attributes but only {len(eligible)} take one of the pack's allowed_ops"
         )
-    for connective in connectives:
-        if connective not in policy.connectives:
-            raise GenError(f"connective {connective!r} not allowed by policy")
 
-    for attempt in range(policy.max_resample + 1):
+    for attempt in range(config.max_resample + 1):
         rng = rng_for(seed, "set", attempt)
         specs = rng.sample(eligible, n)
         conditions = []
         for spec in specs:
-            ops = ops_for(spec, policy)
-            op = ops[rng.randrange(len(ops))]
+            applicable = ops_for(spec, ops)
+            op = applicable[rng.randrange(len(applicable))]
             pool = value_pool(rel, spec, op)
             conditions.append(make_condition(rel, spec.name, op, pool[rng.randrange(len(pool))]))
         conditions = tuple(conditions)
-        exprs = {c: combine(conditions, c) for c in connectives}
-        if all(len(eval_expr(e, rel)) >= policy.min_support for e in exprs.values()):
+        exprs = {c: combine(conditions, c) for c in config.connectives}
+        if all(len(eval_expr(e, rel)) >= config.min_support for e in exprs.values()):
             return exprs, conditions, attempt
     raise UnsatisfiableConditionsError(
-        f"no supported condition set after {policy.max_resample} resamples"
+        f"no condition set with support >= min_support {config.min_support} after {config.max_resample} resamples"
     )

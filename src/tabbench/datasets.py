@@ -63,6 +63,8 @@ class DatasetPack:
         known = self.relation.attribute_names
         if self.numeric_target not in known:
             raise PackError(f"numeric_target must be a schema attribute, got {self.numeric_target!r}")
+        if self.relation.attribute(self.numeric_target).kind != "numeric":
+            raise PackError(f"numeric_target must be a numeric attribute, got {self.numeric_target!r}")
         for attr in self.projection_attrs:
             if attr not in known:
                 raise PackError(f"projection_attrs must each be a schema attribute, got {attr!r}")

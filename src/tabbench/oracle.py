@@ -10,13 +10,21 @@ import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .relation import DuplicateKeyError, Relation, Row, UnknownAttributeError, normalize, parse_number
+from .relation import KINDS, DuplicateKeyError, Relation, Row, UnknownAttributeError, normalize, parse_number
 
 EQ = "eq"
 GT = "gt"
 LT = "lt"
 CONTAINS = "contains"
-OPS = (EQ, GT, LT, CONTAINS)
+# the attribute kinds each op applies to: the draw offers an op only on
+# these, and a condition outside them is a PlanTypeError
+OP_KINDS = {
+    EQ: KINDS,
+    GT: ("numeric",),
+    LT: ("numeric",),
+    CONTAINS: tuple(kind for kind in KINDS if kind != "numeric"),
+}
+OPS = tuple(OP_KINDS)
 
 AND = "and"
 OR = "or"
@@ -265,15 +273,10 @@ def _attr(rel: Relation, name: str):
 
 def _check_condition(cond: Condition, rel: Relation) -> None:
     spec = _attr(rel, cond.attr)
-    if cond.op in (GT, LT):
-        if spec.kind != "numeric":
-            raise PlanTypeError(f"{cond.op} needs a numeric attribute, {cond.attr!r} is {spec.kind}")
-        if _literal_number(cond.value) is None:
-            raise PlanTypeError(f"{cond.op} literal {cond.value!r} is not numeric")
-    if cond.op == CONTAINS and spec.kind == "numeric":
-        raise PlanTypeError(f"contains is not defined on numeric attribute {cond.attr!r}")
-    if cond.op == EQ and spec.kind == "numeric" and _literal_number(cond.value) is None:
-        raise PlanTypeError(f"eq on numeric attribute {cond.attr!r} needs a numeric literal, got {cond.value!r}")
+    if spec.kind not in OP_KINDS[cond.op]:
+        raise PlanTypeError(f"{cond.op} is not defined on {spec.kind} attribute {cond.attr!r}")
+    if spec.kind == "numeric" and _literal_number(cond.value) is None:
+        raise PlanTypeError(f"{cond.op} on numeric attribute {cond.attr!r} needs a numeric literal, got {cond.value!r}")
 
 
 def _literal_number(value: Union[str, float]) -> float | None:
@@ -332,8 +335,7 @@ def eval_expr(expr: ConditionExpr, rel: Relation) -> frozenset[str]:
 
 def _satisfying_rows(expr: ConditionExpr, rel: Relation) -> list[Row]:
     keys = eval_expr(expr, rel)
-    key_idx = rel.index(rel.key_attr.name)
-    return [row for row in rel.rows if row.values[key_idx].strip() in keys]
+    return [row for row in rel.rows if rel.key_of(row) in keys]
 
 
 def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
@@ -343,18 +345,16 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
 
     if isinstance(plan, Delete):
         keys = eval_expr(plan.expr, rel)
-        key_idx = rel.index(rel.key_attr.name)
-        remaining = tuple(row.values for row in rel.rows if row.values[key_idx].strip() not in keys)
+        remaining = tuple(row.values for row in rel.rows if rel.key_of(row) not in keys)
         return RelationSnapshot(rel.attribute_names, rel.key_attr.name, remaining)
 
     if isinstance(plan, Update):
         _attr(rel, plan.target_attr)
         target_idx = rel.index(plan.target_attr)
         keys = eval_expr(plan.expr, rel)
-        key_idx = rel.index(rel.key_attr.name)
         values = []
         for row in rel.rows:
-            if row.values[key_idx].strip() in keys:
+            if rel.key_of(row) in keys:
                 cells = list(row.values)
                 cells[target_idx] = plan.replacement
                 values.append(tuple(cells))
@@ -386,16 +386,15 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         _attr(rel, plan.tiebreak_attr)
         idx = rel.index(plan.target_attr)
         tiebreak_idx = rel.index(plan.tiebreak_attr)
-        key_idx = rel.index(rel.key_attr.name)
         rows = [r for r in _satisfying_rows(plan.expr, rel) if r.numbers[idx] is not None]
         if not rows:
             return EntitySet(frozenset(), degenerate=True)
         sign = -1.0 if plan.direction == "max" else 1.0
         best = min(
             rows,
-            key=lambda r: (sign * r.numbers[idx], normalize(r.values[tiebreak_idx]), normalize(r.values[key_idx])),
+            key=lambda r: (sign * r.numbers[idx], normalize(r.values[tiebreak_idx]), normalize(rel.key_of(r))),
         )
-        return EntitySet(frozenset({best.values[key_idx].strip()}))
+        return EntitySet(frozenset({rel.key_of(best)}))
 
     if isinstance(plan, Exists):
         return Witnessed(eval_expr(plan.expr, rel))

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from . import oracle
-from .condgen import ConditionPolicy, GenError, draw_condition_set, render_negated
+from .condgen import GenError, draw_condition_set, render_negated
 from .oracle import (
     AND,
     CONNECTIVES,
@@ -279,16 +279,9 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     for request_type in config.request_types:
         target = pack.target_for(request_type)
         for n in config.n_conditions:
-            policy = ConditionPolicy(
-                allowed_ops=pack.allowed_ops,
-                n_conditions=n,
-                connectives=config.connectives,
-                min_support=config.min_support,
-                max_resample=config.max_resample,
-            )
             for pair in range(config.pair_count):
                 draw_seed = derive_seed(config.seed, "conditions", pack.name, request_type.value, n, pair)
-                exprs, _, resamples = draw_condition_set(rel, policy, config.connectives, draw_seed)
+                exprs, _, resamples = draw_condition_set(rel, pack.allowed_ops, n, config, draw_seed)
                 context_seed = derive_seed(config.seed, "context", pack.name, request_type.value, n, pair)
                 wordings = []
                 for connective in config.connectives:

@@ -690,6 +690,8 @@ _BAD_PACK_VALUES = {
                                                 "CodecError: unknown key 'tail'"),
     "pack numeric_target not in the schema": ("dataset.json", ["numeric_target"], "Goals",
                                               "PackError: numeric_target must be a schema attribute, got 'Goals'"),
+    "pack numeric_target not numeric": ("dataset.json", ["numeric_target"], "Club",
+                                        "PackError: numeric_target must be a numeric attribute, got 'Club'"),
     "pack projection attribute not in the schema": (
         "dataset.json", ["projection_attrs", 1], "Goals",
         "PackError: projection_attrs must each be a schema attribute, got 'Goals'"),

@@ -3,23 +3,24 @@ from __future__ import annotations
 import pytest
 
 from tabbench.condgen import (
-    ConditionPolicy,
     GenError,
     NoEligibleAttributeError,
     UnsatisfiableConditionsError,
     draw_condition_set,
-    eligible_attributes,
     make_condition,
+    ops_for,
     render_negated,
     value_pool,
 )
-from tabbench.oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OR, Condition, Diff, eval_expr, leaf_conditions
+from tabbench.datasets import BUILTIN_PACKS, load_pack
+from tabbench.oracle import AND, CONTAINS, DIFF, EQ, GT, LT, OPS, OR, Condition, Diff, eval_expr, leaf_conditions
 from tabbench.relation import AttributeSpec, Relation
+from tabbench.requestgen import SuiteConfig
 
 
-def sample_condition_set(rel, policy, connective, seed):
+def sample_condition_set(rel, ops, n, connective, seed, **settings):
     """One supported expression under a single connective."""
-    exprs, _, _ = draw_condition_set(rel, policy, (connective,), seed)
+    exprs, _, _ = draw_condition_set(rel, ops, n, SuiteConfig(connectives=(connective,), **settings), seed)
     return exprs[connective]
 
 
@@ -85,39 +86,36 @@ def test_negated_renderings(f1, movies, people):
     assert render_negated(people, make_condition(people, "Email", CONTAINS, "@gmail")) == "e-mail domain is not gmail"
 
 
-def test_key_attribute_is_not_eligible(f1):
-    policy = ConditionPolicy(allowed_ops=(EQ,))
-    assert "Name" not in [a.name for a in eligible_attributes(f1, policy)]
+def test_key_attribute_is_not_eligible(f2):
+    for seed in range(50):
+        expr = sample_condition_set(f2, (EQ,), 2, OR, seed)
+        assert "Name" not in [c.attr for c in leaf_conditions(expr)]
 
 
 def test_single_eligible_attribute_always_chosen(movies):
-    policy = ConditionPolicy(allowed_ops=(GT, LT), n_conditions=1)
     for seed in range(10):
-        cond = sample_condition_set(movies, policy, AND, seed)
+        cond = sample_condition_set(movies, (GT, LT), 1, AND, seed)
         assert isinstance(cond, Condition)
         assert cond.attr == "Rating"
 
 
 def test_sample_condition_deterministic(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=1)
-    assert sample_condition_set(f2, policy, AND, 5) == sample_condition_set(f2, policy, AND, 5)
+    assert sample_condition_set(f2, (EQ,), 1, AND, 5) == sample_condition_set(f2, (EQ,), 1, AND, 5)
 
 
 def test_sample_condition_no_eligible(f1):
-    policy = ConditionPolicy(allowed_ops=(GT, LT), n_conditions=1, connectives=(AND,))
     # Number is the only numeric attribute; with Eq excluded on it, only one
     # attribute is eligible, so asking for two distinct attributes must fail
     with pytest.raises(NoEligibleAttributeError):
-        draw_condition_set(f1, ConditionPolicy(allowed_ops=(GT,), n_conditions=2), (AND,), 0)
-    cond = sample_condition_set(f1, policy, AND, 3)
+        sample_condition_set(f1, (GT,), 2, AND, 0)
+    cond = sample_condition_set(f1, (GT, LT), 1, AND, 3)
     assert isinstance(cond, Condition)
     assert cond.attr == "Number"
 
 
 def test_condition_set_postconditions(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=2, min_support=1)
     for seed in range(20):
-        expr = sample_condition_set(f2, policy, AND, seed)
+        expr = sample_condition_set(f2, (EQ,), 2, AND, seed, min_support=1)
         leaves = leaf_conditions(expr)
         assert len(leaves) == 2
         assert len({c.attr for c in leaves}) == 2
@@ -125,8 +123,7 @@ def test_condition_set_postconditions(f2):
 
 
 def test_condition_set_or_and_share_support_checks(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=2)
-    exprs, conditions, resamples = draw_condition_set(f2, policy, (AND, OR), 11)
+    exprs, conditions, resamples = draw_condition_set(f2, (EQ,), 2, SuiteConfig(connectives=(AND, OR)), 11)
     assert set(exprs) == {AND, OR}
     assert leaf_conditions(exprs[AND]) == list(conditions)
     assert len(eval_expr(exprs[AND], f2)) >= 1
@@ -135,66 +132,57 @@ def test_condition_set_or_and_share_support_checks(f2):
 
 
 def test_single_condition_set_is_bare(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=1)
-    expr = sample_condition_set(f2, policy, AND, 2)
+    expr = sample_condition_set(f2, (EQ,), 1, AND, 2)
     assert isinstance(expr, Condition)
 
 
 def test_diff_condition_set_shape(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=2, connectives=(DIFF,))
-    expr = sample_condition_set(f2, policy, DIFF, 8)
+    expr = sample_condition_set(f2, (EQ,), 2, DIFF, 8)
     assert isinstance(expr, Diff)
     assert len(eval_expr(expr, f2)) >= 1
 
 
 def test_diff_requires_two_conditions(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=3, connectives=(DIFF,))
     with pytest.raises(GenError):
-        sample_condition_set(f2, policy, DIFF, 0)
+        sample_condition_set(f2, (EQ,), 3, DIFF, 0)
 
 
 def test_too_many_distinct_attributes(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=5, connectives=(OR,))
     with pytest.raises(NoEligibleAttributeError):
-        sample_condition_set(f2, policy, OR, 0)
+        sample_condition_set(f2, (EQ,), 5, OR, 0)
 
 
 def test_unsatisfiable_reports_not_emits(f1):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=2, min_support=2,
-                             connectives=(AND,), max_resample=40)
     # two rows disagree on every attribute: an and-pair can never reach support 2
     with pytest.raises(UnsatisfiableConditionsError):
-        sample_condition_set(f1, policy, AND, 1)
-
-
-def test_connective_must_be_allowed(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), connectives=(AND,))
-    with pytest.raises(GenError):
-        sample_condition_set(f2, policy, OR, 0)
-
-
-def test_policy_validation():
-    with pytest.raises(GenError):
-        ConditionPolicy(n_conditions=0)
-    with pytest.raises(GenError):
-        ConditionPolicy(min_support=0)
-    with pytest.raises(GenError):
-        ConditionPolicy(allowed_ops=("between",))
+        sample_condition_set(f1, (EQ,), 2, AND, 1, min_support=2, max_resample=40)
 
 
 def test_draw_determinism(f2):
-    policy = ConditionPolicy(allowed_ops=(EQ,), n_conditions=2)
-    a = draw_condition_set(f2, policy, (AND, OR), 77)
-    b = draw_condition_set(f2, policy, (AND, OR), 77)
-    assert a == b
+    config = SuiteConfig(connectives=(AND, OR))
+    assert draw_condition_set(f2, (EQ,), 2, config, 77) == draw_condition_set(f2, (EQ,), 2, config, 77)
 
 
 def test_gt_thresholds_come_from_observed_values(movies):
-    policy = ConditionPolicy(allowed_ops=(GT,), n_conditions=1, connectives=(AND,))
     observed = {"3.0", "4.5", "2.5"}
     for seed in range(15):
         try:
-            expr = sample_condition_set(movies, policy, AND, seed)
+            expr = sample_condition_set(movies, (GT,), 1, AND, seed)
         except UnsatisfiableConditionsError:
             continue
         assert expr.value in observed
+
+
+@pytest.mark.parametrize("name", BUILTIN_PACKS)
+def test_every_op_offered_on_a_pack_attribute_is_accepted_by_the_oracle(name):
+    """oracle.OP_KINDS drives both the draw and the check: each op ops_for
+    offers for an attribute of a builtin pack, with each value of its pool,
+    is a condition eval_expr accepts."""
+    rel = load_pack(name).relation
+    checked = 0
+    for spec in rel.schema:
+        for op in ops_for(spec, OPS):
+            for value in value_pool(rel, spec, op):
+                eval_expr(make_condition(rel, spec.name, op, value), rel)
+                checked += 1
+    assert checked > len(rel.rows)

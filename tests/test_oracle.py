@@ -8,6 +8,7 @@ from tabbench.oracle import (
     CONTAINS,
     EQ,
     GT,
+    OPS,
     And,
     Condition,
     Count,
@@ -22,6 +23,7 @@ from tabbench.oracle import (
     PlanTypeError,
     Project,
     RelationSnapshot,
+    Retrieve,
     Sum,
     Superlative,
     TupleSet,
@@ -30,6 +32,7 @@ from tabbench.oracle import (
     eval_expr,
     evaluate,
 )
+from tabbench.relation import KINDS, AttributeSpec, Relation
 
 from conftest import PLAN_SHAPES, eq, random_expr, random_plan, random_relation, snapshot_relation
 from reference_oracle import brute_force_reference
@@ -90,6 +93,31 @@ def test_type_errors(f1):
         eval_expr(Condition("Number", EQ, "ten", "x"), f1)
     with pytest.raises(PlanAttributeError):
         eval_expr(eq("Stadium", "Camp Nou"), f1)
+
+
+def _error_class(call):
+    try:
+        call()
+    except PlanError as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_each_op_on_each_kind_fails_as_the_reference_does(op):
+    """On an attribute of every kind, with a numeric and a non-numeric
+    literal, eval_expr raises the error class the row-scan twin raises, or
+    neither raises and both select the same keys."""
+    schema = (AttributeSpec("Name", "freetext", "name", is_key=True),
+              *(AttributeSpec(kind, kind, kind) for kind in KINDS))
+    rel = Relation.from_values("kinds", schema, [("a", "red 3", "3", "abc"), ("b", "blue", "7.5", "3 abc")])
+    for kind in KINDS:
+        for literal in ("3", "abc"):
+            cond = Condition(kind, op, literal, f"{kind} {op} {literal}")
+            error = _error_class(lambda: eval_expr(cond, rel))
+            assert error is _error_class(lambda: brute_force_reference(Retrieve(cond), rel)), (kind, literal)
+            if error is None:
+                assert EntitySet(eval_expr(cond, rel)) == brute_force_reference(Retrieve(cond), rel)
 
 
 def test_connective_arity_validation(f1):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from tabbench.cli import HarnessConfig, load_config
 from tabbench.datasets import DATA_DIR, DatasetPack, PackFiles
+from tabbench.oracle import OP_KINDS
+from tabbench.relation import KINDS
 from tabbench.requestgen import SuiteConfig
 from tabbench.runio import to_json
 
@@ -46,3 +48,14 @@ def test_pack_keys_listed_are_the_keys_dataset_json_takes():
     fields = {f.name for f in dataclasses.fields(DatasetPack)} - loaded | {f.name for f in dataclasses.fields(PackFiles)}
     assert listed == fields
     assert set(json.loads((DATA_DIR / "soccer" / "dataset.json").read_text(encoding="utf-8"))) == listed
+
+
+def test_operator_kinds_listed_are_the_oracle_table():
+    """README's allowed_ops bullet says on which attribute kinds each operator
+    is drawn, as oracle.OP_KINDS does."""
+    section = README.read_text(encoding="utf-8").split("A pack's `dataset.json` keys", 1)[1].split("\n\n")[1]
+    bullet = " ".join(section.split("- `allowed_ops`", 1)[1].split("\n- ", 1)[0].split())
+    words = {"numeric attributes": {"numeric"}, "non-numeric ones": set(KINDS) - {"numeric"}, "any attribute": set(KINDS)}
+    said = re.findall(r"((?:`\w+`(?: and )?)+)[a-z ]*? on (numeric attributes|non-numeric ones|any attribute)", bullet)
+    listed = {op: words[kinds] for ops, kinds in said for op in re.findall(r"`(\w+)`", ops)}
+    assert listed == {op: set(kinds) for op, kinds in OP_KINDS.items()}
