@@ -6,11 +6,14 @@ JSON document; secrets come from environment variables only. Exit codes:
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +52,9 @@ from .runio import (
     config_hash,
     from_json,
     read_manifest,
+    read_lines,
     read_text_and_digest,
-    sha256_file,  # noqa: F401  (bench/tracing.py wraps cli.sha256_file)
+    sha256_file,
     to_json,
     verify_manifest,
     write_manifest,
@@ -68,15 +72,22 @@ class ConfigError(Exception):
         self.errors = errors
 
 
-def _read_input(path: Path) -> tuple[str, str]:
-    """An input file's UTF-8 text and the SHA-256 of its bytes; a file that
-    cannot be read or decoded is a ConfigError naming it."""
+@contextlib.contextmanager
+def _reading(path: Path):
+    """A block that reads an input file: a file that cannot be read or decoded
+    is a ConfigError naming it."""
     try:
-        return read_text_and_digest(path)
+        yield
     except UnicodeDecodeError as e:
         raise ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"]) from None
     except OSError as e:
         raise ConfigError([f"cannot read {path}: {e.strerror or e}"]) from None
+
+
+def _read_input(path: Path) -> tuple[str, str]:
+    """An input file's UTF-8 text and the SHA-256 of its bytes."""
+    with _reading(path):
+        return read_text_and_digest(path)
 
 
 @dataclass(frozen=True)
@@ -215,47 +226,85 @@ def cmd_generate(config_path, out_dir, seed_override):
     click.echo(f"total: {len(instances)} -> {out / 'suite.jsonl'}")
 
 
-def _read_suite(path: Path) -> tuple[list[RequestInstance], str]:
-    """A suite file's instances and the SHA-256 of its bytes, from one read.
-    When suite.manifest.json sits beside it, the file, whatever its name, must
-    match the digest recorded there for suite.jsonl (ManifestError otherwise)."""
-    text, digest = _read_input(path)
+def _read_suite(path: Path) -> tuple[Iterator[RequestInstance], str]:
+    """A suite file's instances, each decoded as it is reached, and the
+    SHA-256 of its bytes. The first read hashes the file and checks that it is
+    UTF-8; when suite.manifest.json sits beside it, the file, whatever its
+    name, must then match the digest recorded there for suite.jsonl
+    (ManifestError otherwise). The instances come from a second read, which
+    hashes the file again: a line that is not an instance is a ConfigError
+    naming the file and the line, and a file whose second digest differs from
+    the first, found after its last line, changed while it was read
+    (ManifestError)."""
+    with _reading(path):
+        digest = sha256_file(path)
     manifest_path = path.with_name("suite.manifest.json")
     if manifest_path.is_file():
         verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest})
-    try:
-        return load_suite(text), digest
-    except SuiteFormatError as e:
-        raise ConfigError([f"{path}: {e}"]) from None
+    return _suite_instances(path, digest), digest
 
 
-def _read_results(path: Path, suite_digest: str | None = None) -> dict[int, ResultLine]:
-    """The result lines of a results JSONL file by line number; a line that
-    is not one (a key missing, unknown or of the wrong type, or both or
-    neither of text and error set) raises
-    ConfigError naming the file and the line. Given the digest of the suite
-    being answered or scored, a manifest that run left beside the file
-    (<name>.manifest.json) must then record the file's digest and that suite
-    digest (ManifestError otherwise)."""
-    text, digest = _read_input(path)
-    records = {}
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+def _suite_instances(path: Path, digest: str) -> Iterator[RequestInstance]:
+    reread = hashlib.sha256()
+    with _reading(path), open(path, "rb") as f:
         try:
-            records[number] = from_json(ResultLine, json.loads(line))
-        except json.JSONDecodeError as e:
-            raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
-        except (CodecError, GatewayError) as e:
-            raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
+            yield from load_suite(read_lines(f, reread))
+        except SuiteFormatError as e:
+            raise ConfigError([f"{path}: {e}"]) from None
+    if reread.hexdigest() != digest:
+        raise ManifestError(f"{path}: changed while it was read: digest {digest[:12]}.. on the first read, "
+                            f"{reread.hexdigest()[:12]}.. on the second")
+
+
+def _read_results(path: Path) -> tuple[dict[int, ResultLine], str]:
+    """The result lines of a results JSONL file by line number, and the
+    SHA-256 of its bytes; a line that is not one (a key missing, unknown or of
+    the wrong type, or both or neither of text and error set) raises
+    ConfigError naming the file and the line."""
+    digest = hashlib.sha256()
+    records = {}
+    with _reading(path), open(path, "rb") as f:
+        for number, line in enumerate(read_lines(f, digest), 1):
+            if not line.strip():
+                continue
+            try:
+                records[number] = from_json(ResultLine, json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
+            except (CodecError, GatewayError) as e:
+                raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
+    return records, digest.hexdigest()
+
+
+def _verify_results_manifest(path: Path, digest: str, suite_digest: str) -> None:
+    """A manifest that run left beside a results file (<name>.manifest.json)
+    must record the file's digest and the digest of the suite being answered
+    or scored (ManifestError otherwise)."""
     manifest_path = path.with_name(path.name + ".manifest.json")
-    if suite_digest is not None and manifest_path.is_file():
+    if manifest_path.is_file():
         manifest = read_manifest(manifest_path)
         verify_manifest(manifest, path.parent, known={path.name: digest})
         if manifest.get("suite_digest") != suite_digest:
             raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
                                 f"not the suite being scored or answered ({suite_digest[:12]}..)")
-    return records
+
+
+def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[int, str, ResultLine]]], list[str]]:
+    """The lines of every results file by result id, each with its place
+    among all the lines read and its file, and each file's digest. A model
+    that answers an id twice is a ConfigError naming both lines."""
+    answers: dict[str, list[tuple[int, str, ResultLine]]] = {}
+    digests, answered = [], {}
+    for results_path in results_paths:
+        lines, digest = _read_results(Path(results_path))
+        digests.append(digest)
+        for number, result in lines.items():
+            where, key = f"{results_path}: line {number}", (result.model, result.id)
+            if key in answered:
+                raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {answered[key]}"])
+            answers.setdefault(result.id, []).append((len(answered), results_path, result))
+            answered[key] = where
+    return answers, digests
 
 
 @main.command("run")
@@ -272,11 +321,15 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
         raise ConfigError([f"--max-in-flight: {max_in_flight} is not a positive integer"])
     config = load_config(config_path) if config_path else None
     model = resolve_model(model_name, config)
-    instances, suite_digest = _read_suite(Path(suite_path))
+    suite, suite_digest = _read_suite(Path(suite_path))
+    # every line is decoded and checked before the first dispatch
+    instances = list(suite)
     out_file = Path(out_path)
     existing = {}
     if out_file.is_file():
-        for number, line in _read_results(out_file, suite_digest).items():
+        lines, digest = _read_results(out_file)
+        _verify_results_manifest(out_file, digest, suite_digest)
+        for number, line in lines.items():
             if line.model != model.model_id:
                 raise ConfigError([f"{out_file}: line {number}: answered by model {line.model!r}, "
                                    f"not by {model.model_id!r}, the model of this run"])
@@ -301,21 +354,23 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
+    # the results are read and checked first; when the suite line an answer
+    # is for is reached, the answer is scored and it and the instance dropped
+    answers, digests = _read_answers(results_paths)
+    # records keep the order of the results lines they score
+    records = [None] * sum(map(len, answers.values()))
     suite, suite_digest = _read_suite(Path(suite_path))
-    instances = {i.id: i for i in suite}
-
-    records, scored = [], {}
-    for results_path in results_paths:
-        for number, result in _read_results(Path(results_path), suite_digest).items():
-            instance = instances.get(result.id)
-            if instance is None:
-                raise ConfigError([f"{results_path}: result id {result.id!r} is not in the suite"])
-            where, key = f"{results_path}: line {number}", (result.model, result.id)
-            if key in scored:
-                raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {scored[key]}"])
-            scored[key] = where
+    for instance in suite:
+        for position, _, result in answers.pop(instance.id, ()):
             parsed = parse_answer(result.text, instance.request_type)
-            records.append(evaluator.score(instance, parsed, model=result.model))
+            records[position] = evaluator.score(instance, parsed, model=result.model)
+    # the first id left is that of the first results line no suite line answered
+    unmet = next(iter(answers.values()), None)
+    if unmet is not None:
+        _, results_path, result = unmet[0]
+        raise ConfigError([f"{results_path}: result id {result.id!r} is not in the suite"])
+    for results_path, digest in zip(results_paths, digests):
+        _verify_results_manifest(Path(results_path), digest, suite_digest)
 
     rows, reports = evaluator.eval_reports(records)
     for row in rows:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -355,35 +356,40 @@ def dump_suite(instances: list[RequestInstance]) -> str:
                 known[(field, id(value))] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}
-            elif field not in obj:  # an id stated twice: its later line states the value again
-                obj[field] = to_json(value)
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
 
-def load_suite(text: str) -> list[RequestInstance]:
-    """The instances of a suite, in file order. A {"same_as": id} field takes
-    that field's value from the earlier instance with that id, as the same
+def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
+    """The instances of a suite's lines, in file order, each decoded as it is
+    reached. A {"same_as": id} field takes that field's value from the
+    earlier line with that id, which must state it in full, as the same
     object, so each distinct context, gold and key list is decoded and held
-    once. A line stating every value in full loads as it is. A `request_type`
-    key, which suites stated before it was read from the plan, is ignored."""
-    instances: list[RequestInstance] = []
-    by_id: dict[str, RequestInstance] = {}
-    for number, line in enumerate(text.splitlines(), 1):
+    once; only those values are kept, not the instances. A line stating every
+    value in full loads as it is. An id stated on two lines is an error. A
+    `request_type` key, which suites stated before it was read from the plan,
+    is ignored."""
+    stated: dict[tuple[str, str], object] = {}
+    line_of: dict[str, int] = {}
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj, in_full = json.loads(line), []
             if isinstance(obj, dict):
                 obj.pop("request_type", None)
                 for field in SHARED_FIELDS:
                     value = obj.get(field)
                     if isinstance(value, dict) and value.keys() == {"same_as"}:
-                        source = by_id.get(value["same_as"])
-                        if source is None:
-                            raise SuiteFormatError(f"line {number}: {field} is the same as {value['same_as']!r}, "
-                                                   f"an id that no earlier line has")
-                        obj[field] = getattr(source, field)
+                        ref = value["same_as"]
+                        if (field, ref) not in stated:
+                            raise SuiteFormatError(
+                                f"line {number}: {field} is the same as {ref!r}, " + (
+                                    f"but line {line_of[ref]} does not state it in full" if ref in line_of
+                                    else "an id that no earlier line has"))
+                        obj[field] = stated[field, ref]
+                    else:
+                        in_full.append(field)
             instance = from_json(RequestInstance, obj)
             scored_against = ROWS[instance.request_type].gold
             if type(instance.gold) is not scored_against:
@@ -391,6 +397,10 @@ def load_suite(text: str) -> list[RequestInstance]:
                                  f"got {instance.gold.kind}")
         except (ValueError, TypeError, PlanError, IngestError) as e:
             raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
-        instances.append(instance)
-        by_id.setdefault(instance.id, instance)
-    return instances
+        if instance.id in line_of:
+            raise SuiteFormatError(f"line {number}: id {instance.id!r} is already the id of line "
+                                   f"{line_of[instance.id]}")
+        line_of[instance.id] = number
+        for field in in_full:
+            stated[field, instance.id] = getattr(instance, field)
+        yield instance

@@ -168,11 +168,28 @@ def _object(cls, value):
     return cls(**values)
 
 
+def read_lines(file: typing.BinaryIO, digest) -> typing.Iterator[str]:
+    """Each line of an open binary file decoded as UTF-8, its bytes fed to
+    `digest` as it is read. Bytes that are not UTF-8 raise UnicodeDecodeError
+    with `start` and `end` counted from the start of the file."""
+    offset = 0
+    for line in file:
+        digest.update(line)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise UnicodeDecodeError(e.encoding, line, offset + e.start, offset + e.end, e.reason) from None
+        offset += len(line)
+        yield text
+
+
 def sha256_file(path: str | Path) -> str:
+    """The SHA-256 of a UTF-8 text file's bytes; UnicodeDecodeError if they
+    are not UTF-8. Every file tabbench hashes is text that it also reads."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            digest.update(chunk)
+        for _ in read_lines(f, digest):
+            pass
     return digest.hexdigest()
 
 
@@ -232,5 +249,8 @@ def verify_manifest(manifest: dict, directory: str | Path, known: dict[str, str]
                 actual = sha256_file(target)
             except OSError as e:
                 raise ManifestError(f"cannot read {target}, listed in the manifest: {e.strerror or e}") from None
+            except UnicodeDecodeError as e:
+                raise ManifestError(f"{target}, listed in the manifest, is not UTF-8 text "
+                                    f"({e.reason} at byte {e.start})") from None
         if actual != digest:
             raise ManifestError(f"digest mismatch for {name}: manifest {digest[:12]}.., file {actual[:12]}..")

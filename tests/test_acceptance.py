@@ -283,6 +283,7 @@ def _run_pipeline(root: Path, hash_seed: str) -> None:
         "PYTHONHASHSEED": hash_seed,
         "PATH": "/usr/bin:/bin:/usr/local/bin",
         "PYTHONPATH": python_path,
+        "PYTHONDONTWRITEBYTECODE": "1",
     }
     commands = [
         [sys.executable, "-m", "tabbench.cli", "generate", "--config", str(config), "--out", str(root / "gen")],

@@ -404,6 +404,83 @@ def test_eval_suite_ref_to_an_id_not_read_earlier_exits_2(runner, tmp_path, ref)
     assert str(suite) in error and "line 2: context is the same as" in error
 
 
+@pytest.mark.parametrize("stage", ["run", "eval"])
+def test_suite_repeating_an_id_exits_2(runner, tmp_path, stage):
+    suite, results = _generated_and_run(runner, tmp_path)
+    (suite.parent / "suite.manifest.json").unlink()
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    repeated = json.loads(lines[1])
+    repeated["id"] = json.loads(lines[0])["id"]
+    lines[1] = json.dumps(repeated, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
+        "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+    }[stage]
+    [error] = _config_errors(runner.invoke(main, args))
+    assert str(suite) in error and f"line 2: id {repeated['id']!r} is already the id of line 1" in error
+    assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
+    assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_eval_suite_with_a_bad_last_line_writes_no_reports(runner, tmp_path):
+    suite, results = _generated_and_run(runner, tmp_path)
+    (suite.parent / "suite.manifest.json").unlink()
+    _truncate_last_line(suite)
+    lines = len(suite.read_text(encoding="utf-8").splitlines())
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(suite) in error and f"line {lines}: not a suite instance" in error
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("stage", ["run", "eval"])
+def test_suite_rewritten_between_its_two_reads_exits_2(runner, tmp_path, monkeypatch, stage):
+    from tabbench import cli
+
+    suite, results = _generated_and_run(runner, tmp_path)
+    hash_then_rewrite = cli.sha256_file
+
+    def rewriting(path):
+        digest = hash_then_rewrite(path)
+        # a blank line decodes to nothing, so only the digest tells the files apart
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\n")
+        return digest
+
+    monkeypatch.setattr(cli, "sha256_file", rewriting)
+    args = {
+        "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
+        "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+    }[stage]
+    [error] = _config_errors(runner.invoke(main, args))
+    assert str(suite) in error and "changed while it was read" in error
+    assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
+    assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_read_lines_feeds_the_digest_and_counts_bad_bytes_from_the_start_of_the_file(tmp_path):
+    import hashlib
+
+    from tabbench.runio import read_lines, sha256_file
+
+    path = tmp_path / "lines.txt"
+    path.write_bytes("ab\nçd\n".encode("utf-8") + b"e\xfff\n")
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        lines = read_lines(f, digest)
+        assert [next(lines), next(lines)] == ["ab\n", "çd\n"]
+        with pytest.raises(UnicodeDecodeError) as raised:
+            next(lines)
+    assert raised.value.start == len("ab\nçd\n".encode("utf-8")) + 1
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    with pytest.raises(UnicodeDecodeError):
+        sha256_file(path)
+    path.write_bytes(b"ab\ncd")
+    assert sha256_file(path) == hashlib.sha256(b"ab\ncd").hexdigest()
+
+
 def test_run_does_not_resume_results_of_another_suite(runner, tmp_path):
     config = write_config(tmp_path, request_types=["count"], pair_count=1)
     suites = {seed: tmp_path / f"gen{seed}" / "suite.jsonl" for seed in (1, 2)}
@@ -755,6 +832,12 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     if case == "suite manifest not UTF-8":
         manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
         return run, str(manifest)
+    if case == "suite manifest listing a file that is not UTF-8":
+        (suite.parent / "extra.bin").write_bytes(b"\xff\xfe")
+        listed = json.loads(manifest.read_text(encoding="utf-8"))
+        listed["files"]["extra.bin"] = "0" * 64
+        manifest.write_text(json.dumps(listed), encoding="utf-8")
+        return run, f"{suite.parent / 'extra.bin'}, listed in the manifest, is not UTF-8 text"
     if case == "suite manifest digest not a string":
         manifest.write_text(json.dumps({"files": {"suite.jsonl": 5}}), encoding="utf-8")
         return run, str(manifest)
@@ -817,7 +900,8 @@ def _broken_input(case: str, tmp_path: Path, suite: Path, monkeypatch) -> tuple[
     "--config a directory", "--suite a directory", "--results a directory",
     "pack dataset.json not JSON", "pack rows.csv without a schema column", "pack without phrases.json",
     "pack schema.json naming an attribute twice", *_BAD_PACK_VALUES,
-    "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest digest not a string",
+    "report aggregate.md not UTF-8", "suite manifest not UTF-8", "suite manifest listing a file that is not UTF-8",
+    "suite manifest digest not a string",
     "suite gold keys not a list", "suite relation gold repeating a key", "suite retrieval gold a number",
     "results line attempts a boolean", "results line with neither text nor error",
     "results line with both text and error",

@@ -182,7 +182,7 @@ def test_templates_share_conditions_across_wordings(pack, f2):
 def test_gold_reproducible_from_serialized_plan(pack, f2):
     config = SuiteConfig(pair_count=2, request_types=CORE_TYPES, seed=2)
     suite = generate_suite(f2, config, pack)
-    for instance in load_suite(dump_suite(suite)):
+    for instance in load_suite(dump_suite(suite).splitlines()):
         payload = to_json(instance)
         plan = from_json(QueryPlan, payload["plan"])
         assert to_json(evaluate(plan, f2)) == payload["gold"]
@@ -214,7 +214,7 @@ def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
 def test_suite_text_round_trip(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.SUPERLATIVE,), seed=4)
     suite = generate_suite(f2, config, pack)
-    assert load_suite(dump_suite(suite)) == suite
+    assert list(load_suite(dump_suite(suite).splitlines())) == suite
 
 
 def test_request_type_is_read_from_the_plan_through_the_codec(pack, f2):
@@ -223,7 +223,7 @@ def test_request_type_is_read_from_the_plan_through_the_codec(pack, f2):
     assert [i.request_type for i in suite] == [t for t in RequestType for _ in range(3 * len(ROWS[t].wordings))]
     text = dump_suite(suite)
     assert all("request_type" not in json.loads(line) for line in text.splitlines())
-    loaded = load_suite(text)
+    loaded = list(load_suite(text.splitlines()))
     assert loaded == suite
     assert [i.request_type for i in loaded] == [i.request_type for i in suite]
     assert all(f"-{i.request_type.value}-" in i.id for i in loaded)
@@ -240,7 +240,7 @@ def test_suite_line_with_a_request_type_key_loads_the_same(pack, f2):
         obj = json.loads(line)
         obj["request_type"] = instance.request_type.value
         old_lines.append(json.dumps(obj, sort_keys=True) + "\n")
-    assert load_suite("".join(old_lines)) == suite
+    assert list(load_suite(old_lines)) == suite
 
 
 def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
@@ -250,7 +250,50 @@ def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
     obj["plan"]["negated"] = "yes"
     lines[1] = json.dumps(obj, sort_keys=True)
     with pytest.raises(SuiteFormatError, match="line 2: .*negated must be bool, got 'yes'"):
-        load_suite("\n".join(lines))
+        list(load_suite(lines))
+
+
+def test_suite_lines_are_decoded_as_they_are_reached(pack, f2):
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    lines = dump_suite(suite).splitlines()
+    lines[2] = "{"
+    read = []
+
+    def reading():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    instances = load_suite(reading())
+    assert read == []
+    assert [next(instances), next(instances)] == suite[:2]
+    assert read == lines[:2]
+    with pytest.raises(SuiteFormatError, match="line 3: not a suite instance"):
+        next(instances)
+
+
+def test_suite_line_repeating_an_id_does_not_load(pack, f2):
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    lines = dump_suite(suite).splitlines()
+    obj = json.loads(lines[2])
+    obj["id"] = suite[0].id
+    lines[2] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(SuiteFormatError, match=f"line 3: id '{suite[0].id}' is already the id of line 1"):
+        list(load_suite(lines))
+
+
+def test_suite_line_same_as_a_line_that_does_not_state_the_value_does_not_load(pack, f2):
+    config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    lines = dump_suite(suite).splitlines()
+    assert json.loads(lines[1])["context"] == {"same_as": suite[0].id}
+    obj = json.loads(lines[2])
+    obj["context"] = {"same_as": suite[1].id}
+    lines[2] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(SuiteFormatError, match="line 3: context is the same as .*, but line 2 does not state it"):
+        list(load_suite(lines))
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -274,7 +317,7 @@ def test_suite_line_with_a_value_of_the_wrong_type_does_not_load(pack, f2, key, 
     obj[key] = value
     lines[0] = json.dumps(obj, sort_keys=True)
     with pytest.raises(SuiteFormatError, match=f"line 1: .*{message}"):
-        load_suite("\n".join(lines))
+        list(load_suite(lines))
 
 
 def test_suite_states_each_shared_value_once(pack, f2):
@@ -285,8 +328,8 @@ def test_suite_states_each_shared_value_once(pack, f2):
     full = "".join(json.dumps(to_json(i), sort_keys=True) + "\n" for i in suite)
     assert len(text) < len(full)
     # a suite with every value in full, as written before refs, loads to the same instances
-    loaded = load_suite(text)
-    assert loaded == load_suite(full)
+    loaded = list(load_suite(text.splitlines()))
+    assert loaded == list(load_suite(full.splitlines()))
 
     first_id: dict[tuple[str, str], str] = {}
     for line, instance in zip(text.splitlines(), suite):
