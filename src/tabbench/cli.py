@@ -53,7 +53,6 @@ from .runio import (
     from_json,
     read_manifest,
     read_lines,
-    read_text_and_digest,
     sha256_file,
     to_json,
     verify_manifest,
@@ -64,6 +63,8 @@ from .structurer import ParseError, StructuringLevel, cell_fill_rate, parse_tabl
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# suite lines dumped, encoded, hashed and written at a time by generate
+SUITE_BATCH = 256
 
 
 class ConfigError(Exception):
@@ -84,10 +85,10 @@ def _reading(path: Path):
         raise ConfigError([f"cannot read {path}: {e.strerror or e}"]) from None
 
 
-def _read_input(path: Path) -> tuple[str, str]:
-    """An input file's UTF-8 text and the SHA-256 of its bytes."""
+def _read_input(path: Path) -> str:
+    """An input file's UTF-8 text, line endings as they are."""
     with _reading(path):
-        return read_text_and_digest(path)
+        return path.read_bytes().decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     JSON object: `dataset`, `sample_n` and `models` fill the HarnessConfig,
     and every other key is a SuiteConfig field. The first bad field is a
     ConfigError naming it."""
-    text, _ = _read_input(Path(path))
+    text = _read_input(Path(path))
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -212,18 +213,33 @@ def cmd_generate(config_path, out_dir, seed_override):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     suite_path = out / "suite.jsonl"
-    suite_path.write_text(dump_suite(instances), encoding="utf-8")
+    suite_digest = _write_suite(instances, suite_path)
     write_manifest(
         out / "suite.manifest.json",
         config_digest=config_hash(to_json(config)),
         files={"suite.jsonl": suite_path},
         extra={"seed": config.suite.seed, "dataset": pack.name},
+        known={"suite.jsonl": suite_digest},
     )
 
     counts = Counter(i.request_type.value for i in instances)
     for request_type in sorted(counts):
         click.echo(f"{request_type}: {counts[request_type]} instances")
     click.echo(f"total: {len(instances)} -> {out / 'suite.jsonl'}")
+
+
+def _write_suite(instances: list[RequestInstance], path: Path) -> str:
+    """Write the suite's lines to `path`, SUITE_BATCH instances at a time, and
+    return the SHA-256 of the bytes written. The batches share the values
+    stated so far, so the file is the one dump_suite of all the instances;
+    only one batch's text and bytes are held at once."""
+    digest, stated = hashlib.sha256(), {}
+    with open(path, "wb") as f:
+        for start in range(0, len(instances), SUITE_BATCH):
+            data = dump_suite(instances[start:start + SUITE_BATCH], stated).encode("utf-8")
+            digest.update(data)
+            f.write(data)
+    return digest.hexdigest()
 
 
 def _read_suite(path: Path) -> tuple[Iterator[RequestInstance], str]:
@@ -399,7 +415,7 @@ def cmd_eval(suite_path, results_paths, out_dir):
 def _headline(path: Path, verb: str, payload_of) -> str:
     """The text-vs-table headline from a JSON file, which payload_of turns into
     a compare.json payload; a file that does not decode to one is a ConfigError."""
-    text, _ = _read_input(path)
+    text = _read_input(path)
     try:
         payload = payload_of(json.loads(text))
         headline = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
@@ -430,9 +446,9 @@ def cmd_report(eval_dir, compare_file):
     if not table.is_file():
         raise ConfigError([f"no aggregate.md under {eval_dir}; run eval first"])
     # every input is read before anything is printed
-    aggregate, _ = _read_input(table)
+    aggregate = _read_input(table)
     summary = _headline(compare, "read", lambda payload: payload) if compare.is_file() else None
-    existence = _read_input(robustness)[0] if robustness.is_file() else None
+    existence = _read_input(robustness) if robustness.is_file() else None
     click.echo(aggregate, nl=False)
     if summary is not None:
         click.echo("\n" + summary)

@@ -7,6 +7,7 @@ never has to re-derive what was asked.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -332,12 +333,15 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 SHARED_FIELDS = ("context", "entity_keys", "gold")
 
 
-def dump_suite(instances: list[RequestInstance]) -> str:
+def dump_suite(instances: list[RequestInstance], stated: dict[tuple[str, bytes], str] | None = None) -> str:
     """Suite JSONL: one to_json object per line, keys sorted. For each
     of SHARED_FIELDS, the first line with a given value (equal canonical JSON)
     states it in full; a later line with an equal value holds
-    {"same_as": <id of that first line>} instead."""
-    first: dict[tuple[str, str], str] = {}
+    {"same_as": <id of that first line>} instead. `stated` maps each value
+    stated so far, as (field, SHA-256 of its canonical JSON), to the id of the
+    line that states it: a suite dumped in batches that share one `stated`
+    joins to the dump of the whole suite in one call."""
+    first = {} if stated is None else stated
     # generate_suite hands one object to every instance that shares a value, so
     # a value is encoded when its object is first met (it stays alive in
     # `instances`) and a later line finds its source by the object alone
@@ -352,7 +356,8 @@ def dump_suite(instances: list[RequestInstance]) -> str:
             source = known.get((field, id(value)))
             if source is None:
                 obj[field] = to_json(value)
-                source = first.setdefault((field, json.dumps(obj[field], sort_keys=True)), instance.id)
+                canonical = json.dumps(obj[field], sort_keys=True).encode("utf-8")
+                source = first.setdefault((field, hashlib.sha256(canonical).digest()), instance.id)
                 known[(field, id(value))] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}

@@ -193,25 +193,21 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def read_text_and_digest(path: str | Path) -> tuple[str, str]:
-    """A UTF-8 file's text and the SHA-256 of its bytes, from one read. The
-    bytes are dropped on return, so a caller parsing the text holds one copy."""
-    data = Path(path).read_bytes()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
-
-
 def config_hash(config_payload: dict) -> str:
     canonical = json.dumps(config_payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()
 
 
 def write_manifest(path: str | Path, *, config_digest: str, files: dict[str, Path],
-                   extra: dict | None = None) -> dict:
-    """Manifest next to produced files: config hash, tool version, per-file digests."""
+                   extra: dict | None = None, known: dict[str, str] | None = None) -> dict:
+    """Manifest next to produced files: config hash, tool version, per-file
+    digests. A file's digest is taken from `known` (file name -> digest of the
+    bytes the caller wrote) or else computed from the file."""
+    known = known or {}
     payload = {
         "config_hash": config_digest,
         "created": time.time(),
-        "files": {name: sha256_file(p) for name, p in files.items()},
+        "files": {name: known.get(name) or sha256_file(p) for name, p in files.items()},
         "tool_version": __version__,
     }
     if extra:

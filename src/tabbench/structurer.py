@@ -164,6 +164,8 @@ def render_partial(rel: Relation, portion: float, seed: int, bank: PhraseBank | 
 
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
+# markdown emphasis around a whole cell: **Name**, __Name__, *Name*, _Name_, `Name`
+_EMPHASIS = re.compile(r"(\*\*|__|\*|_|`)(.+)\1")
 
 
 def split_pipe_line(line: str) -> list[str] | None:
@@ -195,9 +197,18 @@ class PipeTable:
 
     def column(self, name: str, default: int | None = None) -> int | None:
         """Index of the first header cell equal to `name` under normalize,
-        else `default`."""
+        once any markdown emphasis around the cell is taken off, else
+        `default`."""
         wanted = normalize(name)
-        return next((i for i, cell in enumerate(self.header) if normalize(cell) == wanted), default)
+        return next((i for i, cell in enumerate(self.header) if _unemphasized(cell) == wanted), default)
+
+
+def _unemphasized(cell: str) -> str:
+    """A cell under normalize, without the emphasis markers around it."""
+    cell = cell.strip()
+    while emphasized := _EMPHASIS.fullmatch(cell):
+        cell = emphasized.group(2).strip()
+    return normalize(cell)
 
 
 def parse_table(text: str) -> PipeTable:

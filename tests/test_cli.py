@@ -199,6 +199,46 @@ def test_generated_files_match_manifest_digests(runner, tmp_path):
     assert manifest["config_hash"]
 
 
+def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_wrote(runner, tmp_path,
+                                                                                        monkeypatch):
+    import hashlib
+
+    from tabbench import cli, runio
+    from tabbench.requestgen import dump_suite, generate_suite
+    from tabbench.runio import read_manifest
+
+    config_path = write_config(tmp_path, pair_count=12)
+    config = cli.load_config(config_path)
+    pack = cli.load_pack(config.dataset)
+    expected = dump_suite(generate_suite(cli.sampled_relation(pack, config), config.suite, pack)).encode("utf-8")
+    assert len(expected.splitlines()) > cli.SUITE_BATCH
+
+    batches, hashed = [], []
+
+    def dumping(instances, stated=None):
+        batches.append(len(instances))
+        return dump_suite(instances, stated)
+
+    def hashing(sha256_file):
+        def wrapper(path):
+            hashed.append(Path(path).name)
+            return sha256_file(path)
+        return wrapper
+
+    monkeypatch.setattr(cli, "dump_suite", dumping)
+    monkeypatch.setattr(cli, "sha256_file", hashing(cli.sha256_file))
+    monkeypatch.setattr(runio, "sha256_file", hashing(runio.sha256_file))
+    gen_dir = tmp_path / "gen"
+    result = runner.invoke(main, ["generate", "--config", str(config_path), "--out", str(gen_dir)])
+    assert result.exit_code == 0, result.output
+    written = (gen_dir / "suite.jsonl").read_bytes()
+    assert written == expected
+    assert read_manifest(gen_dir / "suite.manifest.json")["files"] == {
+        "suite.jsonl": hashlib.sha256(written).hexdigest()}
+    assert len(batches) > 1 and max(batches) == cli.SUITE_BATCH and sum(batches) == len(expected.splitlines())
+    assert "suite.jsonl" not in hashed
+
+
 def test_report_compare_file_headline(runner):
     fixture = Path(__file__).parent / "data" / "aggregate_avgs.json"
     result = runner.invoke(main, ["report", "--compare-file", str(fixture)])

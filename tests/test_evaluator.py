@@ -144,6 +144,22 @@ def test_update_cell_level_f1(pack, f2):
     assert score(instance, missing_row).value == 0.0
 
 
+@pytest.mark.parametrize("mark", ["**", "`"])
+def test_update_under_emphasized_headers_scores_as_under_plain_ones(pack, f2, mark):
+    """A model that writes `| **Name** | **Number** |` or `` | `Name` | `` has
+    named the columns as plainly as `| Name | Number |`."""
+    instance = make_instance(pack, f2, RequestType.UPDATE)
+    text = PerfectOracle().complete(instance).text
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if "|" in line)
+    cells = [cell.strip() for cell in lines[header].strip().strip("|").split("|")]
+    lines[header] = "| " + " | ".join(f"{mark}{cell}{mark}" for cell in cells) + " |"
+    emphasized = "\n".join(lines)
+    assert f"{mark}Name{mark}" in emphasized
+    assert score(instance, parse(text, RequestType.UPDATE)).value == 1.0
+    assert score(instance, parse(emphasized, RequestType.UPDATE)).value == 1.0
+
+
 def test_update_collateral_damage_diagnostic(pack, f2):
     instance = make_instance(pack, f2, RequestType.UPDATE)
     damaged = parse_table(

@@ -355,6 +355,36 @@ def test_suite_states_each_shared_value_once(pack, f2):
         assert len(objects) < len(loaded)
 
 
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_suite_dumped_in_batches_sharing_what_is_stated_joins_to_its_one_dump(pack, f2, size):
+    config = SuiteConfig(pair_count=2, request_types=(RequestType.DELETION, RequestType.EXISTENCE),
+                         levels=(StructuringLevel.NATURAL, StructuringLevel.TABLE), seed=4)
+    suite = generate_suite(f2, config, pack)
+    # the last line's context and keys equal the first line's, as other objects
+    context, keys = "".join(list(suite[0].context)), tuple(list(suite[0].entity_keys))
+    assert context == suite[0].context and context is not suite[0].context
+    assert keys == suite[0].entity_keys and keys is not suite[0].entity_keys
+    suite[-1] = dataclasses.replace(suite[-1], context=context, entity_keys=keys)
+    size = size or len(suite)
+
+    stated = {}
+    batches = [dump_suite(suite[start:start + size], stated) for start in range(0, len(suite), size)]
+    assert "".join(batches) == dump_suite(suite)
+
+    # (id, field) of each same_as naming a line of an earlier batch
+    batch_of = {instance.id: number // size for number, instance in enumerate(suite)}
+    crossing = []
+    for line in "".join(batches).splitlines():
+        obj = json.loads(line)
+        crossing += [(obj["id"], field) for field in SHARED_FIELDS if isinstance(obj[field], dict)
+                     and obj[field].keys() == {"same_as"} and batch_of[obj[field]["same_as"]] != batch_of[obj["id"]]]
+    if size < len(suite):
+        assert (suite[-1].id, "context") in crossing and (suite[-1].id, "entity_keys") in crossing
+        assert len(crossing) > 2
+    else:
+        assert crossing == []
+
+
 def test_suite_ordering_matches_ids(pack, f2):
     config = SuiteConfig(pair_count=2, request_types=(RequestType.RETRIEVAL, RequestType.COUNT), seed=3)
     suite = generate_suite(f2, config, pack)
