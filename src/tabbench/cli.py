@@ -56,6 +56,7 @@ from .runio import (
     sha256_file,
     to_json,
     verify_manifest,
+    write_file,
     write_manifest,
 )
 from .seeding import derive_seed
@@ -63,7 +64,7 @@ from .structurer import ParseError, StructuringLevel, cell_fill_rate, parse_tabl
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
-# suite lines dumped, encoded, hashed and written at a time by generate
+# instances generate dumps at a time, so one batch's text is held at once
 SUITE_BATCH = 256
 
 
@@ -212,34 +213,21 @@ def cmd_generate(config_path, out_dir, seed_override):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suite_path = out / "suite.jsonl"
-    suite_digest = _write_suite(instances, suite_path)
+    # the batches share the values stated so far: the file is the one dump_suite of them all
+    stated = {}
+    suite_digest = write_file(out / "suite.jsonl", (dump_suite(instances[start:start + SUITE_BATCH], stated)
+                                                    for start in range(0, len(instances), SUITE_BATCH)))
     write_manifest(
         out / "suite.manifest.json",
         config_digest=config_hash(to_json(config)),
-        files={"suite.jsonl": suite_path},
+        files={"suite.jsonl": suite_digest},
         extra={"seed": config.suite.seed, "dataset": pack.name},
-        known={"suite.jsonl": suite_digest},
     )
 
     counts = Counter(i.request_type.value for i in instances)
     for request_type in sorted(counts):
         click.echo(f"{request_type}: {counts[request_type]} instances")
     click.echo(f"total: {len(instances)} -> {out / 'suite.jsonl'}")
-
-
-def _write_suite(instances: list[RequestInstance], path: Path) -> str:
-    """Write the suite's lines to `path`, SUITE_BATCH instances at a time, and
-    return the SHA-256 of the bytes written. The batches share the values
-    stated so far, so the file is the one dump_suite of all the instances;
-    only one batch's text and bytes are held at once."""
-    digest, stated = hashlib.sha256(), {}
-    with open(path, "wb") as f:
-        for start in range(0, len(instances), SUITE_BATCH):
-            data = dump_suite(instances[start:start + SUITE_BATCH], stated).encode("utf-8")
-            digest.update(data)
-            f.write(data)
-    return digest.hexdigest()
 
 
 def _read_suite(path: Path) -> tuple[Iterator[RequestInstance], str]:
@@ -356,7 +344,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     write_manifest(
         out_file.with_name(out_file.name + ".manifest.json"),
         config_digest=config_hash(to_json(config)) if config else "",
-        files={out_file.name: out_file},
+        files={out_file.name: manifest.pop("digest")},
         extra={"run": manifest, "suite_digest": suite_digest},
     )
 
@@ -397,15 +385,16 @@ def cmd_eval(suite_path, results_paths, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     # a report this eval has none of is None; a copy an earlier eval left in
     # the same directory is deleted
+    files = {}
     for name, text in reports.items():
         if text is None:
             (out / name).unlink(missing_ok=True)
         else:
-            (out / name).write_text(text, encoding="utf-8")
+            files[name] = write_file(out / name, [text])
     write_manifest(
         out / "eval.manifest.json",
         config_digest="",
-        files={name: out / name for name, text in sorted(reports.items()) if text is not None},
+        files=files,
         extra={"suite_digest": suite_digest, "records": len(records)},
     )
 

@@ -19,7 +19,7 @@ from .answers import EntityList, Judgement, NumberAnswer, ParsedAnswer, TupleLis
 from .relation import normalize
 from .requestgen import RequestInstance
 from .requesttypes import ABS_DIFF, ACCURACY, F1, ROWS, RequestType
-from .structurer import PipeTable, StructuringLevel
+from .structurer import PipeTable, StructuringLevel, unemphasized
 
 
 class ReportError(Exception):
@@ -109,7 +109,8 @@ def _kept_rows(instance: RequestInstance, parsed: ParsedAnswer):
 def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     """Update: the entities whose target cell reads N/A. Entities missing from
     the answer count against recall when gold updates them. Damage to
-    non-target cells is tallied as a diagnostic, not folded into the score."""
+    non-target cells is tallied as a diagnostic, not folded into the score.
+    Cells are compared without markdown emphasis, as header cells are."""
     snapshot = instance.gold
     target = instance.plan.target_attr
     target_idx = snapshot.columns.index(target)
@@ -128,15 +129,17 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     collateral = 0
     matched_rows = 0
     for row in parsed.rows:
-        key = by_key.get(normalize(row[key_col]))
+        key = by_key.get(unemphasized(row[key_col]))
         if key is None:
             continue
         matched_rows += 1
-        if target_col is not None and normalize(row[target_col]) == "n/a":
+        if target_col is not None and unemphasized(row[target_col]) == "n/a":
             predicted.add(key)
         gold_row = gold_rows[key]
         for col, gold_col in shared:
-            if normalize(row[col]) != normalize(gold_row[gold_col]):
+            # most cells carry no emphasis, so the plain comparison goes first
+            cell, gold_cell = row[col], gold_row[gold_col]
+            if normalize(cell) != normalize(gold_cell) and unemphasized(cell) != unemphasized(gold_cell):
                 collateral += 1
     return gold, frozenset(predicted), len(parsed.rows) - matched_rows, {"collateral_damage": float(collateral)}
 

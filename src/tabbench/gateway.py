@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .oracle import EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from .requestgen import Mode, RequestInstance
-from .runio import to_json
+from .runio import to_json, write_file
 from .seeding import rng_for
 from .structurer import render_table
 
@@ -244,14 +244,13 @@ def run_suite(
     """Answer every instance exactly once, streaming results as JSONL.
 
     Results stream to "<sink>.partial" in completion order; at the end they are
-    written sorted by request id to "<sink>.tmp", which is atomically renamed
-    onto the sink, so a failed or interrupted write leaves the previous sink as
-    it was and a leftover .partial file marks an interrupted run. Lines in
-    `existing` are kept and not re-dispatched.
+    written sorted by request id through write_file, so a failed or
+    interrupted write leaves the previous sink as it was and a leftover
+    .partial file marks an interrupted run. Lines in `existing` are kept and
+    not re-dispatched. The counts returned carry the sink's `digest`.
     """
     sink = Path(sink)
     partial = sink.with_name(sink.name + ".partial")
-    staged = sink.with_name(sink.name + ".tmp")
     existing = dict(existing or {})
     todo = [i for i in instances if i.id not in existing]
 
@@ -266,14 +265,9 @@ def run_suite(
                 stream.write(lines[line.id] + "\n")
                 if line.error is not None:
                     errors += 1
-        # the sorted file replaces the sink only once it is whole
-        with open(staged, "w", encoding="utf-8") as final:
-            for request_id in sorted(lines):
-                final.write(lines[request_id] + "\n")
-        os.replace(staged, sink)
+        digest = write_file(sink, (lines[request_id] + "\n" for request_id in sorted(lines)))
         partial.unlink(missing_ok=True)
     except OSError as e:
-        staged.unlink(missing_ok=True)
         raise SinkError(f"cannot write results to {sink}: {e}") from e
 
     return {
@@ -284,4 +278,5 @@ def run_suite(
         "errors": errors,
         "started": started,
         "finished": time.time(),
+        "digest": digest,
     }

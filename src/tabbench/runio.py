@@ -1,5 +1,5 @@
-"""Run persistence: the JSON codec of every record, file digests and
-tamper-evident manifests."""
+"""Run persistence: the JSON codec of every record, the one writer of every
+artifact, file digests and tamper-evident manifests."""
 from __future__ import annotations
 
 import dataclasses
@@ -7,6 +7,7 @@ import enum
 import functools
 import hashlib
 import json
+import os
 import re
 import time
 import types
@@ -198,22 +199,40 @@ def config_hash(config_payload: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-def write_manifest(path: str | Path, *, config_digest: str, files: dict[str, Path],
-                   extra: dict | None = None, known: dict[str, str] | None = None) -> dict:
-    """Manifest next to produced files: config hash, tool version, per-file
-    digests. A file's digest is taken from `known` (file name -> digest of the
-    bytes the caller wrote) or else computed from the file."""
-    known = known or {}
+def write_file(path: str | Path, chunks: typing.Iterable[str]) -> str:
+    """Write the UTF-8 bytes of `chunks` to `path` and return their SHA-256.
+    Each chunk is encoded, hashed and written to "<path>.tmp" as it comes, and
+    the whole file then replaces `path`. On any failure the .tmp is deleted
+    and `path` is left as it was."""
+    path = Path(path)
+    staged = path.with_name(path.name + ".tmp")
+    digest = hashlib.sha256()
+    try:
+        with open(staged, "wb") as f:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                f.write(data)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
+def write_manifest(path: str | Path, *, config_digest: str, files: dict[str, str],
+                   extra: dict | None = None) -> None:
+    """Manifest next to produced files: config hash, tool version and the
+    digest of each file (name -> the digest write_file returned for it)."""
     payload = {
         "config_hash": config_digest,
         "created": time.time(),
-        "files": {name: known.get(name) or sha256_file(p) for name, p in files.items()},
+        "files": files,
         "tool_version": __version__,
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return payload
+    write_file(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def read_manifest(path: str | Path) -> dict:

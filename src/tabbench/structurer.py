@@ -200,10 +200,10 @@ class PipeTable:
         once any markdown emphasis around the cell is taken off, else
         `default`."""
         wanted = normalize(name)
-        return next((i for i, cell in enumerate(self.header) if _unemphasized(cell) == wanted), default)
+        return next((i for i, cell in enumerate(self.header) if unemphasized(cell) == wanted), default)
 
 
-def _unemphasized(cell: str) -> str:
+def unemphasized(cell: str) -> str:
     """A cell under normalize, without the emphasis markers around it."""
     cell = cell.strip()
     while emphasized := _EMPHASIS.fullmatch(cell):

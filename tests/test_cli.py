@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import tabbench
-from tabbench import gateway
+from tabbench import cli, runio
 from tabbench.cli import main
 
 
@@ -203,7 +203,6 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
                                                                                         monkeypatch):
     import hashlib
 
-    from tabbench import cli, runio
     from tabbench.requestgen import dump_suite, generate_suite
     from tabbench.runio import read_manifest
 
@@ -236,7 +235,25 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert read_manifest(gen_dir / "suite.manifest.json")["files"] == {
         "suite.jsonl": hashlib.sha256(written).hexdigest()}
     assert len(batches) > 1 and max(batches) == cli.SUITE_BATCH and sum(batches) == len(expected.splitlines())
-    assert "suite.jsonl" not in hashed
+    assert hashed == []
+
+    # run and eval hash the suite they read, and no file they write
+    results = tmp_path / "results.jsonl"
+    result = runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "perfect",
+                                  "--out", str(results)])
+    assert result.exit_code == 0, result.output
+    assert read_manifest(tmp_path / "results.jsonl.manifest.json")["files"] == {
+        "results.jsonl": hashlib.sha256(results.read_bytes()).hexdigest()}
+    assert hashed == ["suite.jsonl"]
+    hashed.clear()
+    eval_dir = tmp_path / "eval"
+    result = runner.invoke(main, ["eval", "--suite", str(gen_dir / "suite.jsonl"), "--results", str(results),
+                                  "--out", str(eval_dir)])
+    assert result.exit_code == 0, result.output
+    reports = {p.name for p in eval_dir.iterdir()} - {"eval.manifest.json"}
+    assert read_manifest(eval_dir / "eval.manifest.json")["files"] == {
+        name: hashlib.sha256((eval_dir / name).read_bytes()).hexdigest() for name in reports}
+    assert hashed == ["suite.jsonl"]
 
 
 def test_report_compare_file_headline(runner):
@@ -369,10 +386,10 @@ def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
 
 
 class _FullDisk:
-    """A file that takes one write and then fails, as a full disk does."""
+    """A file that takes `room` writes and then fails, as a full disk does."""
 
-    def __init__(self, stream):
-        self.stream, self.writes = stream, 0
+    def __init__(self, stream, room):
+        self.stream, self.room = stream, room
 
     def __enter__(self):
         return self
@@ -380,24 +397,73 @@ class _FullDisk:
     def __exit__(self, *exc):
         self.stream.close()
 
-    def write(self, text):
-        if self.writes:
+    def write(self, data):
+        if not self.room:
             raise OSError(errno.ENOSPC, "No space left on device")
-        self.writes += 1
-        return self.stream.write(text)
+        self.room -= 1
+        return self.stream.write(data)
+
+
+def _fill_disk(monkeypatch, room: int) -> None:
+    """Make every file runio opens for writing a _FullDisk with `room` writes;
+    the files it opens to read (sha256_file's) are left as they are."""
+    def opening(file, mode="r", *args, **kwargs):
+        stream = open(file, mode, *args, **kwargs)
+        return _FullDisk(stream, room) if "w" in mode else stream
+
+    monkeypatch.setattr(runio, "open", opening, raising=False)
 
 
 def test_run_results_write_failing_part_way_keeps_previous_results(runner, tmp_path, monkeypatch):
     suite, results = _generated_and_run(runner, tmp_path)
     before, names = results.read_bytes(), {p.name for p in tmp_path.iterdir()}
     # every answer is reused, so the only write is the sorted results file
-    monkeypatch.setattr(gateway, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False)
+    _fill_disk(monkeypatch, room=1)
     result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)])
     assert result.exit_code == 3, result.output
     assert "No space left on device" in json.loads(result.stderr)["errors"][0]
     assert results.read_bytes() == before
     # only the .partial of the interrupted run is left beside it
     assert {p.name for p in tmp_path.iterdir()} - names == {"results.jsonl.partial"}
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_generate_write_failing_part_way_keeps_previous_suite(runner, tmp_path, monkeypatch):
+    config = write_config(tmp_path, pair_count=12)
+    gen_dir = tmp_path / "gen"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)]).exit_code == 0
+    before = _files(gen_dir)
+    assert len(before["suite.jsonl"].splitlines()) > cli.SUITE_BATCH
+    # the first batch of another seed's suite is written, the second fails
+    _fill_disk(monkeypatch, room=1)
+    result = runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir), "--seed", "12"])
+    assert result.exit_code == 3, result.output
+    assert "No space left on device" in json.loads(result.stderr)["errors"][0]
+    assert _files(gen_dir) == before
+
+
+def test_eval_report_write_failing_keeps_previous_reports(runner, tmp_path, monkeypatch):
+    suite, results = _generated_and_run(runner, tmp_path)
+    eval_dir = tmp_path / "eval"
+
+    def evaluate(results_path):
+        return runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results_path),
+                                    "--out", str(eval_dir)])
+
+    assert evaluate(results).exit_code == 0
+    before = _files(eval_dir)
+    lossy = tmp_path / "lossy.jsonl"
+    answered = runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.5,seed=1",
+                                    "--out", str(lossy)])
+    assert answered.exit_code == 0, answered.output
+    _fill_disk(monkeypatch, room=0)
+    result = evaluate(lossy)
+    assert result.exit_code == 3, result.output
+    assert "No space left on device" in json.loads(result.stderr)["errors"][0]
+    assert _files(eval_dir) == before
 
 
 def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):

@@ -160,6 +160,20 @@ def test_update_under_emphasized_headers_scores_as_under_plain_ones(pack, f2, ma
     assert score(instance, parse(emphasized, RequestType.UPDATE)).value == 1.0
 
 
+@pytest.mark.parametrize("na", ["**N/A**", "`N/A`", "_N/A_"])
+def test_update_with_emphasized_cells_scores_as_with_plain_ones(pack, f2, na):
+    """An N/A cell written `**N/A**`, a key cell written `**Messi**` and an
+    untouched cell written `**Portugal**` read as their plain text."""
+    instance = make_instance(pack, f2, RequestType.UPDATE)  # Number -> N/A for Messi
+    text = PerfectOracle().complete(instance).text
+    assert "| Messi | N/A |" in text and "| Portugal |" in text
+    emphasized = (text.replace("| Messi | N/A |", f"| **Messi** | {na} |")
+                  .replace("| Portugal |", "| **Portugal** |"))
+    record = score(instance, parse(emphasized, RequestType.UPDATE))
+    assert record.value == 1.0
+    assert record.extras["collateral_damage"] == 0.0
+
+
 def test_update_collateral_damage_diagnostic(pack, f2):
     instance = make_instance(pack, f2, RequestType.UPDATE)
     damaged = parse_table(
