@@ -53,7 +53,7 @@ from .runio import (
     from_json,
     read_manifest,
     read_lines,
-    sha256_file,
+    sha256_file,  # noqa: F401  (bench/tracing.py wraps it here)
     to_json,
     verify_manifest,
     write_file,
@@ -230,34 +230,21 @@ def cmd_generate(config_path, out_dir, seed_override):
     click.echo(f"total: {len(instances)} -> {out / 'suite.jsonl'}")
 
 
-def _read_suite(path: Path) -> tuple[Iterator[RequestInstance], str]:
-    """A suite file's instances, each decoded as it is reached, and the
-    SHA-256 of its bytes. The first read hashes the file and checks that it is
-    UTF-8; when suite.manifest.json sits beside it, the file, whatever its
-    name, must then match the digest recorded there for suite.jsonl
-    (ManifestError otherwise). The instances come from a second read, which
-    hashes the file again: a line that is not an instance is a ConfigError
-    naming the file and the line, and a file whose second digest differs from
-    the first, found after its last line, changed while it was read
-    (ManifestError)."""
-    with _reading(path):
-        digest = sha256_file(path)
-    manifest_path = path.with_name("suite.manifest.json")
-    if manifest_path.is_file():
-        verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest})
-    return _suite_instances(path, digest), digest
-
-
-def _suite_instances(path: Path, digest: str) -> Iterator[RequestInstance]:
-    reread = hashlib.sha256()
+def _read_suite(path: Path, digest) -> Iterator[RequestInstance]:
+    """A suite file's instances, each decoded as it is reached, in one read
+    that feeds the file's bytes to `digest`. Bytes that are not UTF-8 or a
+    line that is not an instance is a ConfigError naming the file and the
+    line. After the last line, when suite.manifest.json sits beside the file,
+    the file, whatever its name, must match the digest recorded there for
+    suite.jsonl (ManifestError otherwise)."""
     with _reading(path), open(path, "rb") as f:
         try:
-            yield from load_suite(read_lines(f, reread))
+            yield from load_suite(read_lines(f, digest))
         except SuiteFormatError as e:
             raise ConfigError([f"{path}: {e}"]) from None
-    if reread.hexdigest() != digest:
-        raise ManifestError(f"{path}: changed while it was read: digest {digest[:12]}.. on the first read, "
-                            f"{reread.hexdigest()[:12]}.. on the second")
+    manifest_path = path.with_name("suite.manifest.json")
+    if manifest_path.is_file():
+        verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest.hexdigest()})
 
 
 def _read_results(path: Path) -> tuple[dict[int, ResultLine], str]:
@@ -293,11 +280,11 @@ def _verify_results_manifest(path: Path, digest: str, suite_digest: str) -> None
                                 f"not the suite being scored or answered ({suite_digest[:12]}..)")
 
 
-def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[int, str, ResultLine]]], list[str]]:
-    """The lines of every results file by result id, each with its place
-    among all the lines read and its file, and each file's digest. A model
-    that answers an id twice is a ConfigError naming both lines."""
-    answers: dict[str, list[tuple[int, str, ResultLine]]] = {}
+def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[str, ResultLine]]], list[str]]:
+    """The lines of every results file by result id, each with its file, in
+    the order they were read, and each file's digest. A model that answers an
+    id twice is a ConfigError naming both lines."""
+    answers: dict[str, list[tuple[str, ResultLine]]] = {}
     digests, answered = [], {}
     for results_path in results_paths:
         lines, digest = _read_results(Path(results_path))
@@ -306,7 +293,7 @@ def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[
             where, key = f"{results_path}: line {number}", (result.model, result.id)
             if key in answered:
                 raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {answered[key]}"])
-            answers.setdefault(result.id, []).append((len(answered), results_path, result))
+            answers.setdefault(result.id, []).append((results_path, result))
             answered[key] = where
     return answers, digests
 
@@ -325,14 +312,14 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
         raise ConfigError([f"--max-in-flight: {max_in_flight} is not a positive integer"])
     config = load_config(config_path) if config_path else None
     model = resolve_model(model_name, config)
-    suite, suite_digest = _read_suite(Path(suite_path))
-    # every line is decoded and checked before the first dispatch
-    instances = list(suite)
+    suite_hash = hashlib.sha256()
+    # every line is decoded and the suite's digest checked before the first dispatch
+    instances = list(_read_suite(Path(suite_path), suite_hash))
     out_file = Path(out_path)
     existing = {}
     if out_file.is_file():
         lines, digest = _read_results(out_file)
-        _verify_results_manifest(out_file, digest, suite_digest)
+        _verify_results_manifest(out_file, digest, suite_hash.hexdigest())
         for number, line in lines.items():
             if line.model != model.model_id:
                 raise ConfigError([f"{out_file}: line {number}: answered by model {line.model!r}, "
@@ -345,7 +332,7 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
         out_file.with_name(out_file.name + ".manifest.json"),
         config_digest=config_hash(to_json(config)) if config else "",
         files={out_file.name: manifest.pop("digest")},
-        extra={"run": manifest, "suite_digest": suite_digest},
+        extra={"run": manifest, "suite_digest": suite_hash.hexdigest()},
     )
 
     click.echo(f"answered {manifest['dispatched']} (reused {manifest['reused']}, "
@@ -358,23 +345,22 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
-    # the results are read and checked first; when the suite line an answer
-    # is for is reached, the answer is scored and it and the instance dropped
+    # the results are read and checked first; when the suite line an answer is
+    # for is reached, the answer is scored and it and the instance dropped; the
+    # suite's digest is checked after its last line, before anything else
     answers, digests = _read_answers(results_paths)
-    # records keep the order of the results lines they score
-    records = [None] * sum(map(len, answers.values()))
-    suite, suite_digest = _read_suite(Path(suite_path))
-    for instance in suite:
-        for position, _, result in answers.pop(instance.id, ()):
+    records, suite_hash = [], hashlib.sha256()
+    for instance in _read_suite(Path(suite_path), suite_hash):
+        for _, result in answers.pop(instance.id, ()):
             parsed = parse_answer(result.text, instance.request_type)
-            records[position] = evaluator.score(instance, parsed, model=result.model)
+            records.append(evaluator.score(instance, parsed, model=result.model))
     # the first id left is that of the first results line no suite line answered
     unmet = next(iter(answers.values()), None)
     if unmet is not None:
-        _, results_path, result = unmet[0]
+        results_path, result = unmet[0]
         raise ConfigError([f"{results_path}: result id {result.id!r} is not in the suite"])
     for results_path, digest in zip(results_paths, digests):
-        _verify_results_manifest(Path(results_path), digest, suite_digest)
+        _verify_results_manifest(Path(results_path), digest, suite_hash.hexdigest())
 
     rows, reports = evaluator.eval_reports(records)
     for row in rows:
@@ -395,16 +381,16 @@ def cmd_eval(suite_path, results_paths, out_dir):
         out / "eval.manifest.json",
         config_digest="",
         files=files,
-        extra={"suite_digest": suite_digest, "records": len(records)},
+        extra={"suite_digest": suite_hash.hexdigest(), "records": len(records)},
     )
 
     click.echo(f"scored {len(records)} records -> {out}")
 
 
-def _headline(path: Path, verb: str, payload_of) -> str:
-    """The text-vs-table headline from a JSON file, which payload_of turns into
-    a compare.json payload; a file that does not decode to one is a ConfigError."""
-    text = _read_input(path)
+def _headline(path: str | Path, text: str, verb: str, payload_of) -> str:
+    """The text-vs-table headline from the JSON text of a file, which
+    payload_of turns into a compare.json payload; a text that does not decode
+    to one is a ConfigError naming the file."""
     try:
         payload = payload_of(json.loads(text))
         headline = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
@@ -424,26 +410,29 @@ def cmd_report(eval_dir, compare_file):
     """Print the aggregate table and summaries produced by eval, or the
     text-vs-table headline for a standalone cells file."""
     if compare_file:
-        click.echo(_headline(Path(compare_file), "compare", lambda cells: dataclasses.asdict(
+        click.echo(_headline(compare_file, _read_input(Path(compare_file)), "compare", lambda cells: dataclasses.asdict(
             evaluator.compare_formats(cells["text"], cells["table"]))))
         return
 
     if not eval_dir:
         raise ConfigError(["report needs --eval-dir or --compare-file"])
     out = Path(eval_dir)
-    table, compare, robustness = out / "aggregate.md", out / "compare.json", out / "existence.csv"
-    if not table.is_file():
+    if not (out / "aggregate.md").is_file():
         raise ConfigError([f"no aggregate.md under {eval_dir}; run eval first"])
-    # every input is read before anything is printed
-    aggregate = _read_input(table)
-    summary = _headline(compare, "read", lambda payload: payload) if compare.is_file() else None
-    existence = _read_input(robustness) if robustness.is_file() else None
-    click.echo(aggregate, nl=False)
+    # every input is read, and checked against eval.manifest.json if present, before anything is printed
+    texts = {name: _read_input(out / name) for name in ("aggregate.md", "compare.json", "existence.csv")
+             if (out / name).is_file()}
+    if (out / "eval.manifest.json").is_file():
+        verify_manifest(read_manifest(out / "eval.manifest.json"), out, known={
+            name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in texts.items()})
+    summary = (_headline(out / "compare.json", texts["compare.json"], "read", lambda payload: payload)
+               if "compare.json" in texts else None)
+    click.echo(texts["aggregate.md"], nl=False)
     if summary is not None:
         click.echo("\n" + summary)
-    if existence is not None:
+    if "existence.csv" in texts:
         click.echo("\nexistence robustness (original vs negated):")
-        click.echo(existence, nl=False)
+        click.echo(texts["existence.csv"], nl=False)
 
 
 def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns: bool) -> RequestInstance:

@@ -371,7 +371,9 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
     earlier line with that id, which must state it in full, as the same
     object, so each distinct context, gold and key list is decoded and held
     once; only those values are kept, not the instances. A line stating every
-    value in full loads as it is. An id stated on two lines is an error. A
+    value in full loads as it is. An id stated on two lines is an error, and
+    so is a gold that its request type cannot be scored against: one of
+    another class, or an update's gold without the target column. A
     `request_type` key, which suites stated before it was read from the plan,
     is ignored."""
     stated: dict[tuple[str, str], object] = {}
@@ -400,6 +402,9 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
             if type(instance.gold) is not scored_against:
                 raise ValueError(f"gold must be {scored_against.kind} for {instance.request_type.value}, "
                                  f"got {instance.gold.kind}")
+            if isinstance(instance.plan, oracle.Update) and instance.plan.target_attr not in instance.gold.columns:
+                raise ValueError(f"update target {instance.plan.target_attr!r} is not one of the gold's columns "
+                                 f"{list(instance.gold.columns)}")
         except (ValueError, TypeError, PlanError, IngestError) as e:
             raise SuiteFormatError(f"line {number}: not a suite instance ({type(e).__name__}: {e})") from None
         if instance.id in line_of:

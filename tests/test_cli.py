@@ -105,6 +105,9 @@ def test_run_rejects_tampered_suite(runner, tmp_path):
                                   "--out", str(tmp_path / "results.jsonl")])
     assert result.exit_code == 2
     assert "digest mismatch" in result.output
+    # the digest is checked after the last line, and before anything is dispatched
+    assert not (tmp_path / "results.jsonl").exists()
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 def test_eval_rejects_unknown_result_ids(runner, tmp_path):
@@ -237,15 +240,14 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert len(batches) > 1 and max(batches) == cli.SUITE_BATCH and sum(batches) == len(expected.splitlines())
     assert hashed == []
 
-    # run and eval hash the suite they read, and no file they write
+    # run and eval hash the suite as they decode it, and no file they write
     results = tmp_path / "results.jsonl"
     result = runner.invoke(main, ["run", "--suite", str(gen_dir / "suite.jsonl"), "--model", "perfect",
                                   "--out", str(results)])
     assert result.exit_code == 0, result.output
     assert read_manifest(tmp_path / "results.jsonl.manifest.json")["files"] == {
         "results.jsonl": hashlib.sha256(results.read_bytes()).hexdigest()}
-    assert hashed == ["suite.jsonl"]
-    hashed.clear()
+    assert hashed == []
     eval_dir = tmp_path / "eval"
     result = runner.invoke(main, ["eval", "--suite", str(gen_dir / "suite.jsonl"), "--results", str(results),
                                   "--out", str(eval_dir)])
@@ -253,7 +255,7 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     reports = {p.name for p in eval_dir.iterdir()} - {"eval.manifest.json"}
     assert read_manifest(eval_dir / "eval.manifest.json")["files"] == {
         name: hashlib.sha256((eval_dir / name).read_bytes()).hexdigest() for name in reports}
-    assert hashed == ["suite.jsonl"]
+    assert hashed == []
 
 
 def test_report_compare_file_headline(runner):
@@ -404,12 +406,18 @@ class _FullDisk:
         return self.stream.write(data)
 
 
-def _fill_disk(monkeypatch, room: int) -> None:
-    """Make every file runio opens for writing a _FullDisk with `room` writes;
-    the files it opens to read (sha256_file's) are left as they are."""
+def _fill_disk(monkeypatch, room: int, whole: int = 0) -> None:
+    """Make every file runio opens for writing, after the first `whole` of
+    them, a _FullDisk with `room` writes; the files it opens to read
+    (sha256_file's) are left as they are."""
+    written = []
+
     def opening(file, mode="r", *args, **kwargs):
         stream = open(file, mode, *args, **kwargs)
-        return _FullDisk(stream, room) if "w" in mode else stream
+        if "w" not in mode:
+            return stream
+        written.append(file)
+        return _FullDisk(stream, room) if len(written) > whole else stream
 
     monkeypatch.setattr(runio, "open", opening, raising=False)
 
@@ -464,6 +472,32 @@ def test_eval_report_write_failing_keeps_previous_reports(runner, tmp_path, monk
     assert result.exit_code == 3, result.output
     assert "No space left on device" in json.loads(result.stderr)["errors"][0]
     assert _files(eval_dir) == before
+
+
+def test_report_on_an_eval_directory_its_manifest_does_not_cover_exits_2(runner, tmp_path, monkeypatch):
+    suite, results = _generated_and_run(runner, tmp_path)
+    eval_dir = tmp_path / "eval"
+
+    def evaluate(results_path):
+        return runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results_path),
+                                    "--out", str(eval_dir)])
+
+    assert evaluate(results).exit_code == 0
+    before = _files(eval_dir)
+    lossy = tmp_path / "lossy.jsonl"
+    answered = runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.5,seed=1",
+                                    "--out", str(lossy)])
+    assert answered.exit_code == 0, answered.output
+    # records.csv and aggregate.csv are written, aggregate.md is not
+    _fill_disk(monkeypatch, room=0, whole=2)
+    assert evaluate(lossy).exit_code == 3
+    after = _files(eval_dir)
+    assert after["records.csv"] != before["records.csv"] and after["aggregate.md"] == before["aggregate.md"]
+    result = runner.invoke(main, ["report", "--eval-dir", str(eval_dir)])
+    [error] = _config_errors(result)
+    # the manifest lists its files by name, and aggregate.csv comes first
+    assert "digest mismatch for aggregate.csv" in error
+    assert result.stdout == ""
 
 
 def test_eval_results_line_with_wrong_type_exits_2(runner, tmp_path):
@@ -542,28 +576,62 @@ def test_eval_suite_with_a_bad_last_line_writes_no_reports(runner, tmp_path):
 
 
 @pytest.mark.parametrize("stage", ["run", "eval"])
-def test_suite_rewritten_between_its_two_reads_exits_2(runner, tmp_path, monkeypatch, stage):
-    from tabbench import cli
-
+def test_suite_edited_to_a_bad_line_names_the_line(runner, tmp_path, stage):
     suite, results = _generated_and_run(runner, tmp_path)
-    hash_then_rewrite = cli.sha256_file
-
-    def rewriting(path):
-        digest = hash_then_rewrite(path)
-        # a blank line decodes to nothing, so only the digest tells the files apart
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("\n")
-        return digest
-
-    monkeypatch.setattr(cli, "sha256_file", rewriting)
+    # the manifest is kept: the line is decoded before the digest is checked
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(lines[1])
+    del broken["gold"]
+    lines[1] = json.dumps(broken, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
     args = {
         "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
         "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
     }[stage]
     [error] = _config_errors(runner.invoke(main, args))
-    assert str(suite) in error and "changed while it was read" in error
+    assert str(suite) in error and "line 2: not a suite instance" in error
     assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
     assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_run_and_eval_open_the_suite_once(runner, tmp_path, monkeypatch):
+    suite, results = _generated_and_run(runner, tmp_path)
+    opened = []
+
+    def opening(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    monkeypatch.setattr(runio, "open", opening, raising=False)
+    for args in (["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)],
+                 ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")]):
+        opened.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert opened.count(suite) == 1, args[0]
+
+
+def test_eval_suite_update_whose_target_is_not_a_gold_column_exits_2(runner, tmp_path):
+    config = write_config(tmp_path, request_types=["update"], pair_count=1)
+    suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
+                                "--out", str(results)]).exit_code == 0
+    (suite.parent / "suite.manifest.json").unlink()
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    edited = json.loads(lines[0])
+    target = edited["plan"]["target_attr"]
+    assert target in edited["gold"]["columns"]
+    edited["gold"]["columns"] = [f"{name} (renamed)" if name == target else name
+                                 for name in edited["gold"]["columns"]]
+    suite.write_text("\n".join([json.dumps(edited, sort_keys=True), *lines[1:]]) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert str(suite) in error
+    assert f"line 1: not a suite instance (ValueError: update target {target!r} is not one of" in error
+    assert not (tmp_path / "eval").exists()
 
 
 def test_read_lines_feeds_the_digest_and_counts_bad_bytes_from_the_start_of_the_file(tmp_path):
