@@ -7,6 +7,7 @@ chain-of-thought responses that mention many entities before concluding.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -96,7 +97,10 @@ def _number(block: str) -> ParsedAnswer:
     matches = _NUMBER.findall(block)
     if not matches:
         return Unparseable("no number in answer")
-    return NumberAnswer(float(matches[-1].replace(",", "")))
+    value = float(matches[-1].replace(",", ""))
+    if not math.isfinite(value):  # 309 digits or more read as inf
+        return Unparseable("number too large to read")
+    return NumberAnswer(value)
 
 
 def _verdict(block: str) -> ParsedAnswer:

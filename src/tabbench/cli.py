@@ -38,6 +38,7 @@ from .gateway import (
 from .oracle import AND, Condition, Delete, EQ, evaluate
 from .relation import Relation, sample_entities
 from .requestgen import (
+    SUITE_BATCH,
     TEMPLATES_PER_TYPE,
     RequestInstance,
     SuiteConfig,
@@ -64,8 +65,6 @@ from .structurer import ParseError, StructuringLevel, cell_fill_rate, parse_tabl
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
-# instances generate dumps at a time, so one batch's text is held at once
-SUITE_BATCH = 256
 
 
 class ConfigError(Exception):

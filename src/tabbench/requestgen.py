@@ -329,18 +329,24 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 
 # Fields whose values repeat across a suite: the facts are fixed and only the
 # wording, connective and structuring level vary, so one context, gold and key
-# list serve many instances. dump_suite states each distinct value once.
-SHARED_FIELDS = ("context", "entity_keys", "gold")
+# list serve many instances, one plan every wording and level of a slot, and
+# one prompt every level. dump_suite states each distinct value once.
+# pre_instruction is not one: it is null outside two-turn suites, and a
+# {"same_as": id} is longer than null.
+SHARED_FIELDS = ("context", "entity_keys", "gold", "plan", "prompt")
+# instances the generate stage dumps at a time, so one batch's text is held at once
+SUITE_BATCH = 256
 
 
 def dump_suite(instances: list[RequestInstance], stated: dict[tuple[str, bytes], str] | None = None) -> str:
     """Suite JSONL: one to_json object per line, keys sorted. For each
-    of SHARED_FIELDS, the first line with a given value (equal canonical JSON)
-    states it in full; a later line with an equal value holds
-    {"same_as": <id of that first line>} instead. `stated` maps each value
-    stated so far, as (field, SHA-256 of its canonical JSON), to the id of the
-    line that states it: a suite dumped in batches that share one `stated`
-    joins to the dump of the whole suite in one call."""
+    of SHARED_FIELDS (context, entity_keys, gold, plan and prompt), the first
+    line with a given value (equal canonical JSON) states it in full; a later
+    line with an equal value holds {"same_as": <id of that first line>}
+    instead. `stated` maps each value stated so far, as (field, SHA-256 of
+    its canonical JSON), to the id of the line that states it: a suite dumped
+    in batches that share one `stated` joins to the dump of the whole suite in
+    one call."""
     first = {} if stated is None else stated
     # generate_suite hands one object to every instance that shares a value, so
     # a value is encoded when its object is first met (it stays alive in
@@ -369,13 +375,13 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
     """The instances of a suite's lines, in file order, each decoded as it is
     reached. A {"same_as": id} field takes that field's value from the
     earlier line with that id, which must state it in full, as the same
-    object, so each distinct context, gold and key list is decoded and held
-    once; only those values are kept, not the instances. A line stating every
-    value in full loads as it is. An id stated on two lines is an error, and
-    so is a gold that its request type cannot be scored against: one of
-    another class, or an update's gold without the target column. A
-    `request_type` key, which suites stated before it was read from the plan,
-    is ignored."""
+    object, so each distinct context, key list, gold, plan and prompt is
+    decoded and held once; only those values are kept, not the instances. A
+    line stating every value in full loads as it is. An id stated on two lines
+    is an error, and so is a gold that its request type cannot be scored
+    against: one of another class, or an update's gold without the target
+    column. A `request_type` key, which suites stated before it was read from
+    the plan, is ignored."""
     stated: dict[tuple[str, str], object] = {}
     line_of: dict[str, int] = {}
     for number, line in enumerate(lines, 1):

@@ -56,6 +56,14 @@ def test_count_unparseable():
     assert isinstance(parsed, Unparseable)
 
 
+def test_number_too_large_for_a_float_is_unparseable():
+    # float reads 309 digits or more as inf; 308 nines still read as a finite number
+    for request_type in (RequestType.COUNT, RequestType.SUM):
+        assert parse("ANSWER: " + "9" * 400, request_type) == Unparseable("number too large to read")
+        assert parse("ANSWER: -" + "9" * 309, request_type) == Unparseable("number too large to read")
+        assert parse("ANSWER: " + "9" * 308, request_type) == NumberAnswer(float("9" * 308))
+
+
 def test_existence_judgement_and_rationale():
     text = ("ANSWER:\nYes, it is true. According to the table, the player from Belgium "
             "who played for Manchester City is Kevin De Bruyne and his uniform number is 17.")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import tabbench
-from tabbench import cli, runio
+from tabbench import cli, requestgen, runio
 from tabbench.cli import main
 
 
@@ -213,7 +214,7 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     config = cli.load_config(config_path)
     pack = cli.load_pack(config.dataset)
     expected = dump_suite(generate_suite(cli.sampled_relation(pack, config), config.suite, pack)).encode("utf-8")
-    assert len(expected.splitlines()) > cli.SUITE_BATCH
+    assert len(expected.splitlines()) > requestgen.SUITE_BATCH
 
     batches, hashed = [], []
 
@@ -237,7 +238,7 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert written == expected
     assert read_manifest(gen_dir / "suite.manifest.json")["files"] == {
         "suite.jsonl": hashlib.sha256(written).hexdigest()}
-    assert len(batches) > 1 and max(batches) == cli.SUITE_BATCH and sum(batches) == len(expected.splitlines())
+    assert len(batches) > 1 and max(batches) == requestgen.SUITE_BATCH and sum(batches) == len(expected.splitlines())
     assert hashed == []
 
     # run and eval hash the suite as they decode it, and no file they write
@@ -256,6 +257,42 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert read_manifest(eval_dir / "eval.manifest.json")["files"] == {
         name: hashlib.sha256((eval_dir / name).read_bytes()).hexdigest() for name in reports}
     assert hashed == []
+
+
+@pytest.mark.parametrize("in_full", [("plan", "prompt"), requestgen.SHARED_FIELDS],
+                         ids=["plans and prompts in full", "every value in full"])
+def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tmp_path, monkeypatch, in_full):
+    """A suite written before plans and prompts were shared fields (or before
+    any value was) is run and scored as the suite generate writes now."""
+    config = write_config(tmp_path, request_types=["retrieval", "update", "count", "existence"],
+                          connectives=["and", "or", "diff"], levels=["natural", "table"])
+    suites = {"new": tmp_path / "new" / "suite.jsonl", "old": tmp_path / "old" / "suite.jsonl"}
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suites["new"].parent)]).exit_code == 0
+    new_text = suites["new"].read_text(encoding="utf-8")
+    instances = list(requestgen.load_suite(new_text.splitlines()))
+    with monkeypatch.context() as patch:
+        patch.setattr(requestgen, "SHARED_FIELDS", tuple(f for f in requestgen.SHARED_FIELDS if f not in in_full))
+        old_text = requestgen.dump_suite(instances)
+    suites["old"].parent.mkdir()
+    suites["old"].write_text(old_text, encoding="utf-8")
+    assert len(old_text) > len(new_text)
+    stated = [json.loads(line)[field] for line in old_text.splitlines() for field in in_full]
+    assert not any(isinstance(value, dict) and "same_as" in value for value in stated)
+    assert list(requestgen.load_suite(old_text.splitlines())) == instances
+
+    outputs = {}
+    for name, suite in suites.items():
+        results, eval_dir = suite.parent / "results.jsonl", suite.parent / "eval"
+        ran = runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.3,r=0.3,seed=2",
+                                   "--out", str(results)])
+        assert ran.exit_code == 0, ran.output
+        scored = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                      "--out", str(eval_dir)])
+        assert scored.exit_code == 0, scored.output
+        outputs[name] = {"results.jsonl": results.read_bytes(), **{
+            path.name: path.read_bytes() for path in eval_dir.iterdir() if path.name != "eval.manifest.json"}}
+    assert {"compare.json", "existence.csv", "records.csv"} <= outputs["new"].keys()
+    assert outputs["old"] == outputs["new"]
 
 
 def test_report_compare_file_headline(runner):
@@ -444,7 +481,7 @@ def test_generate_write_failing_part_way_keeps_previous_suite(runner, tmp_path, 
     gen_dir = tmp_path / "gen"
     assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir)]).exit_code == 0
     before = _files(gen_dir)
-    assert len(before["suite.jsonl"].splitlines()) > cli.SUITE_BATCH
+    assert len(before["suite.jsonl"].splitlines()) > requestgen.SUITE_BATCH
     # the first batch of another seed's suite is written, the second fails
     _fill_disk(monkeypatch, room=1)
     result = runner.invoke(main, ["generate", "--config", str(config), "--out", str(gen_dir), "--seed", "12"])
@@ -701,6 +738,47 @@ def test_eval_rejects_results_of_another_suite(runner, tmp_path):
     [error] = _config_errors(crossed)
     assert str(results) in error and "not the suite being scored" in error
     assert not (tmp_path / "eval2").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("models", [("model-a",), ("model-a", "model-b")])
+def test_eval_of_a_number_too_large_for_a_float_exits_0_and_writes_json(runner, tmp_path, models):
+    """float reads an answer of 400 nines as inf. Each model answers every
+    instance as the perfect mock does, except one count: model-a's first at the
+    natural level, model-b's first at the table level. That answer is unparsed,
+    so every compare.json number is finite; before, two models made eval fail on
+    `-inf + inf` and one wrote Infinity and NaN."""
+    config = write_config(tmp_path, request_types=["count", "sum"], levels=["natural", "table"], seed=3)
+    suite = tmp_path / "gen" / "suite.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    perfect = tmp_path / "perfect.jsonl"
+    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
+                                "--out", str(perfect)]).exit_code == 0
+    instances = [json.loads(line) for line in suite.read_text(encoding="utf-8").splitlines()]
+    paths = []
+    for model, level in zip(models, ("natural", "table")):
+        huge = next(i["id"] for i in instances if i["level"] == level and "-count-" in i["id"])
+        lines = []
+        for line in perfect.read_text(encoding="utf-8").splitlines():
+            obj = {**json.loads(line), "model": model}
+            if obj["id"] == huge:
+                obj["text"] = "ANSWER: " + "9" * 400
+            lines.append(json.dumps(obj, sort_keys=True) + "\n")
+        paths.append(tmp_path / f"{model}.jsonl")
+        paths[-1].write_text("".join(lines), encoding="utf-8")
+
+    args = [arg for path in paths for arg in ("--results", str(path))]
+    result = runner.invoke(main, ["eval", "--suite", str(suite), *args, "--out", str(tmp_path / "eval")])
+    assert result.exit_code == 0, result.output
+    compare = json.loads((tmp_path / "eval" / "compare.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert {cell["model"] for cell in compare["cells"]} == set(models)
+    with open(tmp_path / "eval" / "records.csv", encoding="utf-8", newline="") as f:
+        unparsed = [row["request_id"] for row in csv.DictReader(f) if row["unparsed"] == "True"]
+    assert len(unparsed) == len(models) and all("-count-" in request_id for request_id in unparsed)
 
 
 @pytest.mark.parametrize("repeat", ["file", "line"])

@@ -246,10 +246,11 @@ def test_suite_line_with_a_request_type_key_loads_the_same(pack, f2):
 def test_suite_line_with_a_wrong_plan_field_does_not_load(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.EXISTENCE,), connectives=(AND,), seed=5)
     lines = dump_suite(generate_suite(f2, config, pack)).splitlines()
-    obj = json.loads(lines[1])
+    # line 4 is the first negated wording: it states its plan in full
+    obj = json.loads(lines[3])
     obj["plan"]["negated"] = "yes"
-    lines[1] = json.dumps(obj, sort_keys=True)
-    with pytest.raises(SuiteFormatError, match="line 2: .*negated must be bool, got 'yes'"):
+    lines[3] = json.dumps(obj, sort_keys=True)
+    with pytest.raises(SuiteFormatError, match="line 4: .*negated must be bool, got 'yes'"):
         list(load_suite(lines))
 
 
@@ -436,11 +437,16 @@ def test_suite_bytes_pinned(pack, f2):
     once (668a726e...8f98): walking its dump in order, a `context`,
     `entity_keys` or `gold` value whose json.dumps(..., sort_keys=True) an
     earlier line already had became {"same_as": <id of the first such line>}.
-    The suite text, instance order and ids must not move."""
+    The present digest came from that one (c3322c0d...182a) the same way, when
+    `plan` and `prompt` became shared fields: walking its dump in order, a
+    `plan` or `prompt` value whose json.dumps(..., sort_keys=True) an earlier
+    line already had became {"same_as": <id of the first such line>}, and
+    each line was re-dumped with sort_keys=True. The suite text, instance
+    order and ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "c3322c0d65e61d09a76f38f2c14eee2016f3e3fe9eacbc40ff304679ea1d182a"
+        "d3b3ddb0bd5483ab993d0be51433bacf34658cfb6704dae0d61fe187c5a6b380"
     )
 
 
@@ -454,9 +460,9 @@ PACK_CONFIGS = tuple(
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
-    ("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
-    ("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
+    ("soccer", "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412"),
+    ("movie", "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2"),
+    ("pii", "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca"),
 ])
 def test_pack_suite_bytes_pinned(name, digest):
     """Each built-in pack's phrase bank, schema and ops through the whole
@@ -464,7 +470,13 @@ def test_pack_suite_bytes_pinned(name, digest):
     on 16 sampled entities. The conditions use every op the pack allows, and
     pii's e-mail column is drawn under `contains` as an @domain token. The
     digests were taken before render looked each wording up once per call and
-    before condition scans were kept on the relation; they must not move."""
+    before condition scans were kept on the relation. When `plan` and `prompt`
+    became shared fields they were re-pinned from those digests (soccer
+    e61b0a97...0ebe, movie e814c692...cf72, pii 94798442...b13f): in each
+    dump of the parent, walked in order, a `plan` or `prompt` value whose
+    json.dumps(..., sort_keys=True) an earlier line of that dump already had
+    became {"same_as": <id of the first such line>}, and each line was
+    re-dumped with sort_keys=True. They must not move."""
     from tabbench.datasets import load_pack
     from tabbench.oracle import leaf_conditions
     from tabbench.relation import sample_entities
