@@ -448,6 +448,9 @@ def test_suite_bytes_pinned(pack, f2):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "d3b3ddb0bd5483ab993d0be51433bacf34658cfb6704dae0d61fe187c5a6b380"
     )
+    assert hashlib.sha256(state_in_full(text, ("plan", "prompt")).encode("utf-8")).hexdigest() == (
+        "c3322c0d65e61d09a76f38f2c14eee2016f3e3fe9eacbc40ff304679ea1d182a"
+    )
 
 
 # natural, order_fixed and table over every request type and connective, n 1-3;
@@ -459,24 +462,51 @@ PACK_CONFIGS = tuple(
 )
 
 
-@pytest.mark.parametrize("name, digest", [
-    ("soccer", "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412"),
-    ("movie", "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2"),
-    ("pii", "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca"),
+def state_in_full(text, fields):
+    """`text`, a suite dump, with each {"same_as": id} of `fields` replaced by
+    the value the line with that id states, and each line re-dumped with keys
+    sorted: the dump of the same suite while `fields` were not shared."""
+    stated = {}
+    lines = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        for field in fields:
+            value = obj[field]
+            if isinstance(value, dict) and value.keys() == {"same_as"}:
+                obj[field] = stated[value["same_as"], field]
+            else:
+                stated[obj["id"], field] = value
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+# each case is named by the digest of its dump from before `plan` and `prompt`
+# were shared, which state_in_full recovers from the present dump
+@pytest.mark.parametrize("name, unshared_digest, digest", [
+    pytest.param("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe",
+                 "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412",
+                 id="soccer-e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
+    pytest.param("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72",
+                 "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2",
+                 id="movie-e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
+    pytest.param("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f",
+                 "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca",
+                 id="pii-94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
 ])
-def test_pack_suite_bytes_pinned(name, digest):
+def test_pack_suite_bytes_pinned(name, unshared_digest, digest):
     """Each built-in pack's phrase bank, schema and ops through the whole
     generator: the digest of the dumps of PACK_CONFIGS, one after the other,
     on 16 sampled entities. The conditions use every op the pack allows, and
     pii's e-mail column is drawn under `contains` as an @domain token. The
     digests were taken before render looked each wording up once per call and
     before condition scans were kept on the relation. When `plan` and `prompt`
-    became shared fields they were re-pinned from those digests (soccer
-    e61b0a97...0ebe, movie e814c692...cf72, pii 94798442...b13f): in each
-    dump of the parent, walked in order, a `plan` or `prompt` value whose
-    json.dumps(..., sort_keys=True) an earlier line of that dump already had
-    became {"same_as": <id of the first such line>}, and each line was
-    re-dumped with sort_keys=True. They must not move."""
+    became shared fields they were re-pinned from those digests (the
+    `unshared_digest` of each case): in each dump of the parent, walked in
+    order, a `plan` or `prompt` value whose json.dumps(..., sort_keys=True) an
+    earlier line of that dump already had became {"same_as": <id of the first
+    such line>}, and each line was re-dumped with sort_keys=True. Both must
+    hold: the present dumps, and those dumps with `plan` and `prompt` stated
+    in full again."""
     from tabbench.datasets import load_pack
     from tabbench.oracle import leaf_conditions
     from tabbench.relation import sample_entities
@@ -484,14 +514,18 @@ def test_pack_suite_bytes_pinned(name, digest):
     pack = load_pack(name)
     rel = sample_entities(pack.relation, 16, 5)
     digest_of = hashlib.sha256()
+    unshared_digest_of = hashlib.sha256()
     conditions = []
     for config in PACK_CONFIGS:
         suite = generate_suite(rel, config, pack)
-        digest_of.update(dump_suite(suite).encode("utf-8"))
+        text = dump_suite(suite)
+        digest_of.update(text.encode("utf-8"))
+        unshared_digest_of.update(state_in_full(text, ("plan", "prompt")).encode("utf-8"))
         conditions += [c for i in suite for c in leaf_conditions(i.plan.expr)]
     assert {c.op for c in conditions} == set(pack.allowed_ops)
     assert any(c.attr == "Email" and c.value.startswith("@") for c in conditions) == (name == "pii")
     assert digest_of.hexdigest() == digest
+    assert unshared_digest_of.hexdigest() == unshared_digest
 
 
 def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):
