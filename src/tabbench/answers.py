@@ -7,6 +7,7 @@ chain-of-thought responses that mention many entities before concluding.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -152,7 +153,7 @@ def match_entities(parsed: EntityList, keys: tuple[str, ...]) -> MatchResult:
     or is contained by, exactly one key ("Messi" for "L. Messi" and the other
     way round). Ambiguous or unmatched mentions are dropped and counted.
     """
-    by_norm = {normalize(k): k for k in keys}
+    by_norm = _by_norm(keys)
     matched: set[str] = set()
     dropped = 0
     for name in parsed.names:
@@ -166,3 +167,10 @@ def match_entities(parsed: EntityList, keys: tuple[str, ...]) -> MatchResult:
         else:
             dropped += 1
     return MatchResult(keys=frozenset(matched), dropped=dropped)
+
+
+@functools.lru_cache(maxsize=8)
+def _by_norm(keys: tuple[str, ...]) -> dict[str, str]:
+    """Each key by its normalized form. A suite shares one key list among its
+    instances, so it is normalized once, not once per answer."""
+    return {normalize(k): k for k in keys}

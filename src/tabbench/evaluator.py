@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -103,7 +104,7 @@ def _kept_rows(instance: RequestInstance, parsed: ParsedAnswer):
     if isinstance(parsed, PipeTable):
         key_col = parsed.column(snapshot.key, 0)
         parsed = EntityList(tuple(normalize(row[key_col]) for row in parsed.rows))
-    return _named(frozenset(snapshot.keys()), instance, parsed)
+    return _named(snapshot.key_set, instance, parsed)
 
 
 def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
@@ -114,14 +115,14 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     snapshot = instance.gold
     target = instance.plan.target_attr
     target_idx = snapshot.columns.index(target)
-    gold_rows = dict(zip(snapshot.keys(), snapshot.rows))
-    gold = frozenset(k for k, row in gold_rows.items() if normalize(row[target_idx]) == "n/a")
+    # entities are counted by row position: the F1 of positions is the F1 of keys
+    gold = frozenset(i for i, row in enumerate(snapshot.rows) if normalize(row[target_idx]) == "n/a")
     if not isinstance(parsed, PipeTable):
         return gold, None, 0, {}
 
     target_col = parsed.column(target)
     key_col = parsed.column(snapshot.key, 0)
-    by_key = {normalize(k): k for k in gold_rows}
+    positions = snapshot.positions
     shared = [(col, i) for i, name in enumerate(snapshot.columns)
               if i != target_idx and (col := parsed.column(name)) is not None]
 
@@ -129,13 +130,13 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     collateral = 0
     matched_rows = 0
     for row in parsed.rows:
-        key = by_key.get(unemphasized(row[key_col]))
-        if key is None:
+        position = positions.get(unemphasized(row[key_col]))
+        if position is None:
             continue
         matched_rows += 1
         if target_col is not None and unemphasized(row[target_col]) == "n/a":
-            predicted.add(key)
-        gold_row = gold_rows[key]
+            predicted.add(position)
+        gold_row = snapshot.rows[position]
         for col, gold_col in shared:
             # most cells carry no emphasis, so the plain comparison goes first
             cell, gold_cell = row[col], gold_row[gold_col]
@@ -223,6 +224,24 @@ def score(instance: RequestInstance, parsed: ParsedAnswer, model: str = "model")
 # ---------------------------------------------------------------------------
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of finite values. fmean sums them first, which overflows for
+    values near the largest float (a count answered with 308 digits); their
+    mean is then the sum of each value's share, which cannot."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
+def _variance(values: list[float]) -> float:
+    """The population variance, or inf when it is beyond the largest float."""
+    try:
+        return statistics.pvariance(values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ReportRow:
     group: tuple[tuple[str, object], ...]  # (key, value) pairs, in grouping order
@@ -254,13 +273,13 @@ def aggregate(records: list[EvalRecord], group_by: tuple[str, ...] = DEFAULT_GRO
     rows = []
     for key in sorted(cells, key=lambda k: tuple(str(x) for x in k)):
         by_template = cells[key]
-        template_means = [statistics.fmean(v) for _, v in sorted(by_template.items())]
+        template_means = [_mean(v) for _, v in sorted(by_template.items())]
         values = [v for vs in by_template.values() for v in vs]
         rows.append(
             ReportRow(
                 group=tuple(zip(group_by, key)),
-                mean=statistics.fmean(values),
-                variance=statistics.pvariance(template_means) if len(template_means) > 1 else 0.0,
+                mean=_mean(values),
+                variance=_variance(template_means) if len(template_means) > 1 else 0.0,
                 count=len(values),
                 templates=len(template_means),
             )
@@ -342,10 +361,10 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
     counted = [d for d in deltas if d.metric == ABS_DIFF]
     return FormatComparison(
         cells=tuple(deltas),
-        mean_improvement_pp=statistics.fmean(d.improvement_pp for d in scored) if scored else 0.0,
-        mean_relative_change=statistics.fmean(d.relative_change for d in scored) if scored else 0.0,
-        count_abs_reduction=statistics.fmean(d.improvement_pp for d in counted) if counted else None,
-        count_relative_reduction=statistics.fmean(d.relative_change for d in counted) if counted else None,
+        mean_improvement_pp=_mean([d.improvement_pp for d in scored]) if scored else 0.0,
+        mean_relative_change=_mean([d.relative_change for d in scored]) if scored else 0.0,
+        count_abs_reduction=_mean([d.improvement_pp for d in counted]) if counted else None,
+        count_relative_reduction=_mean([d.relative_change for d in counted]) if counted else None,
         convention=_CONVENTION,
         notes=(
             "headline relative-change figures depend on the aggregation convention "
@@ -485,7 +504,7 @@ def report_markdown(rows: list[ReportRow]) -> str:
         values = lines_index[slot]
         cells = [f"{values[m]:.4f}" if m in values else "-" for m in models]
         present = [values[m] for m in models if m in values]
-        avg = f"{statistics.fmean(present):.4f}" if present else "-"
+        avg = f"{_mean(present):.4f}" if present else "-"
         body.append([slot[0], slot[1], *cells, avg])
 
     widths = [max(len(str(line[i])) for line in [header, *body]) for i in range(len(header))]

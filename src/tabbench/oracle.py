@@ -6,6 +6,7 @@ code with it (`tests/reference_oracle.py`).
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -207,10 +208,12 @@ class TupleSet:
 
 @dataclass(frozen=True)
 class RelationSnapshot:
-    """A table after a deletion or an update: its column names, the key
-    column's name and its rows of cell strings. Each row is as wide as the
-    columns, the key is one of them, and no key repeats under `normalize`
-    (DuplicateKeyError)."""
+    """A table after a deletion or an update, or before one: its column names,
+    the key column's name and its rows of cell strings. Each row is as wide as
+    the columns, the key is one of them, and no key repeats under `normalize`
+    (DuplicateKeyError). Its key set and its rows' positions by key, which
+    scoring and suite loading read, are computed once per snapshot, on first
+    use."""
 
     kind: ClassVar[str] = "relation"
     columns: tuple[str, ...]
@@ -234,6 +237,17 @@ class RelationSnapshot:
         """Each row's key cell, stripped, in row order."""
         key_idx = self.columns.index(self.key)
         return tuple(row[key_idx].strip() for row in self.rows)
+
+    @functools.cached_property
+    def key_set(self) -> frozenset[str]:
+        """keys() as a set."""
+        return frozenset(self.keys())
+
+    @functools.cached_property
+    def positions(self) -> dict[str, int]:
+        """Each row's position by its key cell under normalize."""
+        key_idx = self.columns.index(self.key)
+        return {normalize(row[key_idx]): i for i, row in enumerate(self.rows)}
 
 
 @dataclass(frozen=True)

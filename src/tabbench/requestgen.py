@@ -28,9 +28,10 @@ from .oracle import (
     Or,
     PlanError,
     QueryPlan,
+    RelationSnapshot,
     evaluate,
 )
-from .relation import IngestError, Relation
+from .relation import IngestError, Relation, normalize
 from .requesttypes import CORE_TYPES, MANY_TARGETS, NO_TARGET, ONE_TARGET, ROWS, RequestType, type_of
 from .runio import from_json, to_json
 from .seeding import derive_seed
@@ -130,7 +131,10 @@ class TemplatePack:
 class RequestInstance:
     """One fully rendered benchmark prompt with its plan and gold answer. The
     plan is the only record of what was asked: its request type, conditions,
-    target attribute and negation are read from it, not stored beside it."""
+    target attribute and negation are read from it, not stored beside it.
+    `relation` is the sampled relation the gold was evaluated against, which a
+    suite states once so that a deletion or update gold is written as an edit
+    of it; an instance built without it states its gold in full."""
 
     id: str
     dataset: str
@@ -146,6 +150,7 @@ class RequestInstance:
     entity_keys: tuple[str, ...]
     mode: Mode = Mode.SURROGATE
     resamples: int = 0
+    relation: RelationSnapshot | None = None
 
     @property
     def request_type(self) -> RequestType:
@@ -273,10 +278,12 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     Each piece of work runs at the loop level where its inputs are fixed: the
     plan and gold answer once per (pair, connective, negation), each prompt
     once per (pair, connective, negation, template), the context once per
-    (pair, level, portion), the entity keys and the two-turn pre-instruction
-    once per suite; each instance is then built from these."""
+    (pair, level, portion), the entity keys, the relation snapshot and the
+    two-turn pre-instruction once per suite; each instance is then built from
+    these."""
     instances: list[RequestInstance] = []
     entity_keys = rel.keys()
+    relation = RelationSnapshot(rel.attribute_names, rel.key_attr.name, tuple(row.values for row in rel.rows))
     pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == Mode.TWO_TURN else None
     for request_type in config.request_types:
         target = pack.target_for(request_type)
@@ -319,6 +326,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                                 entity_keys=entity_keys,
                                 mode=config.mode,
                                 resamples=resamples,
+                                relation=relation,
                             ))
     return instances
 
@@ -329,23 +337,25 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 
 # Fields whose values repeat across a suite: the facts are fixed and only the
 # wording, connective and structuring level vary, so one context, gold and key
-# list serve many instances, one plan every wording and level of a slot, and
-# one prompt every level. dump_suite states each distinct value once.
-# pre_instruction is not one: it is null outside two-turn suites, and a
-# {"same_as": id} is longer than null.
-SHARED_FIELDS = ("context", "entity_keys", "gold", "plan", "prompt")
+# list serve many instances, one plan every wording and level of a slot, one
+# prompt every level, and one relation the whole suite. dump_suite states each
+# distinct value once. pre_instruction is not one: it is null outside two-turn
+# suites, and a {"same_as": id} is longer than null.
+SHARED_FIELDS = ("context", "entity_keys", "gold", "plan", "prompt", "relation")
 # instances the generate stage dumps at a time, so one batch's text is held at once
 SUITE_BATCH = 256
 
 
 def dump_suite(instances: list[RequestInstance], stated: dict[tuple[str, bytes], str] | None = None) -> str:
     """Suite JSONL: one to_json object per line, keys sorted. For each
-    of SHARED_FIELDS (context, entity_keys, gold, plan and prompt), the first
-    line with a given value (equal canonical JSON) states it in full; a later
-    line with an equal value holds {"same_as": <id of that first line>}
-    instead. `stated` maps each value stated so far, as (field, SHA-256 of
-    its canonical JSON), to the id of the line that states it: a suite dumped
-    in batches that share one `stated` joins to the dump of the whole suite in
+    of SHARED_FIELDS (context, entity_keys, gold, plan, prompt and relation),
+    the first line with a given value (equal canonical JSON) states it in
+    full; a later line with an equal value holds {"same_as": <id of that first
+    line>} instead. A gold stated in full that is its line's relation with
+    rows dropped or cells changed is written as that edit (see _edit_of).
+    `stated` maps each value stated so far, as (field, SHA-256 of its full
+    canonical JSON), to the id of the line that states it: a suite dumped in
+    batches that share one `stated` joins to the dump of the whole suite in
     one call."""
     first = {} if stated is None else stated
     # generate_suite hands one object to every instance that shares a value, so
@@ -367,21 +377,94 @@ def dump_suite(instances: list[RequestInstance], stated: dict[tuple[str, bytes],
                 known[(field, id(value))] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}
+            elif field == "gold" and (edit := _edit_of(instance.relation, value)) is not None:
+                obj[field] = {"kind": RelationSnapshot.kind, "edit": edit}
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def _edit_of(relation: RelationSnapshot | None, gold: GoldAnswer) -> dict | None:
+    """The edit that turns `relation` into `gold`, as a suite writes it:
+    {"drop": [<key cell of each dropped row>], "set": [[<key cell>, <column>,
+    <value>] for each changed cell]}. None unless the gold has the relation's
+    columns and key and holds the relation's rows in order, each found by its
+    key cell, with some dropped and some cells changed."""
+    if not isinstance(gold, RelationSnapshot) or relation is None or (
+            (gold.columns, gold.key) != (relation.columns, relation.key)):
+        return None
+    key_idx = relation.columns.index(relation.key)
+    drop, changes = [], []
+    rows = iter(relation.rows)
+    for gold_row in gold.rows:
+        for row in rows:
+            if row[key_idx] == gold_row[key_idx]:
+                break
+            drop.append(row[key_idx])
+        else:
+            return None
+        if gold_row is not row:
+            changes += [[row[key_idx], column, cell]
+                        for column, cell, was in zip(relation.columns, gold_row, row) if cell != was]
+    drop += [row[key_idx] for row in rows]
+    return {"drop": drop, "set": changes}
+
+
+@dataclass(frozen=True)
+class RelationEdit:
+    """A gold's edit as a suite states it (see _edit_of); each `set` item is
+    [key cell, column, value]."""
+
+    drop: tuple[str, ...]
+    set: tuple[tuple[str, ...], ...]
+
+
+def _edited(relation: RelationSnapshot | None, gold: dict) -> RelationSnapshot:
+    """The gold that a line states as {"kind": "relation", "edit": <edit of
+    _edit_of>} makes of the line's `relation`. A key is found under normalize.
+    The rows the edit leaves unchanged are the relation's own row tuples, so
+    golds that edit one relation share them."""
+    if gold.keys() != {"kind", "edit"} or gold["kind"] != RelationSnapshot.kind:
+        raise ValueError(f"a gold edit must be {{'edit': ..., 'kind': 'relation'}}, got {gold!r}")
+    if relation is None:
+        raise ValueError("gold is an edit of the relation, but the line states no relation")
+    edit = from_json(RelationEdit, gold["edit"])
+    columns, positions = relation.columns, relation.positions
+
+    def position(key: str) -> int:
+        found = positions.get(normalize(key))
+        if found is None:
+            raise ValueError(f"gold edit names key {key!r}, which no row of the relation has")
+        return found
+
+    rows = list(relation.rows)
+    for item in edit.set:
+        if len(item) != 3:
+            raise ValueError(f"each set of a gold edit must be [key, column, value], got {list(item)!r}")
+        key, column, value = item
+        if column not in columns:
+            raise ValueError(f"gold edit sets column {column!r}, which is not one of the relation's "
+                             f"columns {list(columns)}")
+        i = position(key)
+        cells = list(rows[i])
+        cells[columns.index(column)] = value
+        rows[i] = tuple(cells)
+    dropped = {position(key) for key in edit.drop}
+    return RelationSnapshot(columns, relation.key, tuple(row for i, row in enumerate(rows) if i not in dropped))
 
 
 def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
     """The instances of a suite's lines, in file order, each decoded as it is
     reached. A {"same_as": id} field takes that field's value from the
     earlier line with that id, which must state it in full, as the same
-    object, so each distinct context, key list, gold, plan and prompt is
-    decoded and held once; only those values are kept, not the instances. A
-    line stating every value in full loads as it is. An id stated on two lines
-    is an error, and so is a gold that its request type cannot be scored
-    against: one of another class, or an update's gold without the target
-    column. A `request_type` key, which suites stated before it was read from
-    the plan, is ignored."""
+    object, so each distinct context, key list, gold, plan, prompt and
+    relation is decoded and held once; only those values are kept, not the
+    instances. A gold written as an edit is applied to its line's relation
+    (_edited). A line stating every value in full loads as it is, and so
+    does one with no relation, as suites were written before it was shared.
+    An id stated on two lines is an error, and so is a gold that its request
+    type cannot be scored against: one of another class, or an update's gold
+    without the target column. A `request_type` key, which suites stated
+    before it was read from the plan, is ignored."""
     stated: dict[tuple[str, str], object] = {}
     line_of: dict[str, int] = {}
     for number, line in enumerate(lines, 1):
@@ -403,6 +486,10 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
                         obj[field] = stated[field, ref]
                     else:
                         in_full.append(field)
+                gold = obj.get("gold")
+                if isinstance(gold, dict) and "edit" in gold:
+                    relation = obj["relation"] = from_json(RelationSnapshot | None, obj.get("relation"))
+                    obj["gold"] = _edited(relation, gold)
             instance = from_json(RequestInstance, obj)
             scored_against = ROWS[instance.request_type].gold
             if type(instance.gold) is not scored_against:

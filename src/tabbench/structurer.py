@@ -227,7 +227,9 @@ def parse_table(text: str) -> PipeTable:
                 break
             continue
         in_block = True
-        if is_separator_row(cells):
+        # a rule row's first non-empty cell starts with - or :, so most rows skip the full test
+        first = cells[0] or next((c for c in cells if c), "")
+        if first[:1] in ("-", ":") and is_separator_row(cells):
             continue
         block.append(cells)
 
@@ -239,7 +241,7 @@ def parse_table(text: str) -> PipeTable:
     rows: list[tuple[str, ...]] = []
     seen_keys: set[str] = set()
     for cells in block[1:]:
-        padded = tuple((cells + [""] * width)[:width])
+        padded = tuple(cells if len(cells) == width else (cells + [""] * width)[:width])
         key = normalize(padded[0])
         if key in seen_keys or not padded[0]:
             continue

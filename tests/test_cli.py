@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -259,23 +260,32 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert hashed == []
 
 
-@pytest.mark.parametrize("in_full", [("plan", "prompt"), requestgen.SHARED_FIELDS],
-                         ids=["plans and prompts in full", "every value in full"])
-def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tmp_path, monkeypatch, in_full):
-    """A suite written before plans and prompts were shared fields (or before
-    any value was) is run and scored as the suite generate writes now."""
+@pytest.mark.parametrize("in_full, relation", [(("plan", "prompt"), True), (requestgen.SHARED_FIELDS, True), ((), False)],
+                         ids=["plans and prompts in full", "every value in full", "golds in full, no relation"])
+def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tmp_path, monkeypatch, in_full,
+                                                                     relation):
+    """A suite written before the relation was shared and deletion and update
+    golds were edits of it, before plans and prompts were shared fields, or
+    before any value was, is run and scored as the suite generate writes now."""
     config = write_config(tmp_path, request_types=["retrieval", "update", "count", "existence"],
                           connectives=["and", "or", "diff"], levels=["natural", "table"])
     suites = {"new": tmp_path / "new" / "suite.jsonl", "old": tmp_path / "old" / "suite.jsonl"}
     assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suites["new"].parent)]).exit_code == 0
     new_text = suites["new"].read_text(encoding="utf-8")
     instances = list(requestgen.load_suite(new_text.splitlines()))
+    if not relation:
+        instances = [dataclasses.replace(instance, relation=None) for instance in instances]
     with monkeypatch.context() as patch:
         patch.setattr(requestgen, "SHARED_FIELDS", tuple(f for f in requestgen.SHARED_FIELDS if f not in in_full))
         old_text = requestgen.dump_suite(instances)
+    if not relation:
+        old_text = "".join(json.dumps({key: value for key, value in json.loads(line).items() if key != "relation"},
+                                      sort_keys=True) + "\n" for line in old_text.splitlines())
+        assert '"edit"' not in old_text and '"relation":' not in old_text
     suites["old"].parent.mkdir()
     suites["old"].write_text(old_text, encoding="utf-8")
-    assert len(old_text) > len(new_text)
+    if relation:
+        assert len(old_text) > len(new_text)
     stated = [json.loads(line)[field] for line in old_text.splitlines() for field in in_full]
     assert not any(isinstance(value, dict) and "same_as" in value for value in stated)
     assert list(requestgen.load_suite(old_text.splitlines())) == instances
@@ -384,8 +394,8 @@ def test_default_pair_count_yields_600_per_type(runner, tmp_path):
     assert len((tmp_path / "gen" / "suite.jsonl").read_text().splitlines()) == 600
 
 
-def _generated_and_run(runner, tmp_path) -> tuple[Path, Path]:
-    config = write_config(tmp_path, request_types=["retrieval"], pair_count=1)
+def _generated_and_run(runner, tmp_path, **overrides) -> tuple[Path, Path]:
+    config = write_config(tmp_path, **{"request_types": ["retrieval"], "pair_count": 1, **overrides})
     suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
     assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
     assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
@@ -582,6 +592,74 @@ def test_eval_suite_ref_to_an_id_not_read_earlier_exits_2(runner, tmp_path, ref)
 
 
 @pytest.mark.parametrize("stage", ["run", "eval"])
+@pytest.mark.parametrize("case, message", [
+    ("no relation", "line 1: not a suite instance (ValueError: gold is an edit of the relation, but the line "
+                    "states no relation)"),
+    ("dropped key", "line 1: not a suite instance (ValueError: gold edit names key 'Nobody', which no row of the "
+                    "relation has)"),
+    ("set key", "line 1: not a suite instance (ValueError: gold edit names key 'Nobody', which no row of the "
+                "relation has)"),
+    ("set column", "line 1: not a suite instance (ValueError: gold edit sets column 'Shoe size', which is not one "
+                   "of the relation's columns"),
+    ("relation ref", "line 2: relation is the same as 'nowhere', an id that no earlier line has"),
+])
+def test_suite_with_a_bad_gold_edit_or_relation_exits_2(runner, tmp_path, stage, case, message):
+    suite, results = _generated_and_run(runner, tmp_path, request_types=["deletion", "update"])
+    (suite.parent / "suite.manifest.json").unlink()
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    first, second = json.loads(lines[0]), json.loads(lines[1])
+    relation, edit = first["relation"], first["gold"]["edit"]
+    key = relation["rows"][0][relation["columns"].index(relation["key"])]
+    if case == "no relation":
+        del first["relation"]
+    elif case == "dropped key":
+        edit["drop"].append("Nobody")
+    elif case == "set key":
+        edit["set"].append(["Nobody", relation["columns"][1], "N/A"])
+    elif case == "set column":
+        edit["set"].append([key, "Shoe size", "44"])
+    else:
+        second["relation"] = {"same_as": "nowhere"}
+    lines[:2] = [json.dumps(first, sort_keys=True), json.dumps(second, sort_keys=True)]
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
+        "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+    }[stage]
+    [error] = _config_errors(runner.invoke(main, args))
+    assert str(suite) in error and message in error
+    assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
+
+
+def test_eval_of_count_answers_near_the_largest_float_writes_json_reports(runner, tmp_path):
+    """Two count answers of 308 nines, which read as finite floats near the
+    largest, in one cell: their mean is taken without overflowing, and the
+    variance across templates, beyond the largest float, reads inf."""
+    suite, results = _generated_and_run(runner, tmp_path, request_types=["count"], pair_count=3,
+                                        connectives=["and"], levels=["natural", "table"])
+    results.with_name("results.jsonl.manifest.json").unlink()
+    lines = results.read_text(encoding="utf-8").splitlines()
+    for number in (0, 1):
+        line = json.loads(lines[number])
+        line["text"] = "ANSWER: " + "9" * 308
+        lines[number] = json.dumps(line, sort_keys=True)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    assert result.exit_code == 0, result.output
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    compare = json.loads((tmp_path / "eval" / "compare.json").read_text(encoding="utf-8"),
+                         parse_constant=no_constant)
+    assert 1e306 < compare["count_abs_reduction"] < 1e308
+    with open(tmp_path / "eval" / "aggregate.csv", encoding="utf-8", newline="") as f:
+        cells = {row["level"]: row for row in csv.DictReader(f)}
+    assert 1e306 < float(cells["natural"]["mean"]) < 1e308 and cells["natural"]["variance"] == "inf"
+    assert (cells["table"]["mean"], cells["table"]["variance"]) == ("0.0", "0.0")
+
+
+@pytest.mark.parametrize("stage", ["run", "eval"])
 def test_suite_repeating_an_id_exits_2(runner, tmp_path, stage):
     suite, results = _generated_and_run(runner, tmp_path)
     (suite.parent / "suite.manifest.json").unlink()
@@ -659,6 +737,8 @@ def test_eval_suite_update_whose_target_is_not_a_gold_column_exits_2(runner, tmp
     lines = suite.read_text(encoding="utf-8").splitlines()
     edited = json.loads(lines[0])
     target = edited["plan"]["target_attr"]
+    # the gold stated in full, not as an edit of the relation
+    edited["gold"] = runio.to_json(next(requestgen.load_suite(lines)).gold)
     assert target in edited["gold"]["columns"]
     edited["gold"]["columns"] = [f"{name} (renamed)" if name == target else name
                                  for name in edited["gold"]["columns"]]

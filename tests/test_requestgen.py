@@ -8,6 +8,7 @@ import pytest
 
 from tabbench import requestgen
 from tabbench.condgen import GenError
+from tabbench.datasets import BUILTIN_PACKS
 from tabbench.oracle import AND, DIFF, EQ, OR, And, Condition, Diff, Or, QueryPlan, Witnessed, evaluate
 from tabbench.requestgen import (
     CORE_TYPES,
@@ -197,7 +198,7 @@ def test_instance_json_round_trip(pack, f2):
 
 def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
     names = {f.name for f in dataclasses.fields(RequestInstance)}
-    assert len(names) == 14 and not names & {"expr", "target", "n_conditions", "negated", "request_type"}
+    assert len(names) == 15 and not names & {"expr", "target", "n_conditions", "negated", "request_type"}
     assert [f.name for f in dataclasses.fields(Witnessed)] == ["witnesses"]
     config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE,), connectives=(OR,),
                          n_conditions=(3,), seed=4)
@@ -343,7 +344,14 @@ def test_suite_states_each_shared_value_once(pack, f2):
                 continue
             canonical = json.dumps(full_obj[key], sort_keys=True)
             source = first_id.setdefault((key, canonical), instance.id)
-            assert value == (full_obj[key] if source == instance.id else {"same_as": source})
+            if source != instance.id:
+                assert value == {"same_as": source}
+            elif key == "gold" and instance.request_type is RequestType.DELETION:
+                # stated as the rows it drops from the line's relation
+                dropped = [k for k in instance.relation.keys() if k not in instance.gold.key_set]
+                assert value == {"edit": {"drop": dropped, "set": []}, "kind": "relation"}
+            else:
+                assert value == full_obj[key]
     assert {key for key, _ in first_id} == set(SHARED_FIELDS)
 
     # equal values are one object after loading
@@ -437,15 +445,20 @@ def test_suite_bytes_pinned(pack, f2):
     once (668a726e...8f98): walking its dump in order, a `context`,
     `entity_keys` or `gold` value whose json.dumps(..., sort_keys=True) an
     earlier line already had became {"same_as": <id of the first such line>}.
-    The present digest came from that one (c3322c0d...182a) the same way, when
+    The next digest came from that one (c3322c0d...182a) the same way, when
     `plan` and `prompt` became shared fields: walking its dump in order, a
     `plan` or `prompt` value whose json.dumps(..., sort_keys=True) an earlier
     line already had became {"same_as": <id of the first such line>}, and
-    each line was re-dumped with sort_keys=True. The suite text, instance
-    order and ids must not move."""
+    each line was re-dumped with sort_keys=True. The present digest came from
+    that one (d3b3ddb0...b380) when the sampled relation became a shared
+    field and deletion and update golds edits of it; state_in_full(text, ())
+    undoes that. The suite text, instance order and ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "e60d445864f2914e41820695ab699747407863de8e5762b189ba824c2a132e21"
+    )
+    assert hashlib.sha256(state_in_full(text, ()).encode("utf-8")).hexdigest() == (
         "d3b3ddb0bd5483ab993d0be51433bacf34658cfb6704dae0d61fe187c5a6b380"
     )
     assert hashlib.sha256(state_in_full(text, ("plan", "prompt")).encode("utf-8")).hexdigest() == (
@@ -463,37 +476,51 @@ PACK_CONFIGS = tuple(
 
 
 def state_in_full(text, fields):
-    """`text`, a suite dump, with each {"same_as": id} of `fields` replaced by
+    """`text`, a suite dump, as it was dumped before the sampled relation was
+    a shared field, and while `fields` were not shared either: each gold
+    written as an edit replaced by the gold it makes of its line's relation,
+    the `relation` key dropped, each {"same_as": id} of `fields` replaced by
     the value the line with that id states, and each line re-dumped with keys
-    sorted: the dump of the same suite while `fields` were not shared."""
+    sorted."""
     stated = {}
     lines = []
     for line in text.splitlines():
         obj = json.loads(line)
-        for field in fields:
+        for field in ("relation", *fields):
             value = obj[field]
             if isinstance(value, dict) and value.keys() == {"same_as"}:
                 obj[field] = stated[value["same_as"], field]
             else:
                 stated[obj["id"], field] = value
+        relation, gold = obj.pop("relation"), obj["gold"]
+        if "edit" in gold:
+            key = relation["columns"].index(relation["key"])
+            changes = {(k, column): value for k, column, value in gold["edit"]["set"]}
+            obj["gold"] = {**gold, "columns": relation["columns"], "key": relation["key"], "rows": [
+                [changes.get((row[key], column), cell) for column, cell in zip(relation["columns"], row)]
+                for row in relation["rows"] if row[key] not in gold["edit"]["drop"]]}
+            del obj["gold"]["edit"]
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
 
 # each case is named by the digest of its dump from before `plan` and `prompt`
 # were shared, which state_in_full recovers from the present dump
-@pytest.mark.parametrize("name, unshared_digest, digest", [
+@pytest.mark.parametrize("name, unshared_digest, unrelated_digest, digest", [
     pytest.param("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe",
                  "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412",
+                 "9be6a92fe55168845b807e40d134c49d050e9056e9961a990ea870f9abd3a0e6",
                  id="soccer-e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
     pytest.param("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72",
                  "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2",
+                 "7941a38f601c0bd03761e47b8b773ac9bcb75739645a65573e9d899011f85461",
                  id="movie-e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
     pytest.param("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f",
                  "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca",
+                 "84fd75933a2eb4b5fe4c7b1153ca0cd884266c487248c7875d188b30ce4c471a",
                  id="pii-94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
 ])
-def test_pack_suite_bytes_pinned(name, unshared_digest, digest):
+def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, digest):
     """Each built-in pack's phrase bank, schema and ops through the whole
     generator: the digest of the dumps of PACK_CONFIGS, one after the other,
     on 16 sampled entities. The conditions use every op the pack allows, and
@@ -504,9 +531,12 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, digest):
     `unshared_digest` of each case): in each dump of the parent, walked in
     order, a `plan` or `prompt` value whose json.dumps(..., sort_keys=True) an
     earlier line of that dump already had became {"same_as": <id of the first
-    such line>}, and each line was re-dumped with sort_keys=True. Both must
-    hold: the present dumps, and those dumps with `plan` and `prompt` stated
-    in full again."""
+    such line>}, and each line was re-dumped with sort_keys=True. When the
+    sampled relation became a shared field and deletion and update golds
+    edits of it, they were re-pinned again from the digests of that time (the
+    `unrelated_digest` of each case), which state_in_full(text, ()) recovers.
+    All three must hold: the present dumps, those dumps before the relation
+    was shared, and those with `plan` and `prompt` stated in full again."""
     from tabbench.datasets import load_pack
     from tabbench.oracle import leaf_conditions
     from tabbench.relation import sample_entities
@@ -514,18 +544,73 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, digest):
     pack = load_pack(name)
     rel = sample_entities(pack.relation, 16, 5)
     digest_of = hashlib.sha256()
+    unrelated_digest_of = hashlib.sha256()
     unshared_digest_of = hashlib.sha256()
     conditions = []
     for config in PACK_CONFIGS:
         suite = generate_suite(rel, config, pack)
         text = dump_suite(suite)
         digest_of.update(text.encode("utf-8"))
+        unrelated_digest_of.update(state_in_full(text, ()).encode("utf-8"))
         unshared_digest_of.update(state_in_full(text, ("plan", "prompt")).encode("utf-8"))
         conditions += [c for i in suite for c in leaf_conditions(i.plan.expr)]
     assert {c.op for c in conditions} == set(pack.allowed_ops)
     assert any(c.attr == "Email" and c.value.startswith("@") for c in conditions) == (name == "pii")
     assert digest_of.hexdigest() == digest
+    assert unrelated_digest_of.hexdigest() == unrelated_digest
     assert unshared_digest_of.hexdigest() == unshared_digest
+
+
+@pytest.mark.parametrize("name", BUILTIN_PACKS)
+def test_suite_states_deletion_and_update_golds_as_edits_and_no_value_twice(name):
+    """Over every pack and request type, a generated suite states its sampled
+    relation once, each deletion and update gold as an edit of it (the keys it
+    drops, the target cells an update sets to N/A) and no value in full twice;
+    loaded, a gold keeps the relation's row tuples where it left them as they
+    were."""
+    from tabbench.datasets import load_pack
+    from tabbench.relation import sample_entities
+
+    pack = load_pack(name)
+    rel = sample_entities(pack.relation, 16, 5)
+    suite = generate_suite(rel, PACK_CONFIGS[0], pack)
+    text = dump_suite(suite)
+    stated = set()
+    edited = {RequestType.DELETION: 0, RequestType.UPDATE: 0}
+    for line, instance in zip(text.splitlines(), suite):
+        obj = json.loads(line)
+        in_full = [field for field in SHARED_FIELDS
+                   if not (isinstance(obj[field], dict) and obj[field].keys() == {"same_as"})]
+        for field in in_full:
+            full = json.dumps(to_json(getattr(instance, field)), sort_keys=True)
+            assert (field, full) not in stated
+            stated.add((field, full))
+        if "gold" not in in_full:
+            continue
+        gold = obj["gold"]
+        assert ("edit" in gold) == (instance.request_type in edited)
+        if "edit" in gold:
+            edited[instance.request_type] += 1
+            kept = instance.gold.key_set
+            assert gold["edit"]["drop"] == [k for k in rel.keys() if k not in kept]
+            if instance.request_type is RequestType.UPDATE:
+                assert gold["edit"]["drop"] == []
+                assert {(column, value) for _, column, value in gold["edit"]["set"]} <= {
+                    (instance.plan.target_attr, "N/A")}
+            else:
+                assert gold["edit"]["set"] == []
+    assert [field for field, _ in stated].count("relation") == 1
+    assert all(edited.values())
+
+    loaded = list(load_suite(text.splitlines()))
+    assert loaded == suite
+    relation_rows = {id(row) for row in loaded[0].relation.rows}
+    unchanged = []
+    for instance in loaded:
+        if instance.request_type in edited:
+            assert instance.relation is loaded[0].relation
+            unchanged += [row for row in instance.gold.rows if row in instance.relation.rows]
+    assert unchanged and all(id(row) in relation_rows for row in unchanged)
 
 
 def test_suite_renders_per_cell_and_evaluates_per_slot(pack, f2, monkeypatch):

@@ -15,10 +15,12 @@ from tabbench.structurer import (
     SentenceFrame,
     StructuringLevel,
     cell_fill_rate,
+    is_separator_row,
     parse_table,
     render,
     render_partial,
     render_table,
+    split_pipe_line,
 )
 
 from conftest import as_pipe_table, random_relation, table_equal
@@ -220,6 +222,37 @@ def test_parse_stops_at_first_block(f1):
 def test_parse_pads_ragged_rows():
     table = parse_table("| A | B | C |\n| one | two |\n| x | y | z | extra |")
     assert table.rows == (("one", "two", ""), ("x", "y", "z"))
+
+
+# rows as a model writes them: ragged, emphasized, rule rows in their
+# spellings, a first cell that starts like a rule and empty first cells
+PIPE_ROWS = [
+    ("| Messi | 10 |", ["Messi", "10"], False),
+    ("Messi | 10", ["Messi", "10"], False),
+    ("| Messi |", ["Messi"], False),
+    ("| Messi | 10 | Argentina | extra |", ["Messi", "10", "Argentina", "extra"], False),
+    ("| **Messi** | *10* | `AR` |", ["**Messi**", "*10*", "`AR`"], False),
+    ("| __Messi__ | _10_ |", ["__Messi__", "_10_"], False),
+    ("|---|---:|:--|:-:|", ["---", "---:", ":--", ":-:"], True),
+    ("--- | ---", ["---", "---"], True),
+    ("| - | --- |", ["-", "---"], True),
+    ("| | --- |", ["", "---"], True),
+    ("| --- | Messi |", ["---", "Messi"], False),
+    ("| -5 | 3 |", ["-5", "3"], False),
+    ("| :) | ok |", [":)", "ok"], False),
+    ("|  |  |", ["", ""], False),
+    ("|", None, False),
+]
+
+
+@pytest.mark.parametrize("line, cells, rule", PIPE_ROWS)
+def test_pipe_rows_split_and_skip_as_the_full_separator_test_says(line, cells, rule):
+    """parse_table skips a row by is_separator_row, and keeps every other row
+    with its key, padded or cut to the header's width."""
+    assert split_pipe_line(line) == cells
+    assert cells is None or is_separator_row(cells) == rule
+    kept = () if not cells or rule or not cells[0] else (tuple((cells + [""] * 3)[:3]),)
+    assert parse_table("| A | B | C |\n" + line).rows == kept
 
 
 def test_parse_drops_repeated_keys():
