@@ -14,6 +14,7 @@ import io
 import json
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 
 from .answers import EntityList, Judgement, NumberAnswer, ParsedAnswer, TupleList, match_entities
@@ -344,7 +345,8 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
             improvement = table_value - text_value
         else:
             improvement = text_value - table_value
-        relative = improvement / text_value if text_value else 0.0
+        # a quotient beyond the largest float would read inf, which is not JSON: it is that float instead
+        relative = max(-sys.float_info.max, min(improvement / text_value if text_value else 0.0, sys.float_info.max))
         deltas.append(
             CellDelta(
                 model=key[0],

@@ -216,16 +216,27 @@ def complete(instance: RequestInstance, model: ModelKind) -> ResultLine:
     return replace(second, attempts=first.attempts + second.attempts)
 
 
+def _answer(instance: RequestInstance, model: ModelKind) -> ResultLine:
+    """complete's line for one instance; an exception raised while answering
+    it becomes its error line, `<exception class>: <message>`, so that it
+    ends only this instance and not the run."""
+    try:
+        return complete(instance, model)
+    except Exception as e:
+        return ResultLine(attempts=1, error=f"{type(e).__name__}: {e}", id=instance.id, model=model.model_id,
+                          text=None)
+
+
 def _answers(todo: list[RequestInstance], model: ModelKind):
     """Result lines of `todo` in completion order. A mock is CPU-bound, so a pool
     would only add overhead under the GIL: it answers inline, one instance at a
     time. A remote model is asked through a pool of its config's max_in_flight."""
     if not isinstance(model, RemoteModel):
         for instance in todo:
-            yield complete(instance, model)
+            yield _answer(instance, model)
         return
     with ThreadPoolExecutor(max_workers=model.config.max_in_flight) as pool:
-        for future in as_completed([pool.submit(complete, instance, model) for instance in todo]):
+        for future in as_completed([pool.submit(_answer, instance, model) for instance in todo]):
             yield future.result()
 
 

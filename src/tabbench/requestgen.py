@@ -339,46 +339,65 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 # wording, connective and structuring level vary, so one context, gold and key
 # list serve many instances, one plan every wording and level of a slot, one
 # prompt every level, and one relation the whole suite. dump_suite states each
-# distinct value once. pre_instruction is not one: it is null outside two-turn
-# suites, and a {"same_as": id} is longer than null.
+# distinct value once. pre_instruction is not one: a suite has one (null
+# outside two-turn suites), which every line after the first leaves out as it
+# equals the line before's.
 SHARED_FIELDS = ("context", "entity_keys", "gold", "plan", "prompt", "relation")
 # instances the generate stage dumps at a time, so one batch's text is held at once
 SUITE_BATCH = 256
+# the keys a suite line may leave out, to take the line before's value
+_INHERITED = tuple(f.name for f in dataclasses.fields(RequestInstance) if f.name != "id")
 
 
-def dump_suite(instances: list[RequestInstance], stated: dict[tuple[str, bytes], str] | None = None) -> str:
+def dump_suite(instances: list[RequestInstance],
+               stated: dict[tuple[str, bytes | None], str] | None = None) -> str:
     """Suite JSONL: one to_json object per line, keys sorted. For each
     of SHARED_FIELDS (context, entity_keys, gold, plan, prompt and relation),
     the first line with a given value (equal canonical JSON) states it in
     full; a later line with an equal value holds {"same_as": <id of that first
     line>} instead. A gold stated in full that is its line's relation with
     rows dropped or cells changed is written as that edit (see _edit_of).
+    Then a line leaves out every key but `id` whose value equals the line
+    before's: a shared field when both resolve to the same stating line, any
+    other when both have the same JSON. The first line states every key.
     `stated` maps each value stated so far, as (field, SHA-256 of its full
-    canonical JSON), to the id of the line that states it: a suite dumped in
-    batches that share one `stated` joins to the dump of the whole suite in
-    one call."""
+    canonical JSON), to the id of the line that states it, and each field, as
+    (field, None), to what the last line dumped has (the id of the line that
+    states a shared value, the repr of any other): a suite dumped in batches
+    that share one `stated` joins to the dump of the whole suite in one
+    call."""
     first = {} if stated is None else stated
     # generate_suite hands one object to every instance that shares a value, so
     # a value is encoded when its object is first met (it stays alive in
     # `instances`) and a later line finds its source by the object alone
     known: dict[tuple[str, int], str] = {}
-    own_fields = [f.name for f in dataclasses.fields(RequestInstance) if f.name not in SHARED_FIELDS]
+    own_fields = [name for name in _INHERITED if name not in SHARED_FIELDS]
     lines = []
     for instance in instances:
         # RequestInstance declares no `kind`: its JSON object is its fields
-        obj = {name: to_json(getattr(instance, name)) for name in own_fields}
+        obj = {"id": instance.id}
+        for name in own_fields:
+            value = to_json(getattr(instance, name))
+            # two JSON scalars have the same JSON when they have the same repr
+            if first.get((name, None)) != (written := repr(value)):
+                obj[name], first[name, None] = value, written
         for field in SHARED_FIELDS:
             value = getattr(instance, field)
             source = known.get((field, id(value)))
             if source is None:
-                obj[field] = to_json(value)
-                canonical = json.dumps(obj[field], sort_keys=True).encode("utf-8")
+                full = to_json(value)
+                canonical = json.dumps(full, sort_keys=True).encode("utf-8")
                 source = first.setdefault((field, hashlib.sha256(canonical).digest()), instance.id)
                 known[(field, id(value))] = source
+            if source == first.get((field, None)):
+                continue
+            first[field, None] = source
             if source != instance.id:
                 obj[field] = {"same_as": source}
             elif field == "gold" and (edit := _edit_of(instance.relation, value)) is not None:
                 obj[field] = {"kind": RelationSnapshot.kind, "edit": edit}
+            else:
+                obj[field] = full
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
@@ -454,19 +473,23 @@ def _edited(relation: RelationSnapshot | None, gold: dict) -> RelationSnapshot:
 
 def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
     """The instances of a suite's lines, in file order, each decoded as it is
-    reached. A {"same_as": id} field takes that field's value from the
-    earlier line with that id, which must state it in full, as the same
-    object, so each distinct context, key list, gold, plan, prompt and
-    relation is decoded and held once; only those values are kept, not the
-    instances. A gold written as an edit is applied to its line's relation
-    (_edited). A line stating every value in full loads as it is, and so
-    does one with no relation, as suites were written before it was shared.
-    An id stated on two lines is an error, and so is a gold that its request
-    type cannot be scored against: one of another class, or an update's gold
-    without the target column. A `request_type` key, which suites stated
-    before it was read from the plan, is ignored."""
+    reached. A key that a line leaves out, other than `id`, has the value it
+    had on the line before (blank lines aside), as the same object; on the
+    first line it takes its field's default, if it has one. A {"same_as": id}
+    field takes that field's value from the earlier line with that id, which
+    must state it in full, as the same object, so each distinct context, key
+    list, gold, plan, prompt and relation is decoded and held once; only those
+    values and the last instance are kept. A gold written as an edit is
+    applied to its line's relation (_edited). A line stating every value in
+    full loads as it is, and so does one with no relation, as suites were
+    written before it was shared. An id stated on two lines is an error, and
+    so is a gold that its request type cannot be scored against: one of
+    another class, or an update's gold without the target column. A
+    `request_type` key, which suites stated before it was read from the plan,
+    is ignored."""
     stated: dict[tuple[str, str], object] = {}
     line_of: dict[str, int] = {}
+    previous = None
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -484,8 +507,12 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
                                     f"but line {line_of[ref]} does not state it in full" if ref in line_of
                                     else "an id that no earlier line has"))
                         obj[field] = stated[field, ref]
-                    else:
+                    elif field in obj:
                         in_full.append(field)
+                if previous is not None:
+                    for name in _INHERITED:
+                        if name not in obj:
+                            obj[name] = getattr(previous, name)
                 gold = obj.get("gold")
                 if isinstance(gold, dict) and "edit" in gold:
                     relation = obj["relation"] = from_json(RelationSnapshot | None, obj.get("relation"))
@@ -506,4 +533,5 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
         line_of[instance.id] = number
         for field in in_full:
             stated[field, instance.id] = getattr(instance, field)
+        previous = instance
         yield instance

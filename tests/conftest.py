@@ -275,3 +275,23 @@ def instances_per_type(config, request_type) -> int:
         * len(config.portions or (None,))
         * len(ROWS[request_type].wordings)
     )
+
+
+def every_key_on_every_line(text: str) -> str:
+    """`text`, a suite dump, with each key a line leaves out filled from the
+    line before, as suites were written before a line left out what equals the
+    line before's: a shared value that the line before states in full as
+    {"same_as": <that line's id>}, any other as the line before has it. Each
+    line is re-dumped with keys sorted; blank lines are dropped."""
+    from tabbench.requestgen import SHARED_FIELDS
+
+    before, lines = {}, []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        obj = {**before, **json.loads(line)}
+        before = {key: {"same_as": obj["id"]} if key in SHARED_FIELDS and not (
+            isinstance(value, dict) and value.keys() == {"same_as"}) else value
+            for key, value in obj.items() if key != "id"}
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -18,6 +18,10 @@ from click.testing import CliRunner
 import tabbench
 from tabbench import cli, requestgen, runio
 from tabbench.cli import main
+from tabbench.datasets import BUILTIN_PACKS
+from tabbench.requesttypes import RequestType
+
+from conftest import every_key_on_every_line
 
 
 @pytest.fixture
@@ -260,13 +264,17 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert hashed == []
 
 
-@pytest.mark.parametrize("in_full, relation", [(("plan", "prompt"), True), (requestgen.SHARED_FIELDS, True), ((), False)],
-                         ids=["plans and prompts in full", "every value in full", "golds in full, no relation"])
+@pytest.mark.parametrize("in_full, relation", [(("plan", "prompt"), True), (requestgen.SHARED_FIELDS, True),
+                                               ((), False), ((), True)],
+                         ids=["plans and prompts in full", "every value in full", "golds in full, no relation",
+                              "every key on every line"])
 def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tmp_path, monkeypatch, in_full,
                                                                      relation):
-    """A suite written before the relation was shared and deletion and update
+    """A suite written before a line left out the keys whose values equal
+    the line before's, before the relation was shared and deletion and update
     golds were edits of it, before plans and prompts were shared fields, or
-    before any value was, is run and scored as the suite generate writes now."""
+    before any value was, is run and scored as the suite generate writes now.
+    Each of these states every key on every line."""
     config = write_config(tmp_path, request_types=["retrieval", "update", "count", "existence"],
                           connectives=["and", "or", "diff"], levels=["natural", "table"])
     suites = {"new": tmp_path / "new" / "suite.jsonl", "old": tmp_path / "old" / "suite.jsonl"}
@@ -277,7 +285,7 @@ def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tm
         instances = [dataclasses.replace(instance, relation=None) for instance in instances]
     with monkeypatch.context() as patch:
         patch.setattr(requestgen, "SHARED_FIELDS", tuple(f for f in requestgen.SHARED_FIELDS if f not in in_full))
-        old_text = requestgen.dump_suite(instances)
+        old_text = every_key_on_every_line(requestgen.dump_suite(instances))
     if not relation:
         old_text = "".join(json.dumps({key: value for key, value in json.loads(line).items() if key != "relation"},
                                       sort_keys=True) + "\n" for line in old_text.splitlines())
@@ -565,7 +573,8 @@ def test_eval_suite_line_missing_keys_exits_2(runner, tmp_path):
     suite, results = _generated_and_run(runner, tmp_path)
     # without its manifest the edited suite reaches the line check, not the digest check
     (suite.parent / "suite.manifest.json").unlink()
-    lines = suite.read_text(encoding="utf-8").splitlines()
+    # after a blank line, line 2 is the first instance line: it has no line before to take its gold from
+    lines = ["", *every_key_on_every_line(suite.read_text(encoding="utf-8")).splitlines()]
     broken = json.loads(lines[1])
     del broken["gold"]
     lines[1] = json.dumps(broken, sort_keys=True)
@@ -631,6 +640,70 @@ def test_suite_with_a_bad_gold_edit_or_relation_exits_2(runner, tmp_path, stage,
     assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("stage", ["run", "eval"])
+@pytest.mark.parametrize("number, key, message", [
+    pytest.param(1, "plan", "line 1: not a suite instance (CodecError: plan must be QueryPlan, got nothing)",
+                 id="first line without a plan"),
+    pytest.param(7, "gold", "line 7: not a suite instance (ValueError: gold must be number for count, got entity_set)",
+                 id="inherited gold of another type"),
+    pytest.param(3, "context", "line 3: context is the same as '000001-soccer-retrieval-and-t1', but line 2 does "
+                               "not state it in full", id="same_as a line that inherited the value"),
+])
+def test_suite_line_that_cannot_take_what_it_leaves_out_exits_2(runner, tmp_path, stage, number, key, message):
+    """A line takes each key it leaves out from the line before. The first line
+    has none to take it from; a count line that leaves out its gold takes the
+    retrieval gold of the line before, which it cannot be scored against; and
+    a line that only took a value from the line before does not state it, so
+    no same_as may name it."""
+    suite, results = _generated_and_run(runner, tmp_path, request_types=["retrieval", "count"])
+    (suite.parent / "suite.manifest.json").unlink()
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[number - 1])
+    assert "-count-" in json.loads(lines[6])["id"] and "-retrieval-" in json.loads(lines[5])["id"]
+    if key == "context":
+        assert "context" not in json.loads(lines[1]) and "context" not in obj
+        obj["context"] = {"same_as": json.loads(lines[1])["id"]}
+    else:
+        del obj[key]
+    lines[number - 1] = json.dumps(obj, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "run": ["run", "--suite", str(suite), "--model", "perfect", "--out", str(tmp_path / "r2.jsonl")],
+        "eval": ["eval", "--suite", str(suite), "--results", str(results), "--out", str(tmp_path / "eval")],
+    }[stage]
+    [error] = _config_errors(runner.invoke(main, args))
+    assert str(suite) in error and message in error
+    assert not (tmp_path / "r2.jsonl").exists() and not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PACKS))
+def test_generated_suite_line_leaves_out_each_key_equal_to_the_line_before(runner, tmp_path, name):
+    """In a suite generate writes for a built-in pack, in several batches, the
+    first line states every key and no later line carries a key other than
+    `id` whose value equals the line before's: a shared value when both name
+    the same line as stating it, any other when both have the same JSON."""
+    config = write_config(tmp_path, dataset=name, seed=23, sample_n=16, request_types=[t.value for t in RequestType],
+                          connectives=["and", "or", "diff"], n_conditions=[1, 2],
+                          levels=["natural", "order_fixed", "table"])
+    suite = tmp_path / "gen" / "suite.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    lines = suite.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 3 * requestgen.SUITE_BATCH
+    keys = {field.name for field in dataclasses.fields(requestgen.RequestInstance)}
+    before = None
+    for line in lines:
+        obj = json.loads(line)
+        value_of = {key: (value["same_as"] if isinstance(value, dict) and value.keys() == {"same_as"} else obj["id"])
+                    if key in requestgen.SHARED_FIELDS else json.dumps(value) for key, value in obj.items()}
+        if before is None:
+            assert obj.keys() == keys
+        else:
+            assert "id" in obj and not [key for key in obj if key != "id" and value_of[key] == before[key]]
+            value_of = {**before, **value_of}
+        before = value_of
+    assert [instance.id for instance in requestgen.load_suite(lines)] == [json.loads(line)["id"] for line in lines]
+
+
 def test_eval_of_count_answers_near_the_largest_float_writes_json_reports(runner, tmp_path):
     """Two count answers of 308 nines, which read as finite floats near the
     largest, in one cell: their mean is taken without overflowing, and the
@@ -657,6 +730,33 @@ def test_eval_of_count_answers_near_the_largest_float_writes_json_reports(runner
         cells = {row["level"]: row for row in csv.DictReader(f)}
     assert 1e306 < float(cells["natural"]["mean"]) < 1e308 and cells["natural"]["variance"] == "inf"
     assert (cells["table"]["mean"], cells["table"]["variance"]) == ("0.0", "0.0")
+
+
+def test_eval_of_a_relative_change_beyond_the_largest_float_writes_that_float(runner, tmp_path):
+    """A count cell whose natural-level difference is small but not 0 (one
+    answer of 1.1) and whose table-level difference is near the largest float
+    (one answer of 308 nines): its relative change, improvement / text, is
+    beyond the largest float, so compare.json holds the largest float with the
+    change's sign, not -Infinity. Every other number stays as it was."""
+    suite, results = _generated_and_run(runner, tmp_path, request_types=["count"], pair_count=3, seed=3,
+                                        connectives=["and"], levels=["natural", "table"])
+    results.with_name("results.jsonl.manifest.json").unlink()
+    lines = results.read_text(encoding="utf-8").splitlines()
+    for number, text in ((0, "ANSWER: 1.1"), (3, "ANSWER: " + "9" * 308)):
+        line = json.loads(lines[number])
+        assert ("-t0" in line["id"], number == 0) == (True, int(line["id"][:6]) < 3)
+        lines[number] = json.dumps({**line, "text": text}, sort_keys=True)
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    assert result.exit_code == 0, result.output
+    compare = json.loads((tmp_path / "eval" / "compare.json").read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    [cell] = compare["cells"]
+    assert 0 < cell["text"] < 1 and 1e306 < cell["table"] < 1e308
+    assert cell["improvement_pp"] == compare["count_abs_reduction"] == cell["text"] - cell["table"]
+    assert cell["relative_change"] == compare["count_relative_reduction"] == -sys.float_info.max
+    assert (compare["mean_improvement_pp"], compare["mean_relative_change"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("stage", ["run", "eval"])
@@ -694,9 +794,11 @@ def test_eval_suite_with_a_bad_last_line_writes_no_reports(runner, tmp_path):
 def test_suite_edited_to_a_bad_line_names_the_line(runner, tmp_path, stage):
     suite, results = _generated_and_run(runner, tmp_path)
     # the manifest is kept: the line is decoded before the digest is checked
-    lines = suite.read_text(encoding="utf-8").splitlines()
+    lines = every_key_on_every_line(suite.read_text(encoding="utf-8")).splitlines()
     broken = json.loads(lines[1])
+    # line 2 then takes line 1's retrieval gold for a count plan
     del broken["gold"]
+    broken["plan"] = {**json.loads(lines[0])["plan"], "kind": "count"}
     lines[1] = json.dumps(broken, sort_keys=True)
     suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
     args = {
@@ -837,7 +939,7 @@ def test_eval_of_a_number_too_large_for_a_float_exits_0_and_writes_json(runner, 
     perfect = tmp_path / "perfect.jsonl"
     assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect",
                                 "--out", str(perfect)]).exit_code == 0
-    instances = [json.loads(line) for line in suite.read_text(encoding="utf-8").splitlines()]
+    instances = [json.loads(line) for line in every_key_on_every_line(suite.read_text(encoding="utf-8")).splitlines()]
     paths = []
     for model, level in zip(models, ("natural", "table")):
         huge = next(i["id"] for i in instances if i["level"] == level and "-count-" in i["id"])

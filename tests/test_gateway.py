@@ -197,6 +197,35 @@ def test_run_suite_answers_a_mock_on_the_calling_thread(tmp_path, small_suite, m
     assert threads == [threading.current_thread()] * len(small_suite)
 
 
+@pytest.mark.parametrize("remote", [False, True], ids=["mock", "remote"])
+def test_run_suite_keeps_every_answer_when_answering_one_instance_raises(stub_server, small_suite, tmp_path,
+                                                                         monkeypatch, remote):
+    """An exception raised while answering instance k, inline for a mock or in
+    the pool for a remote model, becomes that instance's error line, named by
+    the exception's class; every other instance is answered as without it."""
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    model = _remote(stub_server, max_in_flight=2) if remote else PerfectOracle()
+    suite, k = small_suite[:6], 3
+    expected = tmp_path / "expected.jsonl"
+    run_suite(suite, model, expected)
+
+    def raising(instance, model):
+        if instance.id == suite[k].id:
+            raise KeyError("no such column")
+        return complete(instance, model)
+
+    monkeypatch.setattr(gateway, "complete", raising)
+    sink = tmp_path / "results.jsonl"
+    manifest = run_suite(suite, model, sink)
+    assert (manifest["dispatched"], manifest["errors"]) == (6, 1)
+    lines = {line["id"]: line for line in map(json.loads, sink.read_text(encoding="utf-8").splitlines())}
+    assert lines.pop(suite[k].id) == {"attempts": 1, "error": "KeyError: 'no such column'", "id": suite[k].id,
+                                      "model": model.model_id, "text": None}
+    assert lines == {line["id"]: line for line in map(json.loads, expected.read_text(encoding="utf-8").splitlines())
+                     if line["id"] != suite[k].id}
+    assert not (tmp_path / "results.jsonl.partial").exists()
+
+
 def test_response_json_round_trip(small_suite, tmp_path):
     """run_suite writes each line as the model's complete returns it."""
     class Retried(PerfectOracle):

@@ -29,7 +29,7 @@ from tabbench.requesttypes import ROWS
 from tabbench.runio import from_json, to_json
 from tabbench.structurer import StructuringLevel, render, render_partial
 
-from conftest import eq, instances_per_type, instantiate_one, tiny_soccer_pack
+from conftest import eq, every_key_on_every_line, instances_per_type, instantiate_one, tiny_soccer_pack
 
 
 @pytest.fixture
@@ -206,7 +206,7 @@ def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
     assert {i.negated for i in suite} == {False, True}
     assert all(i.negated is i.plan.negated and i.n_conditions == 3 for i in suite)
     assert all(i.gold.value is bool(i.gold.witnesses) for i in suite)
-    for line in dump_suite(suite).splitlines():
+    for line in every_key_on_every_line(dump_suite(suite)).splitlines():
         obj = json.loads(line)
         assert not obj.keys() & {"expr", "target", "n_conditions", "negated", "request_type"}
         assert "value" not in obj["gold"]
@@ -289,7 +289,7 @@ def test_suite_line_repeating_an_id_does_not_load(pack, f2):
 def test_suite_line_same_as_a_line_that_does_not_state_the_value_does_not_load(pack, f2):
     config = SuiteConfig(pair_count=1, request_types=(RequestType.COUNT,), connectives=(AND,), seed=5)
     suite = generate_suite(f2, config, pack)
-    lines = dump_suite(suite).splitlines()
+    lines = every_key_on_every_line(dump_suite(suite)).splitlines()
     assert json.loads(lines[1])["context"] == {"same_as": suite[0].id}
     obj = json.loads(lines[2])
     obj["context"] = {"same_as": suite[1].id}
@@ -334,7 +334,7 @@ def test_suite_states_each_shared_value_once(pack, f2):
     assert loaded == list(load_suite(full.splitlines()))
 
     first_id: dict[tuple[str, str], str] = {}
-    for line, instance in zip(text.splitlines(), suite):
+    for line, instance in zip(every_key_on_every_line(text).splitlines(), suite):
         obj = json.loads(line)
         full_obj = to_json(instance)
         assert obj.keys() == full_obj.keys()
@@ -364,6 +364,29 @@ def test_suite_states_each_shared_value_once(pack, f2):
         assert len(objects) < len(loaded)
 
 
+def test_suite_line_takes_each_key_it_leaves_out_from_the_line_before(pack, f2):
+    """Past the first line, a line carries `id` and the keys whose values
+    differ from the line before's; loading fills each key it leaves out with
+    the object the instance before holds, across blank lines, so a deletion
+    gold written as an edit is applied once and then passed on."""
+    config = SuiteConfig(pair_count=2, request_types=(RequestType.DELETION, RequestType.COUNT),
+                         levels=(StructuringLevel.NATURAL, StructuringLevel.TABLE), seed=4)
+    suite = generate_suite(f2, config, pack)
+    lines = dump_suite(suite).splitlines()
+    names = [f.name for f in dataclasses.fields(RequestInstance)]
+    left_out = [[name for name in names if name not in json.loads(line)] for line in lines]
+    assert left_out[0] == [] and all("id" not in keys for keys in left_out)
+    assert left_out[1] == [name for name in names if name not in ("id", "template_id", "prompt")]
+    assert any("gold" in keys for keys, instance in zip(left_out, suite)
+               if instance.request_type is RequestType.DELETION)
+
+    loaded = list(load_suite(line for text in lines for line in (text, "", "  \n")))
+    assert loaded == suite
+    for number in range(1, len(loaded)):
+        for name in left_out[number]:
+            assert getattr(loaded[number], name) is getattr(loaded[number - 1], name)
+
+
 @pytest.mark.parametrize("size", [1, 7, None])
 def test_suite_dumped_in_batches_sharing_what_is_stated_joins_to_its_one_dump(pack, f2, size):
     config = SuiteConfig(pair_count=2, request_types=(RequestType.DELETION, RequestType.EXISTENCE),
@@ -383,7 +406,7 @@ def test_suite_dumped_in_batches_sharing_what_is_stated_joins_to_its_one_dump(pa
     # (id, field) of each same_as naming a line of an earlier batch
     batch_of = {instance.id: number // size for number, instance in enumerate(suite)}
     crossing = []
-    for line in "".join(batches).splitlines():
+    for line in every_key_on_every_line("".join(batches)).splitlines():
         obj = json.loads(line)
         crossing += [(obj["id"], field) for field in SHARED_FIELDS if isinstance(obj[field], dict)
                      and obj[field].keys() == {"same_as"} and batch_of[obj[field]["same_as"]] != batch_of[obj["id"]]]
@@ -452,10 +475,16 @@ def test_suite_bytes_pinned(pack, f2):
     each line was re-dumped with sort_keys=True. The present digest came from
     that one (d3b3ddb0...b380) when the sampled relation became a shared
     field and deletion and update golds edits of it; state_in_full(text, ())
-    undoes that. The suite text, instance order and ids must not move."""
+    undoes that. The present digest came from that one (e60d4458...2e21) when
+    a line began to leave out each key whose value equals the line before's;
+    every_key_on_every_line undoes that. The suite text, instance order and
+    ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "01af5941a02f893e68e168324dc3d006124f979d19214509a1b7341465aa40ff"
+    )
+    assert hashlib.sha256(every_key_on_every_line(text).encode("utf-8")).hexdigest() == (
         "e60d445864f2914e41820695ab699747407863de8e5762b189ba824c2a132e21"
     )
     assert hashlib.sha256(state_in_full(text, ()).encode("utf-8")).hexdigest() == (
@@ -477,14 +506,15 @@ PACK_CONFIGS = tuple(
 
 def state_in_full(text, fields):
     """`text`, a suite dump, as it was dumped before the sampled relation was
-    a shared field, and while `fields` were not shared either: each gold
-    written as an edit replaced by the gold it makes of its line's relation,
-    the `relation` key dropped, each {"same_as": id} of `fields` replaced by
-    the value the line with that id states, and each line re-dumped with keys
-    sorted."""
+    a shared field, and while `fields` were not shared either: each key a
+    line leaves out filled from the line before (every_key_on_every_line),
+    each gold written as an edit replaced by the gold it makes of its line's
+    relation, the `relation` key dropped, each {"same_as": id} of `fields`
+    replaced by the value the line with that id states, and each line
+    re-dumped with keys sorted."""
     stated = {}
     lines = []
-    for line in text.splitlines():
+    for line in every_key_on_every_line(text).splitlines():
         obj = json.loads(line)
         for field in ("relation", *fields):
             value = obj[field]
@@ -506,21 +536,24 @@ def state_in_full(text, fields):
 
 # each case is named by the digest of its dump from before `plan` and `prompt`
 # were shared, which state_in_full recovers from the present dump
-@pytest.mark.parametrize("name, unshared_digest, unrelated_digest, digest", [
+@pytest.mark.parametrize("name, unshared_digest, unrelated_digest, filled_digest, digest", [
     pytest.param("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe",
                  "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412",
                  "9be6a92fe55168845b807e40d134c49d050e9056e9961a990ea870f9abd3a0e6",
+                 "403d907a63d73a59fc6fe8913aa87f5808a13c0a1154aac2ea7c41c1bafa1ced",
                  id="soccer-e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
     pytest.param("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72",
                  "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2",
                  "7941a38f601c0bd03761e47b8b773ac9bcb75739645a65573e9d899011f85461",
+                 "55c1e4099eabf792160a2f7973b4b3a7cf0ada117e534c9022b8af355a60dc9e",
                  id="movie-e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
     pytest.param("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f",
                  "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca",
                  "84fd75933a2eb4b5fe4c7b1153ca0cd884266c487248c7875d188b30ce4c471a",
+                 "c7d7c3f672c865ae29d6fc7240e1d3c46511743f617f59fb5823e45923652019",
                  id="pii-94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
 ])
-def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, digest):
+def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled_digest, digest):
     """Each built-in pack's phrase bank, schema and ops through the whole
     generator: the digest of the dumps of PACK_CONFIGS, one after the other,
     on 16 sampled entities. The conditions use every op the pack allows, and
@@ -535,8 +568,12 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, digest
     sampled relation became a shared field and deletion and update golds
     edits of it, they were re-pinned again from the digests of that time (the
     `unrelated_digest` of each case), which state_in_full(text, ()) recovers.
-    All three must hold: the present dumps, those dumps before the relation
-    was shared, and those with `plan` and `prompt` stated in full again."""
+    When a line began to leave out each key whose value equals the line
+    before's, they were re-pinned from the digests of that time (the
+    `filled_digest` of each case), which every_key_on_every_line recovers.
+    All four must hold: the present dumps, those dumps with every key on
+    every line, those before the relation was shared, and those with `plan`
+    and `prompt` stated in full again."""
     from tabbench.datasets import load_pack
     from tabbench.oracle import leaf_conditions
     from tabbench.relation import sample_entities
@@ -544,6 +581,7 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, digest
     pack = load_pack(name)
     rel = sample_entities(pack.relation, 16, 5)
     digest_of = hashlib.sha256()
+    filled_digest_of = hashlib.sha256()
     unrelated_digest_of = hashlib.sha256()
     unshared_digest_of = hashlib.sha256()
     conditions = []
@@ -551,12 +589,14 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, digest
         suite = generate_suite(rel, config, pack)
         text = dump_suite(suite)
         digest_of.update(text.encode("utf-8"))
+        filled_digest_of.update(every_key_on_every_line(text).encode("utf-8"))
         unrelated_digest_of.update(state_in_full(text, ()).encode("utf-8"))
         unshared_digest_of.update(state_in_full(text, ("plan", "prompt")).encode("utf-8"))
         conditions += [c for i in suite for c in leaf_conditions(i.plan.expr)]
     assert {c.op for c in conditions} == set(pack.allowed_ops)
     assert any(c.attr == "Email" and c.value.startswith("@") for c in conditions) == (name == "pii")
     assert digest_of.hexdigest() == digest
+    assert filled_digest_of.hexdigest() == filled_digest
     assert unrelated_digest_of.hexdigest() == unrelated_digest
     assert unshared_digest_of.hexdigest() == unshared_digest
 
@@ -577,7 +617,7 @@ def test_suite_states_deletion_and_update_golds_as_edits_and_no_value_twice(name
     text = dump_suite(suite)
     stated = set()
     edited = {RequestType.DELETION: 0, RequestType.UPDATE: 0}
-    for line, instance in zip(text.splitlines(), suite):
+    for line, instance in zip(every_key_on_every_line(text).splitlines(), suite):
         obj = json.loads(line)
         in_full = [field for field in SHARED_FIELDS
                    if not (isinstance(obj[field], dict) and obj[field].keys() == {"same_as"})]
