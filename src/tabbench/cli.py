@@ -246,26 +246,6 @@ def _read_suite(path: Path, digest) -> Iterator[RequestInstance]:
         verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest.hexdigest()})
 
 
-def _read_results(path: Path) -> tuple[dict[int, ResultLine], str]:
-    """The result lines of a results JSONL file by line number, and the
-    SHA-256 of its bytes; a line that is not one (a key missing, unknown or of
-    the wrong type, or both or neither of text and error set) raises
-    ConfigError naming the file and the line."""
-    digest = hashlib.sha256()
-    records = {}
-    with _reading(path), open(path, "rb") as f:
-        for number, line in enumerate(read_lines(f, digest), 1):
-            if not line.strip():
-                continue
-            try:
-                records[number] = from_json(ResultLine, json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ConfigError([f"{path}: line {number}: not valid JSON ({e})"]) from None
-            except (CodecError, GatewayError) as e:
-                raise ConfigError([f"{path}: line {number}: not a result line ({e})"]) from None
-    return records, digest.hexdigest()
-
-
 def _verify_results_manifest(path: Path, digest: str, suite_digest: str) -> None:
     """A manifest that run left beside a results file (<name>.manifest.json)
     must record the file's digest and the digest of the suite being answered
@@ -280,20 +260,33 @@ def _verify_results_manifest(path: Path, digest: str, suite_digest: str) -> None
 
 
 def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[str, ResultLine]]], list[str]]:
-    """The lines of every results file by result id, each with its file, in
-    the order they were read, and each file's digest. A model that answers an
-    id twice is a ConfigError naming both lines."""
+    """The lines of every results JSONL file by result id, each with where it
+    was read ("<file>: line <n>"), in the order they were read, and the
+    SHA-256 of each file's bytes. A line that is not a result line (a key
+    missing, unknown or of the wrong type, or both or neither of text and
+    error set) is a ConfigError naming the file and the line; so is a model
+    answering an id twice, naming both lines."""
     answers: dict[str, list[tuple[str, ResultLine]]] = {}
     digests, answered = [], {}
     for results_path in results_paths:
-        lines, digest = _read_results(Path(results_path))
-        digests.append(digest)
-        for number, result in lines.items():
-            where, key = f"{results_path}: line {number}", (result.model, result.id)
-            if key in answered:
-                raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {answered[key]}"])
-            answers.setdefault(result.id, []).append((results_path, result))
-            answered[key] = where
+        digest = hashlib.sha256()
+        with _reading(Path(results_path)), open(results_path, "rb") as f:
+            for number, line in enumerate(read_lines(f, digest), 1):
+                if not line.strip():
+                    continue
+                where = f"{results_path}: line {number}"
+                try:
+                    result = from_json(ResultLine, json.loads(line))
+                except json.JSONDecodeError as e:
+                    raise ConfigError([f"{where}: not valid JSON ({e})"]) from None
+                except (CodecError, GatewayError) as e:
+                    raise ConfigError([f"{where}: not a result line ({e})"]) from None
+                key = (result.model, result.id)
+                if key in answered:
+                    raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {answered[key]}"])
+                answers.setdefault(result.id, []).append((where, result))
+                answered[key] = where
+        digests.append(digest.hexdigest())
     return answers, digests
 
 
@@ -317,12 +310,15 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     out_file = Path(out_path)
     existing = {}
     if out_file.is_file():
-        lines, digest = _read_results(out_file)
+        answers, [digest] = _read_answers((out_path,))
         _verify_results_manifest(out_file, digest, suite_hash.hexdigest())
-        for number, line in lines.items():
+        suite_ids = {instance.id for instance in instances}
+        for where, line in (entry for entries in answers.values() for entry in entries):
             if line.model != model.model_id:
-                raise ConfigError([f"{out_file}: line {number}: answered by model {line.model!r}, "
+                raise ConfigError([f"{where}: answered by model {line.model!r}, "
                                    f"not by {model.model_id!r}, the model of this run"])
+            if line.id not in suite_ids:
+                raise ConfigError([f"{where}: result id {line.id!r} is not in the suite"])
             existing[line.id] = line
 
     out_file.parent.mkdir(parents=True, exist_ok=True)
@@ -356,8 +352,8 @@ def cmd_eval(suite_path, results_paths, out_dir):
     # the first id left is that of the first results line no suite line answered
     unmet = next(iter(answers.values()), None)
     if unmet is not None:
-        results_path, result = unmet[0]
-        raise ConfigError([f"{results_path}: result id {result.id!r} is not in the suite"])
+        where, result = unmet[0]
+        raise ConfigError([f"{where}: result id {result.id!r} is not in the suite"])
     for results_path, digest in zip(results_paths, digests):
         _verify_results_manifest(Path(results_path), digest, suite_hash.hexdigest())
 

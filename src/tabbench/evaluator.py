@@ -100,11 +100,12 @@ def _entities(instance: RequestInstance, parsed: ParsedAnswer):
 
 def _kept_rows(instance: RequestInstance, parsed: ParsedAnswer):
     """Deletion: the entities the answer keeps, named in a list or in the key
-    column of a table (found by header name, else its first column)."""
+    column of a table (found by header name, else its first column). Key cells
+    are read without markdown emphasis, as header cells are."""
     snapshot = instance.gold
     if isinstance(parsed, PipeTable):
         key_col = parsed.column(snapshot.key, 0)
-        parsed = EntityList(tuple(normalize(row[key_col]) for row in parsed.rows))
+        parsed = EntityList(tuple(unemphasized(row[key_col]) for row in parsed.rows))
     return _named(snapshot.key_set, instance, parsed)
 
 

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .relation import KINDS, DuplicateKeyError, Relation, Row, UnknownAttributeError, normalize, parse_number
+from .relation import KINDS, DuplicateKeyError, Relation, UnknownAttributeError, normalize, parse_number
 
 EQ = "eq"
 GT = "gt"
@@ -322,8 +322,7 @@ def _scan(rel: Relation, idx: int, op: str, literal: Union[str, float]) -> froze
     literal with each normalized cell."""
     if isinstance(literal, float):
         compare = _COMPARE[op]
-        cells = (row.numbers[idx] for row in rel.rows)
-        return frozenset(k for k, x in zip(rel.keys(), cells) if x is not None and compare(x, literal))
+        return frozenset(k for k, x in zip(rel.keys(), rel.numbers[idx]) if x is not None and compare(x, literal))
     if op == EQ:
         return frozenset(k for k, cell in zip(rel.keys(), rel.normalized[idx]) if cell == literal)
     return frozenset(k for k, cell in zip(rel.keys(), rel.normalized[idx]) if literal in cell)
@@ -347,9 +346,10 @@ def eval_expr(expr: ConditionExpr, rel: Relation) -> frozenset[str]:
     return eval_expr(expr.left, rel) - eval_expr(expr.right, rel)
 
 
-def _satisfying_rows(expr: ConditionExpr, rel: Relation) -> list[Row]:
+def _satisfying_rows(expr: ConditionExpr, rel: Relation) -> list[int]:
+    """Positions of the rows satisfying the expression, in row order."""
     keys = eval_expr(expr, rel)
-    return [row for row in rel.rows if rel.key_of(row) in keys]
+    return [i for i, key in enumerate(rel.keys()) if key in keys]
 
 
 def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
@@ -359,23 +359,17 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
 
     if isinstance(plan, Delete):
         keys = eval_expr(plan.expr, rel)
-        remaining = tuple(row.values for row in rel.rows if rel.key_of(row) not in keys)
+        remaining = tuple(row for row, key in zip(rel.rows, rel.keys()) if key not in keys)
         return RelationSnapshot(rel.attribute_names, rel.key_attr.name, remaining)
 
     if isinstance(plan, Update):
         _attr(rel, plan.target_attr)
         target_idx = rel.index(plan.target_attr)
         keys = eval_expr(plan.expr, rel)
-        values = []
-        for row in rel.rows:
-            if rel.key_of(row) in keys:
-                cells = list(row.values)
-                cells[target_idx] = plan.replacement
-                values.append(tuple(cells))
-            else:
-                values.append(row.values)
+        values = tuple((*row[:target_idx], plan.replacement, *row[target_idx + 1:]) if key in keys else row
+                       for row, key in zip(rel.rows, rel.keys()))
         try:
-            return RelationSnapshot(rel.attribute_names, rel.key_attr.name, tuple(values))
+            return RelationSnapshot(rel.attribute_names, rel.key_attr.name, values)
         except DuplicateKeyError as e:
             # replacing the key column itself can merge rows; that post-state
             # has no keyed representation, so the plan is rejected
@@ -387,35 +381,33 @@ def evaluate(plan: QueryPlan, rel: Relation) -> GoldAnswer:
     if isinstance(plan, Sum):
         if _attr(rel, plan.target_attr).kind != "numeric":
             raise PlanTypeError(f"sum target {plan.target_attr!r} is not numeric")
-        idx = rel.index(plan.target_attr)
+        numbers = rel.numbers[rel.index(plan.target_attr)]
         total = 0.0
-        for row in _satisfying_rows(plan.expr, rel):
-            if row.numbers[idx] is not None:
-                total += row.numbers[idx]
+        for i in _satisfying_rows(plan.expr, rel):
+            if numbers[i] is not None:
+                total += numbers[i]
         return Number(total)
 
     if isinstance(plan, Superlative):
         if _attr(rel, plan.target_attr).kind != "numeric":
             raise PlanTypeError(f"superlative target {plan.target_attr!r} is not numeric")
         _attr(rel, plan.tiebreak_attr)
-        idx = rel.index(plan.target_attr)
-        tiebreak_idx = rel.index(plan.tiebreak_attr)
-        rows = [r for r in _satisfying_rows(plan.expr, rel) if r.numbers[idx] is not None]
+        numbers = rel.numbers[rel.index(plan.target_attr)]
+        tiebreaks = rel.normalized[rel.index(plan.tiebreak_attr)]
+        keys = rel.keys()
+        rows = [i for i in _satisfying_rows(plan.expr, rel) if numbers[i] is not None]
         if not rows:
             return EntitySet(frozenset(), degenerate=True)
         sign = -1.0 if plan.direction == "max" else 1.0
-        best = min(
-            rows,
-            key=lambda r: (sign * r.numbers[idx], normalize(r.values[tiebreak_idx]), normalize(rel.key_of(r))),
-        )
-        return EntitySet(frozenset({rel.key_of(best)}))
+        best = min(rows, key=lambda i: (sign * numbers[i], tiebreaks[i], normalize(keys[i])))
+        return EntitySet(frozenset({keys[best]}))
 
     if isinstance(plan, Exists):
         return Witnessed(eval_expr(plan.expr, rel))
 
     if isinstance(plan, Project):
         indices = [rel.index(_attr(rel, a).name) for a in plan.attrs]
-        tuples = {tuple(row.values[i].strip() for i in indices) for row in _satisfying_rows(plan.expr, rel)}
+        tuples = {tuple(rel.rows[r][i].strip() for i in indices) for r in _satisfying_rows(plan.expr, rel)}
         return TupleSet(frozenset(tuples))
 
     raise PlanError(f"unknown plan {plan!r}")

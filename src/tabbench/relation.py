@@ -2,9 +2,9 @@
 
 Relations are immutable after construction and safe to share across threads:
 the facts a relation derives from its rows are computed on first use and kept,
-and computing one twice gives the same value. Cell values are kept as their
-original source strings; numeric columns carry a parsed float alongside so
-renderers can reproduce source formatting exactly.
+and computing one twice gives the same value. A row is the tuple of its
+original source cell strings, so renderers reproduce source formatting
+exactly; each numeric cell's float is parsed on first use, column by column.
 """
 from __future__ import annotations
 
@@ -95,32 +95,17 @@ class AttributeSpec:
 
 
 @dataclass(frozen=True)
-class Row:
-    """One entity: source cell strings plus parsed floats for numeric columns."""
-
-    values: tuple[str, ...]
-    numbers: tuple[float | None, ...]
-
-    @classmethod
-    def from_values(cls, values: tuple[str, ...], schema: tuple[AttributeSpec, ...]) -> "Row":
-        numbers = tuple(
-            parse_number(v) if a.kind == "numeric" else None for v, a in zip(values, schema)
-        )
-        return cls(values=values, numbers=numbers)
-
-
-@dataclass(frozen=True)
 class Relation:
     """An ordered, keyed table. Row order is the ingestion order and is stable.
 
-    Each column's normalized cells and distinct values are computed once per
-    relation, on first use. `key_sets` holds the keys each condition scan of
-    the oracle found, by what the scan read, so each is scanned once too."""
+    Each row is the tuple of its cell strings. Each column's normalized cells,
+    parsed numbers and distinct values are computed once per relation, on
+    first use. `key_sets` holds the keys each condition scan of the oracle
+    found, by what the scan read, so each is scanned once too."""
 
     name: str
     schema: tuple[AttributeSpec, ...]
-    rows: tuple[Row, ...]
-    dropped_columns: tuple[str, ...] = ()
+    rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         keys = [i for i, a in enumerate(self.schema) if a.is_key]
@@ -136,18 +121,16 @@ class Relation:
         object.__setattr__(self, "key_sets", {})
         seen: set[str] = set()
         for i, row in enumerate(self.rows):
-            if len(row.values) != len(self.schema):
-                raise SchemaError(f"row {i} arity {len(row.values)} != schema arity {len(self.schema)}")
-            norm = normalize(row.values[key_idx])
+            if len(row) != len(self.schema):
+                raise SchemaError(f"row {i} arity {len(row)} != schema arity {len(self.schema)}")
+            norm = normalize(row[key_idx])
             if norm in seen:
-                raise DuplicateKeyError(f"duplicate key {row.values[key_idx]!r} in {self.name!r}")
+                raise DuplicateKeyError(f"duplicate key {row[key_idx]!r} in {self.name!r}")
             seen.add(norm)
 
     @classmethod
-    def from_values(cls, name: str, schema: tuple[AttributeSpec, ...], values: list[tuple[str, ...]],
-                    dropped_columns: tuple[str, ...] = ()) -> "Relation":
-        rows = tuple(Row.from_values(tuple(v), schema) for v in values)
-        return cls(name=name, schema=schema, rows=rows, dropped_columns=dropped_columns)
+    def from_values(cls, name: str, schema: tuple[AttributeSpec, ...], values: list[tuple[str, ...]]) -> "Relation":
+        return cls(name=name, schema=schema, rows=tuple(map(tuple, values)))
 
     @property
     def key_attr(self) -> AttributeSpec:
@@ -166,17 +149,24 @@ class Relation:
         except KeyError:
             raise UnknownAttributeError(f"no attribute {name!r} in {self.name!r}") from None
 
-    def key_of(self, row: Row) -> str:
-        return row.values[self._key_index].strip()
+    def key_of(self, row: tuple[str, ...]) -> str:
+        return row[self._key_index].strip()
 
     def keys(self) -> tuple[str, ...]:
         idx = self._key_index
-        return tuple(r.values[idx].strip() for r in self.rows)
+        return tuple(r[idx].strip() for r in self.rows)
 
     @functools.cached_property
     def normalized(self) -> tuple[tuple[str, ...], ...]:
         """Each column's cells under normalize, in row order."""
-        return tuple(tuple(normalize(row.values[i]) for row in self.rows) for i in range(len(self.schema)))
+        return tuple(tuple(normalize(row[i]) for row in self.rows) for i in range(len(self.schema)))
+
+    @functools.cached_property
+    def numbers(self) -> tuple[tuple[float | None, ...], ...]:
+        """Each column's cells under parse_number, in row order; None
+        throughout a column that is not numeric."""
+        return tuple(tuple(parse_number(row[i]) if a.kind == "numeric" else None for row in self.rows)
+                     for i, a in enumerate(self.schema))
 
     @functools.cached_property
     def distinct(self) -> tuple[tuple[str, ...], ...]:
@@ -187,8 +177,8 @@ class Relation:
 def load_csv(source, schema: tuple[AttributeSpec, ...], name: str = "dataset") -> Relation:
     """Build a Relation from UTF-8 CSV with a header row naming every schema attribute.
 
-    Header order is free; columns not in the schema are dropped (recorded on the
-    relation and logged). Numeric columns are validated cell by cell.
+    Header order is free; columns not in the schema are dropped, with a logged
+    warning naming them. Numeric columns are validated cell by cell.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -225,7 +215,7 @@ def load_csv(source, schema: tuple[AttributeSpec, ...], name: str = "dataset") -
                 raise TypeMismatchError(row_index, attr.name, cell)
         values.append(cells)
 
-    return Relation.from_values(name, schema, values, dropped_columns=dropped)
+    return Relation.from_values(name, schema, values)
 
 
 def sample_entities(rel: Relation, n: int, seed: int) -> Relation:
@@ -246,15 +236,14 @@ def unique_values(rel: Relation, attr: str) -> list[str]:
 
 
 def _distinct(rel: Relation, idx: int) -> tuple[str, ...]:
-    numeric = rel.schema[idx].kind == "numeric"
     seen: set = set()
     out: list[str] = []
-    for row, norm in zip(rel.rows, rel.normalized[idx]):
-        marker = row.numbers[idx] if numeric and row.numbers[idx] is not None else norm
+    for row, norm, number in zip(rel.rows, rel.normalized[idx], rel.numbers[idx]):
+        marker = norm if number is None else number
         if marker in seen:
             continue
         seen.add(marker)
-        out.append(row.values[idx].strip())
+        out.append(row[idx].strip())
     return tuple(out)
 
 

@@ -283,7 +283,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     these."""
     instances: list[RequestInstance] = []
     entity_keys = rel.keys()
-    relation = RelationSnapshot(rel.attribute_names, rel.key_attr.name, tuple(row.values for row in rel.rows))
+    relation = RelationSnapshot(rel.attribute_names, rel.key_attr.name, rel.rows)
     pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == Mode.TWO_TURN else None
     for request_type in config.request_types:
         target = pack.target_for(request_type)

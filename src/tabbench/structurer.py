@@ -108,7 +108,7 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
     if not rel.rows:
         raise RenderError("cannot render an empty relation")
     if level is StructuringLevel.TABLE:
-        return render_table(rel.attribute_names, (row.values for row in rel.rows))
+        return render_table(rel.attribute_names, rel.rows)
     if bank is None:
         raise NoBankError(f"{level.value} rendering needs a phrase bank")
     bank.check_schema(rel.schema)
@@ -135,7 +135,7 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
         for name in order:
             column, clauses, phrases = wording[name]
             clause = pick(clauses)
-            parts.append(clause.replace("{value}", row.values[column]).replace("{phrase}", pick(phrases)))
+            parts.append(clause.replace("{value}", row[column]).replace("{phrase}", pick(phrases)))
         lines.append(" ".join(parts) + ".")
     return "\n".join(lines)
 
@@ -160,7 +160,7 @@ def render_partial(rel: Relation, portion: float, seed: int, bank: PhraseBank | 
     chosen = set(table_indices)
     text_part = Relation(rel.name, rel.schema, tuple(r for i, r in enumerate(rel.rows) if i not in chosen))
     text_block = render(text_part, StructuringLevel.NATURAL, seed, bank)
-    return text_block + "\n\n" + render_table(rel.attribute_names, (rel.rows[i].values for i in table_indices))
+    return text_block + "\n\n" + render_table(rel.attribute_names, (rel.rows[i] for i in table_indices))
 
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
@@ -254,12 +254,14 @@ def _cells_match(a: str, b: str) -> bool:
     na, nb = parse_number(a), parse_number(b)
     if na is not None and nb is not None:
         return na == nb
-    return normalize(a) == normalize(b)
+    return normalize(a) == normalize(b) or unemphasized(a) == unemphasized(b)
 
 
 def cell_fill_rate(predicted: PipeTable, gold: Relation) -> float:
     """Fraction of gold cells present at the matching (key, attribute) position
-    in the prediction; missing rows and columns count as unfilled."""
+    in the prediction; missing rows and columns count as unfilled. Cells, the
+    key cell that finds a row too, are read without markdown emphasis, as
+    header cells are."""
     total = len(gold.rows) * len(gold.schema)
     if total == 0:
         return 1.0
@@ -267,14 +269,13 @@ def cell_fill_rate(predicted: PipeTable, gold: Relation) -> float:
     pred_key_col = predicted.column(gold.key_attr.name)
     if pred_key_col is None:
         return 0.0
-    pred_rows = {normalize(r[pred_key_col]): r for r in predicted.rows}
+    pred_rows = {unemphasized(r[pred_key_col]): r for r in predicted.rows}
     columns = [(predicted.column(a.name), i) for i, a in enumerate(gold.schema)]
-    gold_key_idx = gold.index(gold.key_attr.name)
 
     filled = 0
-    for row in gold.rows:
-        pred_row = pred_rows.get(normalize(row.values[gold_key_idx]))
+    for key, row in zip(gold.keys(), gold.rows):
+        pred_row = pred_rows.get(normalize(key))
         if pred_row is None:
             continue
-        filled += sum(1 for col, i in columns if col is not None and _cells_match(pred_row[col], row.values[i]))
+        filled += sum(1 for col, i in columns if col is not None and _cells_match(pred_row[col], row[i]))
     return filled / total

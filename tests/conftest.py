@@ -139,7 +139,7 @@ def random_condition(rng: random.Random, rel: Relation) -> Condition:
         value = rng.choice(("0", "1", "2", "3", "5", "7", "10", "10.5", "-4"))
     else:
         op = rng.choice((EQ, CONTAINS))
-        pool = [r.values[rel.index(spec.name)] for r in rel.rows] or list(_WORDS)
+        pool = [r[rel.index(spec.name)] for r in rel.rows] or list(_WORDS)
         value = rng.choice(pool + list(_WORDS))
         if op == CONTAINS and rng.random() < 0.5 and value:
             start = rng.randrange(len(value))
@@ -251,7 +251,7 @@ def instantiate_one(request_type, template, expr, target, rel: Relation, level, 
 
 def as_pipe_table(rel: Relation) -> PipeTable:
     """A relation's header and cell strings, in the shape parse_table returns."""
-    return PipeTable(rel.attribute_names, tuple(r.values for r in rel.rows))
+    return PipeTable(rel.attribute_names, rel.rows)
 
 
 def table_equal(parsed: PipeTable, rel: Relation) -> bool:

@@ -36,10 +36,10 @@ from tabbench.oracle import (
     Update,
     Witnessed,
 )
-from tabbench.relation import DuplicateKeyError, Relation, Row
+from tabbench.relation import DuplicateKeyError, Relation
 
 
-def _row_satisfies(expr: ConditionExpr, rel: Relation, row: Row) -> bool:
+def _row_satisfies(expr: ConditionExpr, rel: Relation, row: tuple[str, ...]) -> bool:
     """Boolean satisfaction per row; deliberately re-derives parsing and
     comparisons instead of reusing the set-algebra path."""
     if isinstance(expr, And):
@@ -51,7 +51,7 @@ def _row_satisfies(expr: ConditionExpr, rel: Relation, row: Row) -> bool:
 
     cond = expr
     spec = rel.attribute(cond.attr)
-    cell = row.values[rel.index(cond.attr)]
+    cell = row[rel.index(cond.attr)]
     if cond.op in (GT, LT, EQ) and spec.kind == "numeric":
         try:
             threshold = float(cond.value)
@@ -109,8 +109,8 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
 
     _reference_validate(plan.expr, rel)
     key_pos = rel.index(rel.key_attr.name)
-    matched: list[Row] = []
-    unmatched: list[Row] = []
+    matched: list[tuple[str, ...]] = []
+    unmatched: list[tuple[str, ...]] = []
     for row in rel.rows:
         if _row_satisfies(plan.expr, rel, row):
             matched.append(row)
@@ -118,13 +118,13 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
             unmatched.append(row)
 
     if isinstance(plan, Retrieve):
-        return EntitySet(frozenset(r.values[key_pos].strip() for r in matched))
+        return EntitySet(frozenset(r[key_pos].strip() for r in matched))
 
     if isinstance(plan, Delete):
         kept = []
         for row in rel.rows:
             if not _row_satisfies(plan.expr, rel, row):
-                kept.append(row.values)
+                kept.append(row)
         return RelationSnapshot(columns=tuple(a.name for a in rel.schema), key=rel.key_attr.name, rows=tuple(kept))
 
     if isinstance(plan, Update):
@@ -133,7 +133,7 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         pos = rel.index(plan.target_attr)
         out = []
         for row in rel.rows:
-            cells = list(row.values)
+            cells = list(row)
             if _row_satisfies(plan.expr, rel, row):
                 cells[pos] = plan.replacement
             out.append(tuple(cells))
@@ -160,7 +160,7 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         total = 0.0
         for row in matched:
             try:
-                total += float(row.values[pos].strip())
+                total += float(row[pos].strip())
             except ValueError:
                 continue
         return Number(total)
@@ -177,7 +177,7 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         best_value = None
         for row in matched:
             try:
-                value = float(row.values[pos].strip())
+                value = float(row[pos].strip())
             except ValueError:
                 continue
             if best_row is None:
@@ -187,16 +187,16 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
             if better:
                 best_row, best_value = row, value
             elif value == best_value:
-                lhs = (row.values[tie_pos].strip().casefold(), row.values[key_pos].strip().casefold())
-                rhs = (best_row.values[tie_pos].strip().casefold(), best_row.values[key_pos].strip().casefold())
+                lhs = (row[tie_pos].strip().casefold(), row[key_pos].strip().casefold())
+                rhs = (best_row[tie_pos].strip().casefold(), best_row[key_pos].strip().casefold())
                 if lhs < rhs:
                     best_row = row
         if best_row is None:
             return EntitySet(frozenset(), degenerate=True)
-        return EntitySet(frozenset({best_row.values[key_pos].strip()}))
+        return EntitySet(frozenset({best_row[key_pos].strip()}))
 
     if isinstance(plan, Exists):
-        return Witnessed(frozenset(r.values[key_pos].strip() for r in matched))
+        return Witnessed(frozenset(r[key_pos].strip() for r in matched))
 
     if isinstance(plan, Project):
         known = {a.name for a in rel.schema}
@@ -206,7 +206,7 @@ def brute_force_reference(plan: QueryPlan, rel: Relation) -> GoldAnswer:
         positions = [rel.index(a) for a in plan.attrs]
         seen = []
         for row in matched:
-            item = tuple(row.values[p].strip() for p in positions)
+            item = tuple(row[p].strip() for p in positions)
             if item not in seen:
                 seen.append(item)
         return TupleSet(frozenset(seen))

@@ -231,7 +231,7 @@ def test_criterion_6_structuring_invariants():
         for level in StructuringLevel:
             text = normalize(render(rel, level, seed, bank))
             for row in rel.rows:
-                for cell in row.values:
+                for cell in row:
                     assert normalize(cell) in text, (level, cell)
 
         assert table_equal(parse_table(render(rel, StructuringLevel.TABLE, seed)), rel)

@@ -900,6 +900,29 @@ def test_run_does_not_resume_answers_of_another_model(runner, tmp_path):
     assert results.read_bytes() == answered
 
 
+@pytest.mark.parametrize("edit", ["repeat", "foreign"])
+def test_run_does_not_resume_a_line_it_cannot_keep(runner, tmp_path, edit):
+    # a repeated answer would be collapsed, and one to an id the suite lacks
+    # would be kept beside a manifest claiming the suite
+    suite, results = _generated_and_run(runner, tmp_path, seed=3, request_types=["retrieval", "count"],
+                                        connectives=["and"])
+    results.with_name("results.jsonl.manifest.json").unlink()
+    first = results.read_text(encoding="utf-8").splitlines()[0]
+    if edit == "repeat":
+        lines = [first, first]
+        expected = f"{results}: line 2: model 'perfect-oracle' already answered {json.loads(first)['id']!r} at "
+    else:
+        lines = [json.dumps({**json.loads(first), "id": "999999-nowhere"}, sort_keys=True)]
+        expected = f"{results}: line 1: result id '999999-nowhere' is not in the suite"
+    results.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    answered = results.read_bytes()
+    result = runner.invoke(main, ["run", "--suite", str(suite), "--model", "perfect", "--out", str(results)])
+    [error] = _config_errors(result)
+    assert error.startswith(expected)
+    assert results.read_bytes() == answered
+    assert not results.with_name("results.jsonl.manifest.json").exists()
+
+
 def test_eval_rejects_results_of_another_suite(runner, tmp_path):
     config = write_config(tmp_path, request_types=["count"], pair_count=2)
     suites = {seed: tmp_path / f"gen{seed}" / "suite.jsonl" for seed in (1, 2)}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,25 @@ from tabbench.datasets import BUILTIN_PACKS, PackError, load_pack
 from tabbench.evaluator import score
 from tabbench.gateway import PerfectOracle, complete
 from tabbench.oracle import CONTAINS, GT, LT
-from tabbench.relation import sample_entities
+from tabbench import relation
+from tabbench.relation import parse_number, sample_entities
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.requesttypes import ROWS
+
+
+def test_load_pack_parses_each_numeric_cell_once(monkeypatch):
+    parsed = Counter()
+
+    def counting(text):
+        parsed[text] += 1
+        return parse_number(text)
+
+    monkeypatch.setattr(relation, "parse_number", counting)
+    rel = load_pack("soccer").relation
+    numeric = [i for i, a in enumerate(rel.schema) if a.kind == "numeric"]
+    assert numeric
+    assert sum(parsed.values()) == len(rel.rows) * len(numeric)
+    assert parsed == Counter(row[i] for row in rel.rows for i in numeric)
 
 
 @pytest.mark.parametrize("name", BUILTIN_PACKS)

@@ -20,6 +20,7 @@ from tabbench.evaluator import (
 )
 from tabbench.gateway import LossyOracle, PerfectOracle
 from tabbench.oracle import Condition, EQ, GT, EntitySet, Witnessed
+from tabbench.relation import Relation
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, parse_table
@@ -172,6 +173,18 @@ def test_update_with_emphasized_cells_scores_as_with_plain_ones(pack, f2, na):
     record = score(instance, parse(emphasized, RequestType.UPDATE))
     assert record.value == 1.0
     assert record.extras["collateral_damage"] == 0.0
+
+
+@pytest.mark.parametrize("key", ["Ana Lima", "**Ana Lima**"])
+def test_deletion_with_emphasized_key_cells_scores_as_with_plain_ones(pack, schema, key):
+    """A kept row's key written `**Ana Lima**` names Ana Lima alone, not the
+    two keys (Ana, Ana Lima) that `**ana lima**` contains."""
+    rel = Relation.from_values("Soccer", schema, [("Ana", "1", "Brazil", "X"), ("Ana Lima", "2", "Brazil", "Y"),
+                                                  ("Bo", "3", "Spain", "X")])
+    instance = make_instance(pack, rel, RequestType.DELETION, expr=Condition("Club", EQ, "X", "club is X"))
+    assert instance.gold.keys() == ("Ana Lima",)
+    record = score(instance, parse_table(f"| Name | Club |\n| {key} | Y |"))
+    assert (record.value, record.dropped_names) == (1.0, 0)
 
 
 def test_update_collateral_damage_diagnostic(pack, f2):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from tabbench.relation import (
     TypeMismatchError,
     UnknownAttributeError,
     load_csv,
+    parse_number,
     sample_entities,
     unique_values,
 )
@@ -29,7 +31,7 @@ def to_csv(rel: Relation) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rel.attribute_names)
-    writer.writerows(row.values for row in rel.rows)
+    writer.writerows(rel.rows)
     return buf.getvalue()
 
 
@@ -37,8 +39,18 @@ def test_load_csv_reference_rows(f1):
     assert len(f1.rows) == 2
     assert f1.key_attr.name == "Name"
     assert f1.keys() == ("Ronaldo", "Messi")
-    assert f1.rows[1].values[f1.index("Club")] == "Barcelona"
-    assert f1.rows[0].numbers[f1.index("Number")] == 7.0
+    assert f1.rows[1][f1.index("Club")] == "Barcelona"
+    assert f1.numbers[f1.index("Number")][0] == 7.0
+
+
+def test_numbers_are_each_numeric_cell_parsed(schema):
+    rel = Relation.from_values("n", schema, [("A", " 7 ", "Spain", "X"), ("B", "1e3", "Peru", "Y"),
+                                             ("C", "x", "Chile", "Z")])
+    for i, spec in enumerate(schema):
+        if spec.kind == "numeric":
+            assert rel.numbers[i] == tuple(parse_number(row[i]) for row in rel.rows) == (7.0, 1000.0, None)
+        else:
+            assert rel.numbers[i] == (None, None, None)
 
 
 def test_lookups_by_name_and_key_column(schema):
@@ -49,7 +61,7 @@ def test_lookups_by_name_and_key_column(schema):
     assert rel.attribute("Club") is keyed_last[2]
     assert rel.key_attr is keyed_last[3]
     assert rel.key_of(rel.rows[0]) == "Ronaldo" and rel.keys() == ("Ronaldo",)
-    assert rel.rows[0].values[rel.index("Club")] == "Juventus"
+    assert rel.rows[0][rel.index("Club")] == "Juventus"
     for lookup in (rel.index, rel.attribute):
         with pytest.raises(UnknownAttributeError, match="^no attribute 'Stadium' in 'Soccer'$"):
             lookup("Stadium")
@@ -79,12 +91,13 @@ def test_load_csv_type_mismatch_carries_position(schema):
     assert info.value.attr == "Number"
 
 
-def test_load_csv_header_order_insensitive_and_drops_extras(schema):
+def test_load_csv_header_order_insensitive_and_drops_extras(schema, caplog):
     csv_text = "Club,Name,Agent,Nationality,Number\nJuventus,Ronaldo,X,Portugal,7\n"
-    rel = load_csv(csv_text, schema)
+    with caplog.at_level(logging.WARNING, logger="tabbench.relation"):
+        rel = load_csv(csv_text, schema)
     assert rel.keys() == ("Ronaldo",)
-    assert rel.rows[0].values[rel.index("Number")] == "7"
-    assert rel.dropped_columns == ("Agent",)
+    assert rel.rows[0][rel.index("Number")] == "7"
+    assert caplog.messages == ["dropping columns not in schema: Agent"]
 
 
 def test_csv_round_trip_identity(schema, f1):
@@ -151,7 +164,7 @@ def test_unique_values_covers_rows_property():
             assert len(values) <= len(rel.rows) or not rel.rows
             normalized = {v.strip().casefold() for v in values}
             for row in rel.rows:
-                cell = row.values[rel.index(spec.name)].strip().casefold()
+                cell = row[rel.index(spec.name)].strip().casefold()
                 if spec.kind == "numeric":
                     assert any(float(v) == float(cell) for v in values)
                 else:

@@ -76,16 +76,16 @@ def test_information_equivalence_all_levels(f2, bank):
         for seed in (0, 1, 17):
             text = normalize(render(f2, level, seed, bank))
             for row in f2.rows:
-                for cell in row.values:
+                for cell in row:
                     assert normalize(cell) in text, (level, seed, cell)
 
 
 def test_order_fixed_keeps_attribute_order(f2, bank):
     text = render(f2, StructuringLevel.ORDER_FIXED, 9, bank)
     for line, row in zip(text.splitlines(), f2.rows):
-        nationality = line.index(row.values[f2.index("Nationality")])
-        club = line.index(row.values[f2.index("Club")])
-        number = line.rindex(row.values[f2.index("Number")])
+        nationality = line.index(row[f2.index("Nationality")])
+        club = line.index(row[f2.index("Club")])
+        number = line.rindex(row[f2.index("Number")])
         assert nationality < club < number
 
 
@@ -190,7 +190,7 @@ def test_parse_round_trip_randomized(bank):
         rel = random_relation(rng)
         if not rel.rows:
             continue
-        assert table_equal(parse_table(render_table(rel.attribute_names, (r.values for r in rel.rows))), rel)
+        assert table_equal(parse_table(render_table(rel.attribute_names, rel.rows)), rel)
 
 
 def test_parse_markdown_separator(f1):
@@ -285,6 +285,14 @@ def test_fill_rate_one_blank_cell(f1):
         (("Ronaldo", "7", "Portugal", "Juventus"), ("Messi", "10", "Argentina", "")),
     )
     assert cell_fill_rate(damaged, f1) == pytest.approx(7 / 8)
+
+
+def test_fill_rate_reads_cells_without_emphasis(f1):
+    emphasized = PipeTable(
+        f1.attribute_names,
+        (("**Ronaldo**", "7", "Portugal", "Juventus"), ("`Messi`", "**10**", "_Argentina_", "Barcelona")),
+    )
+    assert cell_fill_rate(emphasized, f1) == 1.0
 
 
 def test_fill_rate_handles_column_and_row_renames(schema, f1):
