@@ -95,10 +95,14 @@ def _table(block: str) -> ParsedAnswer:
 
 
 def _number(block: str) -> ParsedAnswer:
-    matches = _NUMBER.findall(block)
-    if not matches:
+    """The first number of the answer block, which the footer asks to be the
+    answer ("a single number"), so that a note after it, such as "(computed
+    over 100 rows)", is not read in its place; commas are thousands
+    separators."""
+    match = _NUMBER.search(block)
+    if not match:
         return Unparseable("no number in answer")
-    value = float(matches[-1].replace(",", ""))
+    value = float(match.group().replace(",", ""))
     if not math.isfinite(value):  # 309 digits or more read as inf
         return Unparseable("number too large to read")
     return NumberAnswer(value)

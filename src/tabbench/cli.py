@@ -449,11 +449,12 @@ def structuring_probe(pack: DatasetPack, rel: Relation, seed: int, with_columns:
         level=StructuringLevel.NATURAL,
         portion=None,
         plan=plan,
-        prompt=pre + "\nOutput the table after the line ANSWER:, as a pipe table.",
+        prompt=pre,
         context=render(rel, StructuringLevel.NATURAL, seed, pack.bank),
         pre_instruction=pre,
         gold=evaluate(plan, rel),
         entity_keys=rel.keys(),
+        footer="Output the table after the line ANSWER:, as a pipe table.",
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -197,19 +197,22 @@ ModelKind = LossyOracle | RemoteModel
 
 
 def compose_message(instance: RequestInstance) -> str:
-    """Knowledge context first, then the instruction, as one user message."""
-    return instance.context + "\n\n" + instance.prompt
+    """Knowledge context first, then the instruction and its answer footer on
+    the line after it, as one user message."""
+    message = instance.context + "\n\n" + instance.prompt
+    return message if instance.footer is None else message + "\n" + instance.footer
 
 
 def complete(instance: RequestInstance, model: ModelKind) -> ResultLine:
     """Answer one instance with the line that run writes. In two-turn mode a
-    remote model is first asked to lay the facts out as a table, and its own
-    table replaces the context for the main instruction; the line counts the
+    remote model is first asked to lay the facts out as a table, with the
+    pre-instruction alone and no answer footer, and its own table replaces
+    the context for the main instruction and its footer; the line counts the
     attempts of both turns, and an error in the first ends the instance. A
     mock never reads the context, so it answers at once."""
     if instance.mode != Mode.TWO_TURN or not isinstance(model, RemoteModel):
         return model.complete(instance)
-    first = model.complete(replace(instance, prompt=instance.pre_instruction or ""))
+    first = model.complete(replace(instance, prompt=instance.pre_instruction or "", footer=None))
     if first.error is not None:
         return first
     second = model.complete(replace(instance, context=first.text))
@@ -228,16 +231,16 @@ def _answer(instance: RequestInstance, model: ModelKind) -> ResultLine:
 
 
 def _answers(todo: list[RequestInstance], model: ModelKind):
-    """Result lines of `todo` in completion order. A mock is CPU-bound, so a pool
+    """Result lines of `todo` in its order. A mock is CPU-bound, so a pool
     would only add overhead under the GIL: it answers inline, one instance at a
-    time. A remote model is asked through a pool of its config's max_in_flight."""
+    time. A remote model is asked through a pool of its config's max_in_flight,
+    and each answer is handed on once those asked before it are."""
     if not isinstance(model, RemoteModel):
         for instance in todo:
             yield _answer(instance, model)
         return
     with ThreadPoolExecutor(max_workers=model.config.max_in_flight) as pool:
-        for future in as_completed([pool.submit(_answer, instance, model) for instance in todo]):
-            yield future.result()
+        yield from pool.map(_answer, todo, [model] * len(todo))
 
 
 def run_suite(
@@ -249,29 +252,41 @@ def run_suite(
 ) -> dict:
     """Answer every instance exactly once, streaming results as JSONL.
 
-    Results stream to "<sink>.partial" in completion order; at the end they are
-    written sorted by request id through write_file, so a failed or
-    interrupted write leaves the previous sink as it was and a leftover
-    .partial file marks an interrupted run. Lines in `existing` are kept and
-    not re-dispatched. The counts returned carry the sink's `digest`.
+    The sink is written through write_file in the order of `instances`, one
+    line as each is answered, so a failed or interrupted write leaves the
+    previous sink as it was. Each new answer also goes to "<sink>.partial" as
+    it is written, and a leftover .partial file marks an interrupted run.
+    Lines in `existing` are kept in their instance's place and not
+    re-dispatched; an id in `existing` that no instance has is a GatewayError.
+    The counts returned carry the sink's `digest`.
     """
     sink = Path(sink)
     partial = sink.with_name(sink.name + ".partial")
     existing = dict(existing or {})
+    unknown = existing.keys() - {instance.id for instance in instances}
+    if unknown:
+        raise GatewayError(f"existing result id {min(unknown)!r} is not in the suite")
     todo = [i for i in instances if i.id not in existing]
 
     started = time.time()
-    lines = {request_id: json.dumps(to_json(line), sort_keys=True) for request_id, line in existing.items()}
     errors = 0
+
+    def lines(stream):
+        nonlocal errors
+        answers = _answers(todo, model)
+        for instance in instances:
+            reused = existing.get(instance.id)
+            line = reused or next(answers)
+            text = json.dumps(to_json(line), sort_keys=True) + "\n"
+            if reused is None:
+                stream.write(text)
+                if line.error is not None:
+                    errors += 1
+            yield text
 
     try:
         with open(partial, "w", encoding="utf-8") as stream:
-            for line in _answers(todo, model):
-                lines[line.id] = json.dumps(to_json(line), sort_keys=True)
-                stream.write(lines[line.id] + "\n")
-                if line.error is not None:
-                    errors += 1
-        digest = write_file(sink, (lines[request_id] + "\n" for request_id in sorted(lines)))
+            digest = write_file(sink, lines(stream))
         partial.unlink(missing_ok=True)
     except OSError as e:
         raise SinkError(f"cannot write results to {sink}: {e}") from e

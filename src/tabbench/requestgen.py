@@ -134,7 +134,10 @@ class RequestInstance:
     target attribute and negation are read from it, not stored beside it.
     `relation` is the sampled relation the gold was evaluated against, which a
     suite states once so that a deletion or update gold is written as an edit
-    of it; an instance built without it states its gold in full."""
+    of it; an instance built without it states its gold in full. `footer` is
+    the request type's answer instruction, which compose_message puts after
+    the prompt; None when the prompt holds its own, as in suites written
+    before the footer was a field."""
 
     id: str
     dataset: str
@@ -151,6 +154,7 @@ class RequestInstance:
     mode: Mode = Mode.SURROGATE
     resamples: int = 0
     relation: RelationSnapshot | None = None
+    footer: str | None = None
 
     @property
     def request_type(self) -> RequestType:
@@ -203,10 +207,11 @@ def build_plan(request_type: RequestType, expr: ConditionExpr, target: tuple[str
 
 def fill(template: PromptTemplate, plan: QueryPlan, target: tuple[str, ...], rel: Relation,
          pack: "DatasetPack") -> str:
-    """The prompt of one wording of a plan: check that the template is for the
-    plan's request type, fill its slots and append the type's answer footer.
-    It depends on neither the level nor the portion, so generate_suite fills
-    each wording once and every rendered context shares it."""
+    """The question of one wording of a plan: check that the template is for
+    the plan's request type and fill its slots. The type's answer footer is
+    not part of it (RequestInstance.footer). It depends on neither the level
+    nor the portion, so generate_suite fills each wording once and every
+    rendered context shares it."""
     request_type = type_of(plan)
     if template.request_type is not request_type:
         raise TemplateMismatchError(
@@ -219,7 +224,7 @@ def fill(template: PromptTemplate, plan: QueryPlan, target: tuple[str, ...], rel
         body = body.replace("{target}", phrases[0])
         body = body.replace("{target_plural}", _plural(phrases[0]))
         body = body.replace("{targets}", " and ".join(phrases))
-    return body + "\n" + pack.templates.footer_for(request_type)
+    return body
 
 
 def make_pre_instruction(noun_plural: str, column_phrases: tuple[str, ...] | None = None) -> str:
@@ -278,15 +283,16 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
     Each piece of work runs at the loop level where its inputs are fixed: the
     plan and gold answer once per (pair, connective, negation), each prompt
     once per (pair, connective, negation, template), the context once per
-    (pair, level, portion), the entity keys, the relation snapshot and the
-    two-turn pre-instruction once per suite; each instance is then built from
-    these."""
+    (pair, level, portion), the answer footer once per type, the entity keys,
+    the relation snapshot and the two-turn pre-instruction once per suite;
+    each instance is then built from these."""
     instances: list[RequestInstance] = []
     entity_keys = rel.keys()
     relation = RelationSnapshot(rel.attribute_names, rel.key_attr.name, rel.rows)
     pre_instruction = make_pre_instruction(pack.entity_noun_plural) if config.mode == Mode.TWO_TURN else None
     for request_type in config.request_types:
         target = pack.target_for(request_type)
+        footer = pack.templates.footer_for(request_type)
         for n in config.n_conditions:
             for pair in range(config.pair_count):
                 draw_seed = derive_seed(config.seed, "conditions", pack.name, request_type.value, n, pair)
@@ -327,6 +333,7 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
                                 mode=config.mode,
                                 resamples=resamples,
                                 relation=relation,
+                                footer=footer,
                             ))
     return instances
 
@@ -339,9 +346,11 @@ def generate_suite(rel: Relation, config: SuiteConfig, pack: "DatasetPack") -> l
 # wording, connective and structuring level vary, so one context, gold and key
 # list serve many instances, one plan every wording and level of a slot, one
 # prompt every level, and one relation the whole suite. dump_suite states each
-# distinct value once. pre_instruction is not one: a suite has one (null
-# outside two-turn suites), which every line after the first leaves out as it
-# equals the line before's.
+# distinct value once. pre_instruction and footer are not: a suite has one
+# pre-instruction (null outside two-turn suites) and one footer per request
+# type, and a line leaves out each that equals the line before's, so the
+# pre-instruction is stated on the first line only and a footer on the first
+# line of each request type whose footer is not the type before's.
 SHARED_FIELDS = ("context", "entity_keys", "gold", "plan", "prompt", "relation")
 # instances the generate stage dumps at a time, so one batch's text is held at once
 SUITE_BATCH = 256
@@ -482,11 +491,12 @@ def load_suite(lines: Iterable[str]) -> Iterator[RequestInstance]:
     values and the last instance are kept. A gold written as an edit is
     applied to its line's relation (_edited). A line stating every value in
     full loads as it is, and so does one with no relation, as suites were
-    written before it was shared. An id stated on two lines is an error, and
-    so is a gold that its request type cannot be scored against: one of
-    another class, or an update's gold without the target column. A
-    `request_type` key, which suites stated before it was read from the plan,
-    is ignored."""
+    written before it was shared; a suite with no `footer` key, written while
+    each prompt held its footer, loads with every footer None. An id stated
+    on two lines is an error, and so is a gold that its request type cannot
+    be scored against: one of another class, or an update's gold without the
+    target column. A `request_type` key, which suites stated before it was
+    read from the plan, is ignored."""
     stated: dict[tuple[str, str], object] = {}
     line_of: dict[str, int] = {}
     previous = None

@@ -226,7 +226,7 @@ def instantiate_one(request_type, template, expr, target, rel: Relation, level, 
                     instance_id: str = "single", mode: str = "surrogate", pre_instruction: str | None = None):
     """One instance outside a suite: build and evaluate the plan, fill the
     template's prompt, render the context at `level`, and build the instance
-    from them as generate_suite does."""
+    from them, with the type's answer footer, as generate_suite does."""
     from tabbench.oracle import AND, evaluate
     from tabbench.requestgen import RequestInstance, build_plan, fill
     from tabbench.structurer import render
@@ -246,6 +246,7 @@ def instantiate_one(request_type, template, expr, target, rel: Relation, level, 
         gold=evaluate(plan, rel),
         entity_keys=rel.keys(),
         mode=mode,
+        footer=pack.templates.footer_for(request_type),
     )
 
 
@@ -293,5 +294,23 @@ def every_key_on_every_line(text: str) -> str:
         before = {key: {"same_as": obj["id"]} if key in SHARED_FIELDS and not (
             isinstance(value, dict) and value.keys() == {"same_as"}) else value
             for key, value in obj.items() if key != "id"}
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def footer_in_prompt(text: str) -> str:
+    """`text`, a suite dump, as suites were written while each prompt ended
+    with its request type's answer footer: every prompt a line states in full
+    gets the line's footer (stated on it, or on the last line before that
+    states one) on a line of its own, and the `footer` key is dropped. Each
+    line is re-dumped with keys sorted; blank lines are dropped."""
+    footer, lines = None, []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        footer = obj.pop("footer", footer)
+        if isinstance(obj.get("prompt"), str) and footer is not None:
+            obj["prompt"] += "\n" + footer
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)

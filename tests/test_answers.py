@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 import string
 
+import pytest
+
 from tabbench.answers import (
     EntityList,
     Judgement,
@@ -49,6 +51,19 @@ def test_count_parses_last_standalone_number():
 
 def test_count_thousands_separator():
     assert parse("ANSWER:\n1,234", RequestType.SUM) == NumberAnswer(1234.0)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("ANSWER:\n**12** (computed over 100 rows)", 12.0),
+    ("Of the 100 rows, 3 have number 10 and 9 have number 7.\nANSWER:\n12", 12.0),
+    ("ANSWER:\nThe total is 12,345 (over 3 rows).", 12345.0),
+    ("**12** (computed over 100 rows)", 12.0),
+], ids=["trailing note", "numbers before the marker", "thousands separator", "no marker"])
+def test_number_answer_is_the_first_number_of_the_answer(text, value):
+    """The footer asks for a single number after the marker: the first one
+    there is the answer, and a note after it is not read in its place."""
+    for request_type in (RequestType.COUNT, RequestType.SUM):
+        assert parse(text, request_type) == NumberAnswer(value)
 
 
 def test_count_unparseable():

@@ -21,7 +21,7 @@ from tabbench.cli import main
 from tabbench.datasets import BUILTIN_PACKS
 from tabbench.requesttypes import RequestType
 
-from conftest import every_key_on_every_line
+from conftest import every_key_on_every_line, footer_in_prompt
 
 
 @pytest.fixture
@@ -264,17 +264,21 @@ def test_generate_writes_the_suite_in_batches_and_records_the_digest_of_what_it_
     assert hashed == []
 
 
-@pytest.mark.parametrize("in_full, relation", [(("plan", "prompt"), True), (requestgen.SHARED_FIELDS, True),
-                                               ((), False), ((), True)],
-                         ids=["plans and prompts in full", "every value in full", "golds in full, no relation",
-                              "every key on every line"])
+@pytest.mark.parametrize("in_full, relation, filled", [
+    (("plan", "prompt"), True, True), (requestgen.SHARED_FIELDS, True, True), ((), False, True), ((), True, True),
+    ((), True, False),
+], ids=["plans and prompts in full", "every value in full", "golds in full, no relation", "every key on every line",
+        "footer in the prompt"])
 def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tmp_path, monkeypatch, in_full,
-                                                                     relation):
-    """A suite written before a line left out the keys whose values equal
-    the line before's, before the relation was shared and deletion and update
-    golds were edits of it, before plans and prompts were shared fields, or
-    before any value was, is run and scored as the suite generate writes now.
-    Each of these states every key on every line."""
+                                                                     relation, filled):
+    """A suite written before each request type's answer footer was its own
+    key, and so with the footer at the end of each prompt it states in full,
+    is run and scored as the suite generate writes now; so is one written
+    before that, when a line did not yet leave out the keys whose values
+    equal the line before's, before the relation was shared and deletion and
+    update golds were edits of it, before plans and prompts were shared
+    fields, or before any value was. Each of these but the first states every
+    key on every line. Each loads with every footer None."""
     config = write_config(tmp_path, request_types=["retrieval", "update", "count", "existence"],
                           connectives=["and", "or", "diff"], levels=["natural", "table"])
     suites = {"new": tmp_path / "new" / "suite.jsonl", "old": tmp_path / "old" / "suite.jsonl"}
@@ -285,7 +289,9 @@ def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tm
         instances = [dataclasses.replace(instance, relation=None) for instance in instances]
     with monkeypatch.context() as patch:
         patch.setattr(requestgen, "SHARED_FIELDS", tuple(f for f in requestgen.SHARED_FIELDS if f not in in_full))
-        old_text = every_key_on_every_line(requestgen.dump_suite(instances))
+        old_text = footer_in_prompt(requestgen.dump_suite(instances))
+        if filled:
+            old_text = every_key_on_every_line(old_text)
     if not relation:
         old_text = "".join(json.dumps({key: value for key, value in json.loads(line).items() if key != "relation"},
                                       sort_keys=True) + "\n" for line in old_text.splitlines())
@@ -296,7 +302,10 @@ def test_suite_stating_shared_values_in_full_runs_and_scores_the_same(runner, tm
         assert len(old_text) > len(new_text)
     stated = [json.loads(line)[field] for line in old_text.splitlines() for field in in_full]
     assert not any(isinstance(value, dict) and "same_as" in value for value in stated)
-    assert list(requestgen.load_suite(old_text.splitlines())) == instances
+    assert '"footer"' not in old_text
+    assert list(requestgen.load_suite(old_text.splitlines())) == [
+        dataclasses.replace(instance, prompt=instance.prompt + "\n" + instance.footer, footer=None)
+        for instance in instances]
 
     outputs = {}
     for name, suite in suites.items():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -39,8 +42,6 @@ def small_suite(pack, f2):
 
 def _retrieval_instance(pack, f2, gold_keys, instance_id="r0"):
     """Instance with a hand-set gold entity set, for mock statistics."""
-    import dataclasses
-
     template = pack.templates.templates_for(RequestType.RETRIEVAL)[0]
     expr = Condition("Nationality", EQ, "Argentina", "nationality is Argentina")
     instance = instantiate_one(RequestType.RETRIEVAL, template, expr, (), f2,
@@ -138,7 +139,16 @@ def test_deletion_of_every_row_renders_header_alone(pack, f2):
 def test_compose_message_order(small_suite):
     message = compose_message(small_suite[0])
     assert message.startswith(small_suite[0].context)
-    assert message.endswith(small_suite[0].prompt)
+    assert message.endswith(small_suite[0].prompt + "\n" + small_suite[0].footer)
+
+
+def test_compose_message_of_a_prompt_holding_its_footer(small_suite):
+    """An instance of a suite written while each prompt held its footer has
+    footer None, and is composed to the same message."""
+    instance = small_suite[0]
+    folded = dataclasses.replace(instance, prompt=instance.prompt + "\n" + instance.footer, footer=None)
+    assert compose_message(folded) == compose_message(instance) == (
+        instance.context + "\n\n" + instance.prompt + "\n" + instance.footer)
 
 
 def test_format_gold_negated_existence_answers_no(pack, f2):
@@ -177,6 +187,13 @@ def test_run_suite_resumes_from_existing(tmp_path, small_suite):
     manifest = run_suite(small_suite, PerfectOracle(), sink, existing=existing)
     assert manifest["dispatched"] == 0
     assert manifest["reused"] == len(small_suite)
+
+
+def test_run_suite_refuses_an_existing_line_no_instance_has(tmp_path, small_suite):
+    stray = ResultLine(attempts=1, error=None, id="999999-nowhere", model="perfect-oracle", text="ANSWER:\n1")
+    with pytest.raises(GatewayError, match="existing result id '999999-nowhere' is not in the suite"):
+        run_suite(small_suite, PerfectOracle(), tmp_path / "results.jsonl", existing={stray.id: stray})
+    assert not (tmp_path / "results.jsonl").exists()
 
 
 def _recording_threads(monkeypatch):
@@ -224,6 +241,36 @@ def test_run_suite_keeps_every_answer_when_answering_one_instance_raises(stub_se
     assert lines == {line["id"]: line for line in map(json.loads, expected.read_text(encoding="utf-8").splitlines())
                      if line["id"] != suite[k].id}
     assert not (tmp_path / "results.jsonl.partial").exists()
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["mock", "remote"])
+def test_run_suite_writes_lines_in_the_order_of_its_instances(stub_server, small_suite, tmp_path, monkeypatch,
+                                                              remote):
+    """Results are written in the order the instances are given, not sorted by
+    id, also when a remote model's pool answers earlier instances later; a
+    reused line keeps its instance's place."""
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    suite = small_suite[:6][::-1]
+    model = _remote(stub_server, max_in_flight=3) if remote else PerfectOracle()
+    finished = []
+
+    def late_for_earlier(instance, model):
+        time.sleep(0.03 * (len(suite) - suite.index(instance)) if remote else 0)
+        line = complete(instance, model)
+        finished.append(line.id)
+        return line
+
+    monkeypatch.setattr(gateway, "complete", late_for_earlier)
+    sink = tmp_path / "results.jsonl"
+    run_suite(suite, model, sink)
+    ids = [i.id for i in suite]
+    assert sorted(finished) == sorted(ids) and (finished != ids) == remote
+    lines = sink.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ids
+
+    reused = {line.id: line for line in (from_json(ResultLine, json.loads(text)) for text in lines[1::2])}
+    run_suite(suite, model, sink, existing=reused)
+    assert sink.read_text(encoding="utf-8").splitlines() == lines
 
 
 def test_response_json_round_trip(small_suite, tmp_path):
@@ -387,8 +434,46 @@ def test_two_turn_remote_sends_its_own_table_in_place_of_the_context(stub_server
     line = complete(instance, _remote(stub_server))
     turn_1, retried_1, turn_2 = map(_sent, _StubHandler.bodies)
     assert turn_1 == retried_1 == instance.context + "\n\n" + instance.pre_instruction
-    assert turn_2 == "echo:stub-model\n\n" + instance.prompt
+    assert instance.footer not in turn_1
+    assert turn_2 == "echo:stub-model\n\n" + instance.prompt + "\n" + instance.footer
+    assert turn_2.endswith("\nOutput the final answer after the line ANSWER:, one player name per line. "
+                           "If no player satisfies the conditions, output nothing after ANSWER:.")
     assert (line.id, line.text, line.attempts) == (instance.id, "echo:stub-model", 3)
+
+
+@pytest.mark.parametrize("asked, digest", [
+    ("surrogate", "0bad07b8251bf55a3786bb6932bc74f064671a125e4be926e43591b611b1650d"),
+    ("two_turn", "c871efbe7de9c1b35003bf377dedb3e5da640d5071b9f095c641a454edd02915"),
+    ("convert-rate probes", "ccc4b91393847a0c85599a3a218ec31fe2dc4f3217d32219579d74bb375c980f"),
+])
+def test_remote_messages_are_those_sent_when_each_prompt_held_its_footer(stub_server, pack, f2, tmp_path,
+                                                                         monkeypatch, asked, digest):
+    """Every message sent to a remote model for a suite of every request type,
+    in surrogate mode and in both turns of two-turn mode, and for convert-rate's
+    structuring probes. Each digest was taken (of the sorted messages, joined
+    by NUL) before each request type's answer footer moved out of the prompt
+    into its own field, when the probe's prompt held its footer too: the bytes
+    sent must not move."""
+    from tabbench.cli import structuring_probe
+    from tabbench.datasets import load_pack
+    from tabbench.relation import sample_entities
+
+    monkeypatch.setenv("TABBENCH_TEST_TOKEN", "token")
+    model = _remote(stub_server, max_in_flight=2)
+    if asked == "convert-rate probes":
+        soccer = load_pack("soccer")
+        rel = sample_entities(soccer.relation, 6, 4)
+        for with_columns in (True, False):
+            assert complete(structuring_probe(soccer, rel, 3, with_columns), model).error is None
+        expected = 2
+    else:
+        suite = generate_suite(f2, SuiteConfig(pair_count=1, request_types=tuple(RequestType), seed=13,
+                                               mode=asked), pack)
+        assert run_suite(suite, model, tmp_path / "results.jsonl")["errors"] == 0
+        expected = len(suite) * (2 if asked == "two_turn" else 1)
+    sent = sorted(map(_sent, _StubHandler.bodies))
+    assert len(sent) == expected
+    assert hashlib.sha256("\0".join(sent).encode("utf-8")).hexdigest() == digest
 
 
 def test_two_turn_remote_error_in_the_first_turn_ends_the_instance(stub_server, pack, f2, monkeypatch):

@@ -29,7 +29,14 @@ from tabbench.requesttypes import ROWS
 from tabbench.runio import from_json, to_json
 from tabbench.structurer import StructuringLevel, render, render_partial
 
-from conftest import eq, every_key_on_every_line, instances_per_type, instantiate_one, tiny_soccer_pack
+from conftest import (
+    eq,
+    every_key_on_every_line,
+    footer_in_prompt,
+    instances_per_type,
+    instantiate_one,
+    tiny_soccer_pack,
+)
 
 
 @pytest.fixture
@@ -71,7 +78,7 @@ def test_instantiate_retrieval_prompt(pack, f2):
     assert instance.context == render(f2, StructuringLevel.TABLE, 5, pack.bank)
     assert instance.gold == evaluate(instance.plan, f2)
     assert instance.entity_keys == f2.keys()
-    assert "ANSWER:" in instance.prompt
+    assert "ANSWER:" in instance.footer and "ANSWER:" not in instance.prompt
 
 
 def test_instantiate_negated_existence_prompt(pack, f2):
@@ -198,7 +205,7 @@ def test_instance_json_round_trip(pack, f2):
 
 def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
     names = {f.name for f in dataclasses.fields(RequestInstance)}
-    assert len(names) == 15 and not names & {"expr", "target", "n_conditions", "negated", "request_type"}
+    assert len(names) == 16 and not names & {"expr", "target", "n_conditions", "negated", "request_type"}
     assert [f.name for f in dataclasses.fields(Witnessed)] == ["witnesses"]
     config = SuiteConfig(pair_count=2, request_types=(RequestType.EXISTENCE,), connectives=(OR,),
                          n_conditions=(3,), seed=4)
@@ -210,6 +217,24 @@ def test_instance_reads_what_was_asked_from_plan_and_gold(pack, f2):
         obj = json.loads(line)
         assert not obj.keys() & {"expr", "target", "n_conditions", "negated", "request_type"}
         assert "value" not in obj["gold"]
+
+
+def test_suite_states_each_request_types_footer_once(pack, f2):
+    """Every instance carries its request type's answer footer, apart from the
+    prompt; the dump states it on the first line of each type, unless the type
+    before has the same footer (sum and count do), and the lines after take it
+    from the line before."""
+    config = SuiteConfig(pair_count=1, request_types=tuple(RequestType), connectives=(AND,), seed=5)
+    suite = generate_suite(f2, config, pack)
+    assert all(i.footer == pack.templates.footer_for(i.request_type) for i in suite)
+    assert not any(i.footer in i.prompt for i in suite)
+    text = dump_suite(suite)
+    stating = [json.loads(line)["id"] for line in text.splitlines() if "footer" in json.loads(line)]
+    firsts = [next(i for i in suite if i.request_type is t) for t in RequestType]
+    assert [i.request_type for i in firsts][4:6] == [RequestType.SUM, RequestType.COUNT]
+    assert stating == [i.id for n, i in enumerate(firsts) if n == 0 or i.footer != firsts[n - 1].footer]
+    assert len(stating) == len(RequestType) - 1
+    assert list(load_suite(text.splitlines())) == suite
 
 
 def test_suite_text_round_trip(pack, f2):
@@ -477,14 +502,22 @@ def test_suite_bytes_pinned(pack, f2):
     field and deletion and update golds edits of it; state_in_full(text, ())
     undoes that. The present digest came from that one (e60d4458...2e21) when
     a line began to leave out each key whose value equals the line before's;
-    every_key_on_every_line undoes that. The suite text, instance order and
+    every_key_on_every_line undoes that. The present digest came from that
+    one (01af5941...40ff) when each request type's answer footer moved out of
+    the prompt into its own `footer` key, stated on the first line of each
+    type here, as the three types' footers differ; footer_in_prompt undoes
+    that, and state_in_full does it first. The suite text, instance order and
     ids must not move."""
     text = dump_suite(generate_suite(f2, PINNED_CONFIG, pack))
     assert len(text.splitlines()) == 1440
+    assert text.count('"footer":') == len(PINNED_CONFIG.request_types)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "a9e948e2916442c79f3a3ead7fde5d2b005790172249ac63dc6156a1d6adbdb2"
+    )
+    assert hashlib.sha256(footer_in_prompt(text).encode("utf-8")).hexdigest() == (
         "01af5941a02f893e68e168324dc3d006124f979d19214509a1b7341465aa40ff"
     )
-    assert hashlib.sha256(every_key_on_every_line(text).encode("utf-8")).hexdigest() == (
+    assert hashlib.sha256(every_key_on_every_line(footer_in_prompt(text)).encode("utf-8")).hexdigest() == (
         "e60d445864f2914e41820695ab699747407863de8e5762b189ba824c2a132e21"
     )
     assert hashlib.sha256(state_in_full(text, ()).encode("utf-8")).hexdigest() == (
@@ -506,15 +539,16 @@ PACK_CONFIGS = tuple(
 
 def state_in_full(text, fields):
     """`text`, a suite dump, as it was dumped before the sampled relation was
-    a shared field, and while `fields` were not shared either: each key a
-    line leaves out filled from the line before (every_key_on_every_line),
-    each gold written as an edit replaced by the gold it makes of its line's
+    a shared field, and while `fields` were not shared either: each footer
+    put back at the end of its prompt (footer_in_prompt), each key a line
+    leaves out filled from the line before (every_key_on_every_line), each
+    gold written as an edit replaced by the gold it makes of its line's
     relation, the `relation` key dropped, each {"same_as": id} of `fields`
     replaced by the value the line with that id states, and each line
     re-dumped with keys sorted."""
     stated = {}
     lines = []
-    for line in every_key_on_every_line(text).splitlines():
+    for line in every_key_on_every_line(footer_in_prompt(text)).splitlines():
         obj = json.loads(line)
         for field in ("relation", *fields):
             value = obj[field]
@@ -536,24 +570,28 @@ def state_in_full(text, fields):
 
 # each case is named by the digest of its dump from before `plan` and `prompt`
 # were shared, which state_in_full recovers from the present dump
-@pytest.mark.parametrize("name, unshared_digest, unrelated_digest, filled_digest, digest", [
+@pytest.mark.parametrize("name, unshared_digest, unrelated_digest, filled_digest, in_prompt_digest, digest", [
     pytest.param("soccer", "e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe",
                  "6f3abc8eb7d6904c7ddf38d7942a0915ca1a9ebd5c6304d7d51ffa521cefc412",
                  "9be6a92fe55168845b807e40d134c49d050e9056e9961a990ea870f9abd3a0e6",
                  "403d907a63d73a59fc6fe8913aa87f5808a13c0a1154aac2ea7c41c1bafa1ced",
+                 "2fa602febc4c0a9a4cbf060e1ea971f13ba7ea0d90f2c51b2c85d14f4ed433cf",
                  id="soccer-e61b0a973ed677af5c3ff2412b814f428c34edf6e70ede9953132e7d9ac90ebe"),
     pytest.param("movie", "e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72",
                  "354fafb2504ae78edf05700bcb9b1f74726c70ea797dcb0be6322a90f1077bf2",
                  "7941a38f601c0bd03761e47b8b773ac9bcb75739645a65573e9d899011f85461",
                  "55c1e4099eabf792160a2f7973b4b3a7cf0ada117e534c9022b8af355a60dc9e",
+                 "8ec0e884a2eef341034d53023a7f99d0e401f0f28c085d2d604a64698fa56191",
                  id="movie-e814c692e46d1d0ddc4ca7e83acafec97a75f7d6bdfab28ae91205f5fe21cf72"),
     pytest.param("pii", "94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f",
                  "b8486880674207983c8d64ea2bac5c0dae1d2ac758157c7e7794070667e7e9ca",
                  "84fd75933a2eb4b5fe4c7b1153ca0cd884266c487248c7875d188b30ce4c471a",
                  "c7d7c3f672c865ae29d6fc7240e1d3c46511743f617f59fb5823e45923652019",
+                 "3ad3f6831df10dd009160ed607d390112287db547872d111e5abe9064b7be94c",
                  id="pii-94798442c95e2d1e09b59be623065c1c330c820d3a89fff0e4f5da948a4bb13f"),
 ])
-def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled_digest, digest):
+def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled_digest, in_prompt_digest,
+                                 digest):
     """Each built-in pack's phrase bank, schema and ops through the whole
     generator: the digest of the dumps of PACK_CONFIGS, one after the other,
     on 16 sampled entities. The conditions use every op the pack allows, and
@@ -571,9 +609,12 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled
     When a line began to leave out each key whose value equals the line
     before's, they were re-pinned from the digests of that time (the
     `filled_digest` of each case), which every_key_on_every_line recovers.
-    All four must hold: the present dumps, those dumps with every key on
-    every line, those before the relation was shared, and those with `plan`
-    and `prompt` stated in full again."""
+    When each request type's answer footer moved out of the prompt into its
+    own `footer` key, they were re-pinned from the digests of that time (the
+    `in_prompt_digest` of each case), which footer_in_prompt recovers. All
+    five must hold: the present dumps, those with each footer in its prompt,
+    those with every key on every line too, those before the relation was
+    shared, and those with `plan` and `prompt` stated in full again."""
     from tabbench.datasets import load_pack
     from tabbench.oracle import leaf_conditions
     from tabbench.relation import sample_entities
@@ -581,6 +622,7 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled
     pack = load_pack(name)
     rel = sample_entities(pack.relation, 16, 5)
     digest_of = hashlib.sha256()
+    in_prompt_digest_of = hashlib.sha256()
     filled_digest_of = hashlib.sha256()
     unrelated_digest_of = hashlib.sha256()
     unshared_digest_of = hashlib.sha256()
@@ -589,13 +631,15 @@ def test_pack_suite_bytes_pinned(name, unshared_digest, unrelated_digest, filled
         suite = generate_suite(rel, config, pack)
         text = dump_suite(suite)
         digest_of.update(text.encode("utf-8"))
-        filled_digest_of.update(every_key_on_every_line(text).encode("utf-8"))
+        in_prompt_digest_of.update(footer_in_prompt(text).encode("utf-8"))
+        filled_digest_of.update(every_key_on_every_line(footer_in_prompt(text)).encode("utf-8"))
         unrelated_digest_of.update(state_in_full(text, ()).encode("utf-8"))
         unshared_digest_of.update(state_in_full(text, ("plan", "prompt")).encode("utf-8"))
         conditions += [c for i in suite for c in leaf_conditions(i.plan.expr)]
     assert {c.op for c in conditions} == set(pack.allowed_ops)
     assert any(c.attr == "Email" and c.value.startswith("@") for c in conditions) == (name == "pii")
     assert digest_of.hexdigest() == digest
+    assert in_prompt_digest_of.hexdigest() == in_prompt_digest
     assert filled_digest_of.hexdigest() == filled_digest
     assert unrelated_digest_of.hexdigest() == unrelated_digest
     assert unshared_digest_of.hexdigest() == unshared_digest
