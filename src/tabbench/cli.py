@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, evaluator, requestgen
+from . import __version__, requestgen
 from .answers import parse as parse_answer
 from .condgen import GenError
 from .datasets import BUILTIN_PACKS, DatasetPack, PackError, load_pack
@@ -183,7 +183,7 @@ class _Stages(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConfigError, ManifestError, PackError, GenError, evaluator.ReportError) as e:
+        except (ConfigError, ManifestError, PackError, GenError) as e:
             _fail(getattr(e, "errors", [str(e)]), EXIT_CONFIG)
         except SinkError as e:
             _fail([str(e)], EXIT_IO)
@@ -340,6 +340,8 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
+    from . import evaluator  # imported by the commands that score, so that generate and run do not load it
+
     # the results are read and checked first; when the suite line an answer is
     # for is reached, the answer is scored and it and the instance dropped; the
     # suite's digest is checked after its last line, before anything else
@@ -385,7 +387,10 @@ def cmd_eval(suite_path, results_paths, out_dir):
 def _headline(path: str | Path, text: str, verb: str, payload_of) -> str:
     """The text-vs-table headline from the JSON text of a file, which
     payload_of turns into a compare.json payload; a text that does not decode
-    to one is a ConfigError naming the file."""
+    to one is a ConfigError naming the file, and so are cells that
+    compare_formats cannot align."""
+    from . import evaluator
+
     try:
         payload = payload_of(json.loads(text))
         headline = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
@@ -405,6 +410,8 @@ def cmd_report(eval_dir, compare_file):
     """Print the aggregate table and summaries produced by eval, or the
     text-vs-table headline for a standalone cells file."""
     if compare_file:
+        from . import evaluator
+
         click.echo(_headline(compare_file, _read_input(Path(compare_file)), "compare", lambda cells: dataclasses.asdict(
             evaluator.compare_formats(cells["text"], cells["table"]))))
         return

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -239,6 +238,9 @@ def _answers(todo: list[RequestInstance], model: ModelKind):
         for instance in todo:
             yield _answer(instance, model)
         return
+    # imported here, as requests is, so that only a process that asks a remote model loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=model.config.max_in_flight) as pool:
         yield from pool.map(_answer, todo, [model] * len(todo))
 

@@ -12,14 +12,11 @@ import csv
 import functools
 import io
 import json
-import logging
 import math
 import random
 from dataclasses import dataclass
 
 from .runio import from_json
-
-log = logging.getLogger(__name__)
 
 KINDS = ("categorical", "numeric", "freetext")
 
@@ -205,7 +202,10 @@ def load_csv(source, schema: tuple[AttributeSpec, ...], name: str = "dataset") -
     wanted = set(positions)
     dropped = tuple(h for i, h in enumerate(header) if i not in wanted)
     if dropped:
-        log.warning("dropping columns not in schema: %s", ", ".join(dropped))
+        # imported here, so that only a pack with extra columns loads logging
+        import logging
+
+        logging.getLogger(__name__).warning("dropping columns not in schema: %s", ", ".join(dropped))
 
     values: list[tuple[str, ...]] = []
     for row_index, record in enumerate(reader):

@@ -10,10 +10,9 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 
 from .relation import AttributeSpec, Relation, normalize, parse_number
-from .seeding import rng_for
+from .seeding import Draws, rng_for
 
 
 class RenderError(Exception):
@@ -113,29 +112,29 @@ def render(rel: Relation, level: StructuringLevel, seed: int, bank: PhraseBank |
         raise NoBankError(f"{level.value} rendering needs a phrase bank")
     bank.check_schema(rel.schema)
 
-    canonical = bank.frames[0]
     # each attribute's column, clause templates and phrases, looked up once per call
-    wording = {name: (rel.index(name), bank.clauses[name], rel.attribute(name).paraphrases)
-               for name in canonical.order}
+    wording = [(rel.index(name), bank.clauses[name], rel.attribute(name).paraphrases)
+               for name in bank.frames[0].order]
+    # per entity, from its own seed: the frame, then (natural) the attribute
+    # order, then each attribute's clause and phrase, drawn as rng_for(seed,
+    # "render", level, index, key)'s choice and shuffle would draw them;
+    # template-based text takes the first of each instead
+    template_based = level is StructuringLevel.TEMPLATE_BASED
+    draws = Draws(seed, "render", level.value)
+    below = (lambda n: 0) if template_based else draws.below
     lines = []
     for entity_index, row in enumerate(rel.rows):
         key = rel.key_of(row)
-        if level is StructuringLevel.TEMPLATE_BASED:
-            head, order, pick = canonical.head, canonical.order, itemgetter(0)
-        else:
-            # per entity: the frame, then (natural) the attribute order, then
-            # each attribute's clause and phrase; rng.choice(seq) draws as
-            # seq[rng.randrange(len(seq))] does
-            rng = rng_for(seed, "render", level.value, entity_index, key)
-            head, order, pick = rng.choice(bank.frames).head, canonical.order, rng.choice
-            if level is StructuringLevel.NATURAL:
-                order = list(order)
-                rng.shuffle(order)
-        parts = [head.replace("{key}", key)]
-        for name in order:
-            column, clauses, phrases = wording[name]
-            clause = pick(clauses)
-            parts.append(clause.replace("{value}", row[column]).replace("{phrase}", pick(phrases)))
+        if not template_based:
+            draws.reseed(entity_index, key)
+        parts = [bank.frames[below(len(bank.frames))].head.replace("{key}", key)]
+        order = wording
+        if level is StructuringLevel.NATURAL:
+            order = list(wording)
+            draws.shuffle(order)
+        for column, clauses, phrases in order:
+            clause = clauses[below(len(clauses))]
+            parts.append(clause.replace("{value}", row[column]).replace("{phrase}", phrases[below(len(phrases))]))
         lines.append(" ".join(parts) + ".")
     return "\n".join(lines)
 

@@ -1383,11 +1383,35 @@ def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch
     assert not list(tmp_path.rglob("*.partial"))
 
 
+def _loaded_by_importing_the_cli(modules: set[str]) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded once it imports tabbench.cli."""
+    package_root = str(Path(tabbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    probe = f"import json, sys, tabbench.cli; print(json.dumps(sorted({sorted(modules)!r} & sys.modules.keys())))"
+    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    return json.loads(finished.stdout)
+
+
 def test_importing_the_cli_loads_no_http_client():
     """Only a remote model's answer needs the HTTP stack, so no stage pays for
     importing it up front."""
-    package_root = str(Path(tabbench.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, tabbench.cli; print(sorted({'requests', 'urllib3', 'http.client'} & set(sys.modules)))"
-    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert finished.stdout == "[]\n"
+    assert _loaded_by_importing_the_cli({"requests", "urllib3", "http.client"}) == []
+
+
+def test_importing_the_cli_loads_no_scoring_code_thread_pool_or_logging():
+    """The scoring code loads in eval and report, the thread pool for a remote
+    model's run, and logging for a pack with columns beyond its schema, so
+    generate, run and the start of every stage do not pay for them."""
+    assert _loaded_by_importing_the_cli({"tabbench.evaluator", "statistics", "concurrent.futures", "logging"}) == []
+
+
+def test_report_compare_file_with_cells_that_do_not_align_exits_2(runner, tmp_path):
+    fixture = json.loads((Path(__file__).parent / "data" / "aggregate_avgs.json").read_text(encoding="utf-8"))
+    fixture["table"][0]["request_type"] = "projection"
+    compare_file = tmp_path / "cells.json"
+    compare_file.write_text(json.dumps(fixture), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--compare-file", str(compare_file)])
+    [error] = _config_errors(result)
+    assert error.startswith(f"cannot compare {compare_file}: rows not aligned on (model, request_type)")
+    assert "projection" in error and "retrieval" in error
+    assert result.stdout == ""

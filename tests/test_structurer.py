@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from tabbench.relation import AttributeSpec, Relation, normalize
+from tabbench import structurer
+from tabbench.datasets import BUILTIN_PACKS, load_pack
+from tabbench.relation import AttributeSpec, Relation, normalize, sample_entities
 from tabbench.structurer import (
+    PORTIONS,
     BadPortionError,
     NoBankError,
     NoTableError,
@@ -24,6 +27,7 @@ from tabbench.structurer import (
 )
 
 from conftest import as_pipe_table, random_relation, table_equal
+from reference_render import reference_render
 
 ALL_LEVELS = tuple(StructuringLevel)
 
@@ -97,6 +101,37 @@ def test_natural_varies_with_seed(f2, bank):
 def test_render_is_deterministic(f2, bank):
     for level in ALL_LEVELS:
         assert render(f2, level, 123, bank) == render(f2, level, 123, bank)
+
+
+TEXT_LEVELS = (StructuringLevel.NATURAL, StructuringLevel.ORDER_FIXED, StructuringLevel.TEMPLATE_BASED)
+
+
+@pytest.mark.parametrize("name", BUILTIN_PACKS)
+def test_render_draws_what_a_random_per_entity_draws(name, monkeypatch):
+    """Every text level and every partial mix of each built-in pack, over 20
+    seeds, reads as the per-entity Random twin renders it."""
+    pack = load_pack(name)
+    for seed in range(20):
+        rel = sample_entities(pack.relation, 12, seed)
+        for level in TEXT_LEVELS:
+            assert render(rel, level, seed, pack.bank) == reference_render(rel, level, seed, pack.bank)
+        mixes = [render_partial(rel, portion, seed, pack.bank) for portion in PORTIONS]
+        # render_partial looks render up when it runs, so this renders each mix's text through the twin
+        monkeypatch.setattr(structurer, "render", lambda r, level, s, b=None: (
+            render(r, level, s, b) if level is StructuringLevel.TABLE else reference_render(r, level, s, b)))
+        assert mixes == [render_partial(rel, portion, seed, pack.bank) for portion in PORTIONS]
+        monkeypatch.undo()
+
+
+def test_render_seeds_and_words_each_entity_by_its_stripped_key(schema, bank):
+    spaced = Relation.from_values("Soccer", schema, [(" Ronaldo ", "7", "Portugal", "Juventus"),
+                                                     ("Messi  ", "10", "Argentina", "Barcelona")])
+    stripped = Relation.from_values("Soccer", schema, [tuple(cell.strip() for cell in row) for row in spaced.rows])
+    for seed in range(20):
+        for level in TEXT_LEVELS:
+            text = render(spaced, level, seed, bank)
+            assert text == reference_render(spaced, level, seed, bank) == render(stripped, level, seed, bank)
+            assert [line.split(" ", 1)[0].rstrip(",") for line in text.splitlines()] == ["Ronaldo", "Messi"]
 
 
 def test_render_empty_relation_rejected(schema, bank):
