@@ -246,31 +246,19 @@ def _read_suite(path: Path, digest) -> Iterator[RequestInstance]:
         verify_manifest(read_manifest(manifest_path), path.parent, known={"suite.jsonl": digest.hexdigest()})
 
 
-def _verify_results_manifest(path: Path, digest: str, suite_digest: str) -> None:
-    """A manifest that run left beside a results file (<name>.manifest.json)
-    must record the file's digest and the digest of the suite being answered
-    or scored (ManifestError otherwise)."""
-    manifest_path = path.with_name(path.name + ".manifest.json")
-    if manifest_path.is_file():
-        manifest = read_manifest(manifest_path)
-        verify_manifest(manifest, path.parent, known={path.name: digest})
-        if manifest.get("suite_digest") != suite_digest:
-            raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
-                                f"not the suite being scored or answered ({suite_digest[:12]}..)")
-
-
-def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[str, ResultLine]]], list[str]]:
-    """The lines of every results JSONL file by result id, each with where it
-    was read ("<file>: line <n>"), in the order they were read, and the
-    SHA-256 of each file's bytes. A line that is not a result line (a key
+def _read_answers(results_paths: tuple[str, ...], suite_digest: str) -> Iterator[tuple[str, ResultLine]]:
+    """Each line of every results JSONL file as it is read, with where it was
+    read ("<file>: line <n>"). A line that is not a result line (a key
     missing, unknown or of the wrong type, or both or neither of text and
     error set) is a ConfigError naming the file and the line; so is a model
-    answering an id twice, naming both lines."""
-    answers: dict[str, list[tuple[str, ResultLine]]] = {}
-    digests, answered = [], {}
+    answering an id twice, naming both lines. After each file's last line, a
+    manifest that run left beside it (<name>.manifest.json) must record the
+    file's digest and `suite_digest`, that of the suite being answered or
+    scored (ManifestError otherwise)."""
+    answered = {}
     for results_path in results_paths:
-        digest = hashlib.sha256()
-        with _reading(Path(results_path)), open(results_path, "rb") as f:
+        path, digest = Path(results_path), hashlib.sha256()
+        with _reading(path), open(path, "rb") as f:
             for number, line in enumerate(read_lines(f, digest), 1):
                 if not line.strip():
                     continue
@@ -284,10 +272,15 @@ def _read_answers(results_paths: tuple[str, ...]) -> tuple[dict[str, list[tuple[
                 key = (result.model, result.id)
                 if key in answered:
                     raise ConfigError([f"{where}: model {key[0]!r} already answered {key[1]!r} at {answered[key]}"])
-                answers.setdefault(result.id, []).append((where, result))
                 answered[key] = where
-        digests.append(digest.hexdigest())
-    return answers, digests
+                yield where, result
+        manifest_path = path.with_name(path.name + ".manifest.json")
+        if manifest_path.is_file():
+            manifest = read_manifest(manifest_path)
+            verify_manifest(manifest, path.parent, known={path.name: digest.hexdigest()})
+            if manifest.get("suite_digest") != suite_digest:
+                raise ManifestError(f"{path}: answers the suite with digest {str(manifest.get('suite_digest'))[:12]}.., "
+                                    f"not the suite being scored or answered ({suite_digest[:12]}..)")
 
 
 @main.command("run")
@@ -310,10 +303,9 @@ def cmd_run(suite_path, model_name, out_path, config_path, max_in_flight):
     out_file = Path(out_path)
     existing = {}
     if out_file.is_file():
-        answers, [digest] = _read_answers((out_path,))
-        _verify_results_manifest(out_file, digest, suite_hash.hexdigest())
         suite_ids = {instance.id for instance in instances}
-        for where, line in (entry for entries in answers.values() for entry in entries):
+        # every line is read, and the file checked against its manifest, before the model and ids are
+        for where, line in list(_read_answers((out_path,), suite_hash.hexdigest())):
             if line.model != model.model_id:
                 raise ConfigError([f"{where}: answered by model {line.model!r}, "
                                    f"not by {model.model_id!r}, the model of this run"])
@@ -342,22 +334,17 @@ def cmd_eval(suite_path, results_paths, out_dir):
     """Score results against the suite's gold answers and write reports."""
     from . import evaluator  # imported by the commands that score, so that generate and run do not load it
 
-    # the results are read and checked first; when the suite line an answer is
-    # for is reached, the answer is scored and it and the instance dropped; the
-    # suite's digest is checked after its last line, before anything else
-    answers, digests = _read_answers(results_paths)
-    records, suite_hash = [], hashlib.sha256()
-    for instance in _read_suite(Path(suite_path), suite_hash):
-        for _, result in answers.pop(instance.id, ()):
-            parsed = parse_answer(result.text, instance.request_type)
-            records.append(evaluator.score(instance, parsed, model=result.model))
-    # the first id left is that of the first results line no suite line answered
-    unmet = next(iter(answers.values()), None)
-    if unmet is not None:
-        where, result = unmet[0]
-        raise ConfigError([f"{where}: result id {result.id!r} is not in the suite"])
-    for results_path, digest in zip(results_paths, digests):
-        _verify_results_manifest(Path(results_path), digest, suite_hash.hexdigest())
+    # the suite is read, and its digest checked, before any answer is scored;
+    # each results line is then scored as it is read
+    suite_hash = hashlib.sha256()
+    instances = {instance.id: instance for instance in _read_suite(Path(suite_path), suite_hash)}
+    records = []
+    for where, result in _read_answers(results_paths, suite_hash.hexdigest()):
+        instance = instances.get(result.id)
+        if instance is None:
+            raise ConfigError([f"{where}: result id {result.id!r} is not in the suite"])
+        records.append(evaluator.score(instance, parse_answer(result.text, instance.request_type), model=result.model))
+    del instances
 
     rows, reports = evaluator.eval_reports(records)
     for row in rows:

@@ -323,9 +323,10 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
     """Per-cell and headline improvement of table-format context over text.
 
     Cells are {model, request_type, metric, mean} dicts aligned on
-    (model, request_type). The relative aggregate depends on averaging
-    convention; the one used here is declared in `convention` and alternatives
-    are flagged in `notes` instead of silently picked.
+    (model, request_type); cells that do not align, or no cells at all, are
+    a ReportError. The relative aggregate depends on averaging convention;
+    the one used here is declared in `convention` and alternatives are
+    flagged in `notes` instead of silently picked.
     """
     def index(cells):
         return {(c["model"], c["request_type"]): c for c in cells}
@@ -334,6 +335,8 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
     if set(text_index) != set(table_index):
         missing = set(text_index) ^ set(table_index)
         raise UnalignedError(f"rows not aligned on (model, request_type): {sorted(missing)}")
+    if not text_index:
+        raise ReportError("no (model, request_type) cells to compare")
 
     deltas = []
     for key in sorted(text_index):

@@ -4,10 +4,11 @@
 
 generates a suite over every request type, connective and structuring level,
 writes it in batches of SUITE_BATCH as `generate` does, reads it back, answers
-it with a noisy LossyOracle through run_suite, scores the answers and writes
-every eval report, all under OUT_DIR. It prints one `<sha256>  <file>` line
-per artifact. It does not import tabbench.cli, so an interpreter without click
-runs it; test_pipeline_digests.py compares its lines across interpreters.
+it with a noisy LossyOracle through run_suite, scores each answer as `eval`
+does and writes every eval report, all under OUT_DIR. It prints one
+`<sha256>  <file>` line per artifact. It does not import tabbench.cli, so an
+interpreter without click runs it; test_pipeline_digests.py compares its
+lines across interpreters.
 """
 from __future__ import annotations
 
@@ -42,12 +43,16 @@ def digests(out: Path) -> dict[str, str]:
     found = {"suite.jsonl": write_file(out / "suite.jsonl", (
         dump_suite(instances[start:start + SUITE_BATCH], stated) for start in range(0, len(instances), SUITE_BATCH)))}
     with open(out / "suite.jsonl", "rb") as f:
-        loaded = list(load_suite(read_lines(f, hashlib.sha256())))
-    found["results.jsonl"] = run_suite(loaded, MODEL, out / "results.jsonl")["digest"]
+        loaded = {instance.id: instance for instance in load_suite(read_lines(f, hashlib.sha256()))}
+    found["results.jsonl"] = run_suite(list(loaded.values()), MODEL, out / "results.jsonl")["digest"]
+    # scored as `eval` scores them: each results line as it is read, against the suite's instance of its id
+    records = []
     with open(out / "results.jsonl", encoding="utf-8") as f:
-        answers = {line.id: line for line in (from_json(ResultLine, json.loads(text)) for text in f)}
-    records = [evaluator.score(instance, parse(answers[instance.id].text, instance.request_type), model=MODEL.model_id)
-               for instance in loaded]
+        for result in (from_json(ResultLine, json.loads(text)) for text in f):
+            if result.id not in loaded:
+                raise ValueError(f"result id {result.id!r} is not in the suite")
+            instance = loaded[result.id]
+            records.append(evaluator.score(instance, parse(result.text, instance.request_type), model=result.model))
     _, reports = evaluator.eval_reports(records)
     for name, text in reports.items():
         if text is not None:

@@ -49,6 +49,13 @@ def test_traced_pass_reports_every_benchmark_layer(tmp_path):
     assert codes == {"generate": 0, "run": 0, "eval": 0}
     metrics = tracing.layer_metrics(tracer)
     assert metrics["gateway.complete_calls"] == 324
+    # each wrapped name is one that a stage really calls: a stage that went
+    # round it would leave its span or count at 0
+    assert metrics["requestgen.suite_bytes"] == suite.stat().st_size
+    assert metrics["answers.parse_calls"] == metrics["gateway.complete_calls"]
+    assert metrics["structurer.parse_table_calls"] == 72
+    for span in ("requestgen.dump_suite_s", "gateway.run_suite_s", "evaluator.score_s", "evaluator.write_reports_s"):
+        assert metrics[span] > 0, span
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     missing = [layer["name"] for layer in benchmark["per_layer"]
                if layer["name"] != "trace.overhead_s" and layer["name"] not in metrics]

@@ -1011,6 +1011,55 @@ def test_eval_rejects_a_result_it_has_already_scored(runner, tmp_path, repeat):
     assert not (tmp_path / "eval").exists()
 
 
+def _reports(eval_dir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in eval_dir.iterdir() if path.name != "eval.manifest.json"}
+
+
+@pytest.mark.parametrize("order", ["reversed", "split"])
+def test_eval_scores_results_in_any_order_to_the_same_reports(runner, tmp_path, order):
+    """Each results line is scored as it is read, so the reports must not
+    depend on the order of the lines or on how they are shared among files."""
+    config = write_config(tmp_path, levels=["natural", "table"])
+    suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
+    assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
+    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.3,r=0.2,seed=1",
+                                "--out", str(results)]).exit_code == 0
+    scored = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "in-order")])
+    assert scored.exit_code == 0, scored.output
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    shares = {"reversed": [lines[::-1]], "split": [lines[1::2], lines[::2]]}[order]
+    args = []
+    for n, share in enumerate(shares):
+        path = tmp_path / f"share-{n}.jsonl"
+        path.write_text("".join(share), encoding="utf-8")
+        args += ["--results", str(path)]
+    result = runner.invoke(main, ["eval", "--suite", str(suite), *args, "--out", str(tmp_path / order)])
+    assert result.exit_code == 0, result.output
+    expected = _reports(tmp_path / "in-order")
+    assert {"records.csv", "aggregate.md", "compare.json", "existence.csv"} <= set(expected)
+    assert _reports(tmp_path / order) == expected
+
+
+def test_eval_of_a_bad_suite_line_and_a_bad_results_line_names_the_suite_line(runner, tmp_path):
+    """The suite is read whole before the first results line."""
+    suite, results = _generated_and_run(runner, tmp_path)
+    (suite.parent / "suite.manifest.json").unlink()
+    results.with_name("results.jsonl.manifest.json").unlink()
+    # after a blank line, line 2 is the first instance line: it has no line before to take its gold from
+    lines = ["", *every_key_on_every_line(suite.read_text(encoding="utf-8")).splitlines()]
+    broken = json.loads(lines[1])
+    del broken["gold"]
+    lines[1] = json.dumps(broken, sort_keys=True)
+    suite.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    results.write_text("not json\n" + results.read_text(encoding="utf-8"), encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
+                                  "--out", str(tmp_path / "eval")])
+    [error] = _config_errors(result)
+    assert error.startswith(f"{suite}: line 2: ") and "gold" in error
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("edited,message", [
     ("results", "digest mismatch for results.jsonl"),
     ("manifest", "corrupt manifest"),
@@ -1414,4 +1463,12 @@ def test_report_compare_file_with_cells_that_do_not_align_exits_2(runner, tmp_pa
     [error] = _config_errors(result)
     assert error.startswith(f"cannot compare {compare_file}: rows not aligned on (model, request_type)")
     assert "projection" in error and "retrieval" in error
+    assert result.stdout == ""
+
+
+def test_report_compare_file_with_no_cells_exits_2(runner, tmp_path):
+    compare_file = tmp_path / "cells.json"
+    compare_file.write_text(json.dumps({"text": [], "table": []}), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--compare-file", str(compare_file)])
+    assert _config_errors(result) == [f"cannot compare {compare_file}: no (model, request_type) cells to compare"]
     assert result.stdout == ""

@@ -8,6 +8,7 @@ import pytest
 from tabbench.answers import EntityList, Judgement, NumberAnswer, TupleList, Unparseable, parse
 from tabbench.evaluator import (
     EvalRecord,
+    ReportError,
     UnalignedError,
     aggregate,
     compare_formats,
@@ -426,6 +427,11 @@ def test_compare_formats_identity_is_zero():
 def test_compare_formats_unaligned():
     with pytest.raises(UnalignedError):
         compare_formats(_cells(TEXT_AVG)[:-1], _cells(TABLE_AVG))
+
+
+def test_compare_formats_of_no_cells_is_a_report_error():
+    with pytest.raises(ReportError, match="no \\(model, request_type\\) cells to compare"):
+        compare_formats([], [])
 
 
 # ---------------------------------------------------------------------------
