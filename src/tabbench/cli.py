@@ -373,20 +373,23 @@ def cmd_eval(suite_path, results_paths, out_dir):
 
 def _headline(path: str | Path, text: str, verb: str, payload_of) -> str:
     """The text-vs-table headline from the JSON text of a file, which
-    payload_of turns into a compare.json payload; a text that does not decode
-    to one is a ConfigError naming the file, and so are cells that
-    compare_formats cannot align."""
+    payload_of turns into a compare.json payload: a line for the score cells
+    and one for the count cells, each only when the payload has its value. A
+    text that does not decode to one is a ConfigError naming the file, and so
+    are cells that compare_formats cannot align."""
     from . import evaluator
 
     try:
         payload = payload_of(json.loads(text))
-        headline = (f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
-                    f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)")
+        lines = []
+        if payload["mean_improvement_pp"] is not None:
+            lines.append(f"table vs text: mean improvement {payload['mean_improvement_pp']:.2f} pp "
+                         f"({payload['mean_relative_change'] * 100:.2f}% relative, convention-dependent)")
         if payload.get("count_abs_reduction") is not None:
-            headline += f"\ncount difference reduction: {payload['count_abs_reduction']:.2f}"
+            lines.append(f"count difference reduction: {payload['count_abs_reduction']:.2f}")
     except (KeyError, TypeError, ValueError, evaluator.ReportError) as e:
         raise ConfigError([f"cannot {verb} {path}: {e}"]) from None
-    return headline
+    return "\n".join(lines)
 
 
 @main.command("report")

@@ -308,8 +308,8 @@ class CellDelta:
 @dataclass(frozen=True)
 class FormatComparison:
     cells: tuple[CellDelta, ...]
-    mean_improvement_pp: float  # over score-typed cells (higher-better metrics)
-    mean_relative_change: float  # mean of per-cell relative changes, score-typed
+    mean_improvement_pp: float | None  # over score-typed cells (higher-better metrics)
+    mean_relative_change: float | None  # mean of per-cell relative changes, score-typed
     count_abs_reduction: float | None  # mean reduction of the count difference
     count_relative_reduction: float | None
     convention: str
@@ -323,10 +323,13 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
     """Per-cell and headline improvement of table-format context over text.
 
     Cells are {model, request_type, metric, mean} dicts aligned on
-    (model, request_type); cells that do not align, or no cells at all, are
-    a ReportError. The relative aggregate depends on averaging convention;
-    the one used here is declared in `convention` and alternatives are
-    flagged in `notes` instead of silently picked.
+    (model, request_type); cells that do not align, a metric other than F1,
+    accuracy and the count difference, or no cells at all, are a
+    ReportError. The score headline (`mean_improvement_pp`,
+    `mean_relative_change`) is None when no cell has a score metric, and the
+    count headline when no cell is a count. The relative aggregate depends
+    on averaging convention; the one used here is declared in `convention`
+    and alternatives are flagged in `notes` instead of silently picked.
     """
     def index(cells):
         return {(c["model"], c["request_type"]): c for c in cells}
@@ -347,8 +350,10 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
         text_value, table_value = float(text_cell["mean"]), float(table_cell["mean"])
         if metric in SCORE_METRICS:
             improvement = table_value - text_value
-        else:
+        elif metric == ABS_DIFF:
             improvement = text_value - table_value
+        else:
+            raise ReportError(f"metric {metric!r} for {key} is not one of {[*SCORE_METRICS, ABS_DIFF]}")
         # a quotient beyond the largest float would read inf, which is not JSON: it is that float instead
         relative = max(-sys.float_info.max, min(improvement / text_value if text_value else 0.0, sys.float_info.max))
         deltas.append(
@@ -367,8 +372,8 @@ def compare_formats(text_cells: list[dict], table_cells: list[dict]) -> FormatCo
     counted = [d for d in deltas if d.metric == ABS_DIFF]
     return FormatComparison(
         cells=tuple(deltas),
-        mean_improvement_pp=_mean([d.improvement_pp for d in scored]) if scored else 0.0,
-        mean_relative_change=_mean([d.relative_change for d in scored]) if scored else 0.0,
+        mean_improvement_pp=_mean([d.improvement_pp for d in scored]) if scored else None,
+        mean_relative_change=_mean([d.relative_change for d in scored]) if scored else None,
         count_abs_reduction=_mean([d.improvement_pp for d in counted]) if counted else None,
         count_relative_reduction=_mean([d.relative_change for d in counted]) if counted else None,
         convention=_CONVENTION,
@@ -481,9 +486,11 @@ def _csv(header, rows) -> str:
 
 
 def records_to_csv(records: list[EvalRecord]) -> str:
+    """One row per record, ordered by (request id, model), so the rows do not
+    depend on the order the records were scored in."""
     columns = [f.name for f in dataclasses.fields(EvalRecord)]
     return _csv(columns, ([getattr(r, name) for name in columns]
-                          for r in sorted(records, key=lambda r: r.request_id)))
+                          for r in sorted(records, key=lambda r: (r.request_id, r.model))))
 
 
 def report_to_csv(rows: list[ReportRow]) -> str:

@@ -765,7 +765,8 @@ def test_eval_of_a_relative_change_beyond_the_largest_float_writes_that_float(ru
     assert 0 < cell["text"] < 1 and 1e306 < cell["table"] < 1e308
     assert cell["improvement_pp"] == compare["count_abs_reduction"] == cell["text"] - cell["table"]
     assert cell["relative_change"] == compare["count_relative_reduction"] == -sys.float_info.max
-    assert (compare["mean_improvement_pp"], compare["mean_relative_change"]) == (0.0, 0.0)
+    # no cell has a score metric, so the score headline has no value
+    assert (compare["mean_improvement_pp"], compare["mean_relative_change"]) == (None, None)
 
 
 @pytest.mark.parametrize("stage", ["run", "eval"])
@@ -1015,20 +1016,25 @@ def _reports(eval_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in eval_dir.iterdir() if path.name != "eval.manifest.json"}
 
 
-@pytest.mark.parametrize("order", ["reversed", "split"])
+@pytest.mark.parametrize("order", ["reversed", "split", "swapped"])
 def test_eval_scores_results_in_any_order_to_the_same_reports(runner, tmp_path, order):
     """Each results line is scored as it is read, so the reports must not
-    depend on the order of the lines or on how they are shared among files."""
+    depend on the order of the lines, on how they are shared among files or
+    on the order of the files. The suite is answered by two models, one file
+    each, so records.csv holds two rows for each id."""
     config = write_config(tmp_path, levels=["natural", "table"])
-    suite, results = tmp_path / "gen" / "suite.jsonl", tmp_path / "results.jsonl"
+    suite = tmp_path / "gen" / "suite.jsonl"
     assert runner.invoke(main, ["generate", "--config", str(config), "--out", str(suite.parent)]).exit_code == 0
-    assert runner.invoke(main, ["run", "--suite", str(suite), "--model", "lossy:q=0.3,r=0.2,seed=1",
-                                "--out", str(results)]).exit_code == 0
-    scored = runner.invoke(main, ["eval", "--suite", str(suite), "--results", str(results),
-                                  "--out", str(tmp_path / "in-order")])
+    files = {"lossy.jsonl": "lossy:q=0.3,r=0.2,seed=1", "perfect.jsonl": "perfect"}
+    for name, model in files.items():
+        assert runner.invoke(main, ["run", "--suite", str(suite), "--model", model,
+                                    "--out", str(tmp_path / name)]).exit_code == 0
+    scored = runner.invoke(main, ["eval", "--suite", str(suite), *(arg for name in files for arg in (
+        "--results", str(tmp_path / name))), "--out", str(tmp_path / "in-order")])
     assert scored.exit_code == 0, scored.output
-    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
-    shares = {"reversed": [lines[::-1]], "split": [lines[1::2], lines[::2]]}[order]
+    lossy, perfect = ((tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True) for name in files)
+    shares = {"reversed": [lossy[::-1], perfect[::-1]], "split": [lossy[1::2], lossy[::2], perfect],
+              "swapped": [perfect, lossy]}[order]
     args = []
     for n, share in enumerate(shares):
         path = tmp_path / f"share-{n}.jsonl"
@@ -1463,6 +1469,29 @@ def test_report_compare_file_with_cells_that_do_not_align_exits_2(runner, tmp_pa
     [error] = _config_errors(result)
     assert error.startswith(f"cannot compare {compare_file}: rows not aligned on (model, request_type)")
     assert "projection" in error and "retrieval" in error
+    assert result.stdout == ""
+
+
+def test_report_compare_file_of_count_cells_prints_only_the_count_headline(runner, tmp_path):
+    """With no F1 or accuracy cell there is no score headline to print, not
+    a mean improvement of 0."""
+    compare_file = tmp_path / "cells.json"
+    compare_file.write_text(json.dumps({side: [{"model": "m", "request_type": "count", "metric": "abs_diff",
+                                                "mean": mean}] for side, mean in (("text", 2.5), ("table", 1.0))}),
+                            encoding="utf-8")
+    result = runner.invoke(main, ["report", "--compare-file", str(compare_file)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "count difference reduction: 1.50\n"
+
+
+def test_report_compare_file_with_a_metric_it_does_not_know_exits_2(runner, tmp_path):
+    """A cell that is neither a score nor a count has no headline to go in."""
+    compare_file = tmp_path / "cells.json"
+    compare_file.write_text(json.dumps({side: [{"model": "m", "request_type": "count", "metric": "bleu", "mean": 1.0}]
+                                        for side in ("text", "table")}), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--compare-file", str(compare_file)])
+    assert _config_errors(result) == [f"cannot compare {compare_file}: metric 'bleu' for ('m', 'count') is not one of "
+                                      f"['f1', 'accuracy', 'abs_diff']"]
     assert result.stdout == ""
 
 
