@@ -45,17 +45,25 @@ class Unparseable:
 
 ParsedAnswer = EntityList | TupleList | PipeTable | NumberAnswer | Judgement | Unparseable
 
-_ANSWER_MARK = re.compile(r"answer\s*:", re.IGNORECASE)
+_ANSWER_WORD = re.compile("answer", re.IGNORECASE)
 _NUMBER = re.compile(r"[-+]?\d[\d,]*(?:\.\d+)?")
 _VERDICT = re.compile(r"[\s\"'*]*(yes|no)\b", re.IGNORECASE)
 
 
 def _answer_block(text: str) -> str:
-    """Text after the last ANSWER: marker, or the whole text when absent."""
-    last = None
-    for match in _ANSWER_MARK.finditer(text):
-        last = match
-    return text[last.end():] if last else text
+    """Text after the last ANSWER: marker (the word in any case, any
+    whitespace, a colon), or the whole text when absent. Two markers cannot
+    overlap, so the last one ends at the rightmost colon that has `answer`
+    and only whitespace before it; colons are tried from the end.
+    Whitespace is what str.isspace reads, as the regex class `\\s` does."""
+    colon = len(text)
+    while (colon := text.rfind(":", 0, colon)) >= 0:
+        word_end = colon
+        while word_end and text[word_end - 1].isspace():
+            word_end -= 1
+        if word_end >= 6 and _ANSWER_WORD.fullmatch(text, word_end - 6, word_end):
+            return text[colon + 1:]
+    return text
 
 
 def clean_name(raw: str) -> str:

@@ -6,8 +6,11 @@ JSON document; secrets come from environment variables only. Exit codes:
 """
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
 import os
@@ -195,6 +198,15 @@ class _Stages(click.Group):
 @click.version_option(version=__version__)
 def main():
     """Tabular-knowledge benchmark harness."""
+    _freeze_collector_at_exit()
+
+
+@functools.cache
+def _freeze_collector_at_exit() -> None:
+    """Once per process, when a command runs: at exit, freeze the collector,
+    so that the interpreter's final collections skip every object. Every file
+    a stage writes is closed by its `with` block, so no output waits on them."""
+    atexit.register(gc.freeze)
 
 
 @main.command("generate")

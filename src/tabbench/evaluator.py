@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -127,6 +128,8 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
     positions = snapshot.positions
     shared = [(col, i) for i, name in enumerate(snapshot.columns)
               if i != target_idx and (col := parsed.column(name)) is not None]
+    # a row's shared cells as one value, on each side (of one index, the cell itself)
+    pick, pick_gold = (operator.itemgetter(*side) for side in zip(*shared)) if shared else (None, None)
 
     predicted = set()
     collateral = 0
@@ -139,11 +142,13 @@ def _updated_cells(instance: RequestInstance, parsed: ParsedAnswer):
         if target_col is not None and unemphasized(row[target_col]) == "n/a":
             predicted.add(position)
         gold_row = snapshot.rows[position]
-        for col, gold_col in shared:
-            # most cells carry no emphasis, so the plain comparison goes first
-            cell, gold_cell = row[col], gold_row[gold_col]
-            if normalize(cell) != normalize(gold_cell) and unemphasized(cell) != unemphasized(gold_cell):
-                collateral += 1
+        # most rows copy every shared cell verbatim, so one comparison settles them
+        if shared and pick(row) != pick_gold(gold_row):
+            for col, gold_col in shared:
+                # most cells carry no emphasis, so the plain comparison goes first
+                cell, gold_cell = row[col], gold_row[gold_col]
+                if normalize(cell) != normalize(gold_cell) and unemphasized(cell) != unemphasized(gold_cell):
+                    collateral += 1
     return gold, frozenset(predicted), len(parsed.rows) - matched_rows, {"collateral_damage": float(collateral)}
 
 

@@ -98,24 +98,33 @@ class LossyOracle:
         return f"lossy-oracle-q{self.omission_prob}-r{self.flip_prob}"
 
     def complete(self, instance: RequestInstance) -> ResultLine:
-        rng = rng_for(self.seed, "lossy", instance.id)
         gold = instance.gold
         q, r = self.omission_prob, self.flip_prob
+        # each instance has its own stream, and makes only q-draws (items) or
+        # only r-draws (scalars): a zero probability's draws, which could never
+        # fire, are left out, and with both zero no stream is made
+        rng = rng_for(self.seed, "lossy", instance.id) if q > 0 or r > 0 else None
+
+        def kept(items):
+            return [item for item in items if rng.random() >= q] if q > 0 else items
+
+        def flipped() -> bool:
+            return r > 0 and rng.random() < r
 
         if isinstance(gold, EntitySet):
-            body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
+            body = "\n".join(kept(sorted(gold.keys)))
         elif isinstance(gold, RelationSnapshot):
-            body = render_table(gold.columns, [row for row in gold.rows if rng.random() >= q])
+            body = render_table(gold.columns, kept(gold.rows))
         elif isinstance(gold, Number):
             value = gold.value
-            if rng.random() < r:
+            if flipped():
                 value += 1 + rng.randrange(5)
             body = _format_number(value)
         elif isinstance(gold, TupleSet):
-            body = "\n".join(" | ".join(t) for t in sorted(gold.tuples) if rng.random() >= q)
+            body = "\n".join(" | ".join(t) for t in kept(sorted(gold.tuples)))
         elif isinstance(gold, Witnessed):
             spoken = gold.value != instance.negated
-            if rng.random() < r:
+            if flipped():
                 spoken = not spoken
             if gold.witnesses:
                 rationale = "The entities satisfying the conditions are: " + ", ".join(sorted(gold.witnesses)) + "."

@@ -97,7 +97,7 @@ def _decoder(hint):
     if hint in _SCALARS:  # read as a union of one member
         return functools.partial(_union, (hint,), {})
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return functools.partial(_member, hint)
+        return functools.partial(_member, hint, {member.value: member for member in hint})
     if dataclasses.is_dataclass(hint):
         return functools.partial(_object, hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -110,10 +110,12 @@ def _decoder(hint):
     raise TypeError(f"no JSON form for {hint!r}")
 
 
-def _member(cls, value):
+def _member(cls, members, value):
+    if type(value) is cls:
+        return value
     try:
-        return cls(value)
-    except ValueError:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, a list or an object
         raise _Mismatch from None
 
 

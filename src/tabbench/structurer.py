@@ -165,6 +165,7 @@ def render_partial(rel: Relation, portion: float, seed: int, bank: PhraseBank | 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
 # markdown emphasis around a whole cell: **Name**, __Name__, *Name*, _Name_, `Name`
 _EMPHASIS = re.compile(r"(\*\*|__|\*|_|`)(.+)\1")
+_MARKERS = ("*", "_", "`")
 
 
 def split_pipe_line(line: str) -> list[str] | None:
@@ -173,12 +174,10 @@ def split_pipe_line(line: str) -> list[str] | None:
     stripped = line.strip()
     if "|" not in stripped:
         return None
-    cells = [c.strip() for c in stripped.split("|")]
-    if stripped.startswith("|"):
-        cells = cells[1:]
-    if stripped.endswith("|"):
-        cells = cells[:-1]
-    return cells if cells else None
+    cells = stripped.split("|")
+    # a pipe at either end leaves an empty part there, sliced off before the cells are stripped
+    cells = list(map(str.strip, cells[stripped[0] == "|":len(cells) - (stripped[-1] == "|")]))
+    return cells or None
 
 
 def is_separator_row(cells: list[str]) -> bool:
@@ -205,7 +204,8 @@ class PipeTable:
 def unemphasized(cell: str) -> str:
     """A cell under normalize, without the emphasis markers around it."""
     cell = cell.strip()
-    while emphasized := _EMPHASIS.fullmatch(cell):
+    # the pattern matches only from a marker, which few cells start with
+    while cell.startswith(_MARKERS) and (emphasized := _EMPHASIS.fullmatch(cell)):
         cell = emphasized.group(2).strip()
     return normalize(cell)
 
@@ -217,7 +217,9 @@ def parse_table(text: str) -> PipeTable:
     separator rows; tolerates missing boundary pipes, ragged rows, surrounding
     prose, and repeated keys (first occurrence wins).
     """
-    block: list[list[str]] = []
+    header: tuple[str, ...] | None = None
+    rows: list[tuple[str, ...]] = []
+    seen_keys: set[str] = set()
     in_block = False
     for line in text.splitlines():
         cells = split_pipe_line(line)
@@ -230,22 +232,18 @@ def parse_table(text: str) -> PipeTable:
         first = cells[0] or next((c for c in cells if c), "")
         if first[:1] in ("-", ":") and is_separator_row(cells):
             continue
-        block.append(cells)
-
-    if not block:
-        raise NoTableError("no pipe-delimited header line found")
-
-    header = tuple(h if h else f"col{i}" for i, h in enumerate(block[0]))
-    width = len(header)
-    rows: list[tuple[str, ...]] = []
-    seen_keys: set[str] = set()
-    for cells in block[1:]:
-        padded = tuple(cells if len(cells) == width else (cells + [""] * width)[:width])
-        key = normalize(padded[0])
-        if key in seen_keys or not padded[0]:
+        if header is None:
+            header = tuple(h if h else f"col{i}" for i, h in enumerate(cells))
+            width = len(header)
+            continue
+        key = normalize(cells[0])  # empty just when the stripped cell is
+        if not key or key in seen_keys:
             continue
         seen_keys.add(key)
-        rows.append(padded)
+        rows.append(tuple(cells) if len(cells) == width else tuple((cells + [""] * width)[:width]))
+
+    if header is None:
+        raise NoTableError("no pipe-delimited header line found")
     return PipeTable(header, tuple(rows))
 
 

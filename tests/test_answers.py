@@ -11,6 +11,7 @@ from tabbench.answers import (
     NumberAnswer,
     TupleList,
     Unparseable,
+    _answer_block,
     match_entities,
     parse,
 )
@@ -19,6 +20,7 @@ from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.structurer import PipeTable
 
 from conftest import tiny_soccer_pack
+from reference_reading import answer_block
 
 
 def test_simple_retrieval_answer():
@@ -33,6 +35,39 @@ def test_retrieval_tolerates_commas_and_bullets():
 def test_duplicate_mentions_collapse():
     parsed = parse("ANSWER:\nronaldo\nRonaldo", RequestType.RETRIEVAL)
     assert parsed == EntityList(("ronaldo",))
+
+
+@pytest.mark.parametrize("text, block", [
+    ("Messi", "Messi"),
+    ("", ""),
+    ("Messi\nANSWER:", ""),
+    ("ANSWER: Ronaldo\nanswer :\tMessi", "\tMessi"),
+    ("answer::", ":"),
+    ("ANSWER \xa0\x85\n: Messi", " Messi"),
+    ("ANSWER \u200b: Messi", "ANSWER \u200b: Messi"),  # a zero-width space is not whitespace
+    ("anſwer: Messi", " Messi"),  # the long s folds to s, as the regex reads it under IGNORECASE
+    ("Note: ANSWER: a | b: c", " a | b: c"),
+    ("swer: Messi", "swer: Messi"),
+])
+def test_answer_block_named_cases(text, block):
+    assert _answer_block(text) == block == answer_block(text)
+
+
+def test_answer_block_matches_the_regex_twin_on_random_text():
+    """The walk back from the colons finds the block the last regex match
+    gives, over strings made of the marker's letters in either case, the long
+    s, colons, kinds of whitespace the regex class reads (tab, newline, file
+    separator, next line, no-break space), a Kelvin sign, pipes and whole
+    markers."""
+    pieces = list("aAnNsSſwWeErR:K|: ") + ["\t", "\n", "\x1c", "\x85", "\xa0", "\u212a",
+                                          "answer", "ANSWER :", "Answer\t:", "answer"]
+    rng = random.Random(35)
+    mismatches = []
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, k=rng.randrange(16)))
+        if _answer_block(text) != answer_block(text):
+            mismatches.append(text)
+    assert mismatches == []
 
 
 def test_last_answer_block_wins():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
 import errno
@@ -440,6 +441,26 @@ def test_eval_truncated_results_line_exits_2(runner, tmp_path):
                                   "--out", str(tmp_path / "eval")])
     [error] = _config_errors(result)
     assert str(results) in error and f"line {lines}" in error
+
+
+def _package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this tabbench."""
+    package_root = str(Path(tabbench.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_eval_process_on_a_truncated_results_line_exits_2(runner, tmp_path):
+    """As its own process, whose exit freezes the collector, eval still
+    reports a truncated results line as a structured error."""
+    suite, results = _generated_and_run(runner, tmp_path)
+    results.with_name("results.jsonl.manifest.json").unlink()
+    _truncate_last_line(results)
+    finished = subprocess.run([sys.executable, "-m", "tabbench.cli", "eval", "--suite", str(suite),
+                               "--results", str(results), "--out", str(tmp_path / "eval")],
+                              capture_output=True, text=True, env=_package_env())
+    assert finished.returncode == 2, finished.stderr
+    [error] = json.loads(finished.stderr)["errors"]
+    assert str(results) in error and f"line {len(results.read_text().splitlines())}" in error
 
 
 def test_run_resume_over_truncated_results_exits_2(runner, tmp_path):
@@ -1440,10 +1461,9 @@ def test_input_that_cannot_be_read_or_used_exits_2(runner, tmp_path, monkeypatch
 
 def _loaded_by_importing_the_cli(modules: set[str]) -> list[str]:
     """Which of `modules` a fresh interpreter has loaded once it imports tabbench.cli."""
-    package_root = str(Path(tabbench.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     probe = f"import json, sys, tabbench.cli; print(json.dumps(sorted({sorted(modules)!r} & sys.modules.keys())))"
-    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_package_env(),
+                              check=True)
     return json.loads(finished.stdout)
 
 
@@ -1458,6 +1478,29 @@ def test_importing_the_cli_loads_no_scoring_code_thread_pool_or_logging():
     model's run, and logging for a pack with columns beyond its schema, so
     generate, run and the start of every stage do not pay for them."""
     assert _loaded_by_importing_the_cli({"tabbench.evaluator", "statistics", "concurrent.futures", "logging"}) == []
+
+
+def test_importing_the_cli_registers_no_exit_callback():
+    """Only a command freezes the collector at exit: a library importer of
+    the CLI module keeps its final collections."""
+    probe = "import atexit; before = atexit._ncallbacks(); import tabbench.cli; print(atexit._ncallbacks() - before)"
+    finished = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_package_env(),
+                              check=True)
+    assert finished.stdout.strip() == "0"
+
+
+def test_commands_register_the_exit_freeze_once_per_process(runner, tmp_path, monkeypatch):
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    cli._freeze_collector_at_exit.cache_clear()
+    _generated_and_run(runner, tmp_path)  # two commands, generate and run
+    assert registered == [cli.gc.freeze]
+
+
+def test_two_commands_grow_the_exit_callbacks_by_at_most_one(runner, tmp_path):
+    before = atexit._ncallbacks()
+    _generated_and_run(runner, tmp_path)
+    assert atexit._ncallbacks() - before <= 1
 
 
 def test_report_compare_file_with_cells_that_do_not_align_exits_2(runner, tmp_path):

@@ -199,6 +199,23 @@ def test_an_enum_is_written_as_its_value():
     assert from_json(StructuringLevel, "natural") is StructuringLevel.NATURAL
 
 
+@pytest.mark.parametrize("cls", [StructuringLevel, RequestType, Mode])
+def test_an_enum_takes_each_value_and_each_member_as_its_member(cls):
+    for member in cls:
+        assert from_json(cls, member.value) is member
+        assert from_json(cls, member) is member
+
+
+@pytest.mark.parametrize("cls", [StructuringLevel, RequestType, Mode])
+@pytest.mark.parametrize("value", ["bogus", ["table"], {"value": "table"}, 1, True, None])
+def test_an_enum_refuses_what_is_none_of_its_values(cls, value):
+    """An unknown value, a list and an object, hashable or not, are refused
+    with the same message."""
+    with pytest.raises(CodecError) as raised:
+        from_json(cls, value)
+    assert str(raised.value) == f"value must be {cls.__name__}, got {value!r}"
+
+
 def test_a_value_already_decoded_is_taken_as_it_is():
     gold, keys = EXAMPLES[GoldAnswer][0], ("Messi", "Neymar")
     assert from_json(GoldAnswer, gold) is gold

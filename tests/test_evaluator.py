@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tabbench import evaluator
 from tabbench.answers import EntityList, Judgement, NumberAnswer, TupleList, Unparseable, parse
 from tabbench.evaluator import (
     EvalRecord,
@@ -27,6 +28,7 @@ from tabbench.requesttypes import ROWS
 from tabbench.structurer import StructuringLevel, parse_table
 
 from conftest import instantiate_one, tiny_soccer_pack
+from reference_reading import updated_cells
 
 
 @pytest.fixture
@@ -200,6 +202,82 @@ def test_update_collateral_damage_diagnostic(pack, f2):
     record = score(instance, damaged)
     assert record.value == 1.0
     assert record.extras["collateral_damage"] == 1.0
+
+
+_UPDATE_TABLES = {
+    "reordered columns": (
+        "| Club | Nationality | Name | Number |\n"
+        "| Juventus | Portugal | Ronaldo | 7 |\n"
+        "| Barcelona | Argentina | Messi | N/A |\n"
+        "| psg |  BRAZIL | Neymar | 10 |\n"
+        "| Madrid | Spain | Ramos | N/A |", 1.0),
+    "emphasised cells and headers": (
+        "| **Name** | `Number` | _Nationality_ | Club |\n"
+        "| **Ronaldo** | 7 | *Portugal* | `Juventus` |\n"
+        "| Messi | **N/A** | Argentina | **Inter** |\n"
+        "| Neymar | 10 | __Brazil__ | *PSG |", 2.0),
+    "missing target column": (
+        "| Name | Nationality | Club |\n"
+        "| Ronaldo | Portugal | Inter |\n"
+        "| Messi | Argentina | Barcelona |", 1.0),
+    "key and target only": (
+        "| Name | Number |\n"
+        "| Ronaldo | 7 |\n"
+        "| Messi | N/A |", 0.0),
+    "no shared columns": (
+        "| Player | Number |\n"
+        "| Ronaldo | N/A |\n"
+        "| **Messi** | N/A |", 0.0),
+    "ragged rows and repeated keys": (
+        "| Name | Number | Nationality | Club |\n"
+        "| Ronaldo | 7 | Portugal\n"
+        "| Messi | N/A | Argentina | Barcelona | Rosario |\n"
+        "| Messi | 3 | Spain | X |\n"
+        "| ronaldo | N/A |\n"
+        "| Zidane | N/A | France | Madrid |", 1.0),
+}
+
+
+def _twin_record(instance, parsed, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setitem(evaluator._READERS, RequestType.UPDATE, updated_cells)
+        return score(instance, parsed)
+
+
+@pytest.mark.parametrize("case", sorted(_UPDATE_TABLES))
+def test_update_scores_as_the_per_cell_twin(pack, f2, monkeypatch, case):
+    """Comparing a row's shared cells as one value first gives the record,
+    collateral damage included, that testing each cell gives."""
+    instance = make_instance(pack, f2, RequestType.UPDATE)
+    text, collateral = _UPDATE_TABLES[case]
+    parsed = parse_table(text)
+    record = score(instance, parsed)
+    assert record == _twin_record(instance, parsed, monkeypatch)
+    assert record.extras["collateral_damage"] == collateral
+
+
+def test_update_scores_as_the_per_cell_twin_on_random_tables(pack, f2, monkeypatch):
+    """Seeded edits of the perfect answer: columns reordered, headers and cells
+    emphasised, recased, padded or replaced, rows cut short, repeated, dropped
+    or unknown."""
+    instance = make_instance(pack, f2, RequestType.UPDATE)
+    header, *rows = [list(cells) for cells in (instance.gold.columns, *instance.gold.rows)]
+    edits = (str.upper, lambda c: f"**{c}**", lambda c: f"`{c}`", lambda c: f"_{c}_", lambda c: f" {c}  ",
+             lambda c: "N/A", lambda c: "X", lambda c: "")
+    rng = random.Random(35)
+    tallies = set()
+    for _ in range(400):
+        order = rng.sample(range(len(header)), len(header))
+        lines = []
+        for cells in (header, *rng.choices(rows + [["Zidane", "5", "France", "Madrid"]], k=rng.randrange(7))):
+            cells = [cells[i] for i in order]
+            cells = [rng.choice(edits)(c) if rng.random() < 0.3 else c for c in cells]
+            lines.append("| " + " | ".join(cells[:rng.choice((len(cells), len(cells), 2))]) + " |")
+        parsed = parse_table("\n".join(lines))
+        record = score(instance, parsed)
+        assert record == _twin_record(instance, parsed, monkeypatch), lines
+        tallies.add(record.extras["collateral_damage"])
+    assert len(tallies) > 3
 
 
 def test_superlative_exact_singleton(pack, f2):

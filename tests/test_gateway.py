@@ -21,10 +21,11 @@ from tabbench.gateway import (
     ResultLine,
     run_suite,
 )
-from tabbench.oracle import Condition, EQ, GT, EntitySet
+from tabbench.oracle import Condition, EQ, GT, EntitySet, Number, RelationSnapshot, TupleSet, Witnessed
 from tabbench.requestgen import RequestType, SuiteConfig, generate_suite
 from tabbench.runio import from_json
-from tabbench.structurer import StructuringLevel
+from tabbench.seeding import rng_for
+from tabbench.structurer import StructuringLevel, render_table
 
 from conftest import instantiate_one, tiny_soccer_pack
 
@@ -69,6 +70,58 @@ def test_lossy_zero_noise_equals_perfect(small_suite):
     perfect = PerfectOracle()
     for instance in small_suite:
         assert lossy.complete(instance).text == perfect.complete(instance).text
+
+
+def test_noiseless_mock_makes_no_stream(small_suite, monkeypatch):
+    """With q = r = 0 no draw can change an answer, so none is made: the
+    perfect mock answers every kind of gold without a seeded stream."""
+    def no_stream(*args):
+        raise AssertionError(f"stream made for {args}")
+
+    monkeypatch.setattr(gateway, "rng_for", no_stream)
+    assert {type(instance.gold) for instance in small_suite} == {EntitySet, RelationSnapshot, Number, TupleSet,
+                                                                 Witnessed}
+    for instance in small_suite:
+        assert PerfectOracle().complete(instance).text.startswith("ANSWER:\n")
+
+
+def _drawing_every_time(model: LossyOracle, instance) -> ResultLine:
+    """The lossy mock's answer as it was written before a zero probability
+    skipped its draws: one q-draw per item and one r-draw per scalar, always."""
+    rng = rng_for(model.seed, "lossy", instance.id)
+    gold, q, r = instance.gold, model.omission_prob, model.flip_prob
+    if isinstance(gold, EntitySet):
+        body = "\n".join(k for k in sorted(gold.keys) if rng.random() >= q)
+    elif isinstance(gold, RelationSnapshot):
+        body = render_table(gold.columns, [row for row in gold.rows if rng.random() >= q])
+    elif isinstance(gold, Number):
+        value = gold.value
+        if rng.random() < r:
+            value += 1 + rng.randrange(5)
+        body = gateway._format_number(value)
+    elif isinstance(gold, TupleSet):
+        body = "\n".join(" | ".join(t) for t in sorted(gold.tuples) if rng.random() >= q)
+    else:
+        spoken = gold.value != instance.negated
+        if rng.random() < r:
+            spoken = not spoken
+        if gold.witnesses:
+            rationale = "The entities satisfying the conditions are: " + ", ".join(sorted(gold.witnesses)) + "."
+        else:
+            rationale = "Nothing in the table satisfies the conditions."
+        body = f"{'Yes' if spoken else 'No'}. {rationale}"
+    return ResultLine(attempts=1, error=None, id=instance.id, model=model.model_id, text="ANSWER:\n" + body)
+
+
+@pytest.mark.parametrize("q, r", [(0.5, 0.0), (0.0, 0.5), (0.3, 0.4), (0.0, 0.0)])
+def test_lossy_mock_answers_as_when_it_drew_every_time(small_suite, q, r):
+    """An instance makes only q-draws or only r-draws from its own stream, so
+    leaving out the draws of a zero probability changes no answer."""
+    model = LossyOracle(omission_prob=q, flip_prob=r, seed=4)
+    lines = [model.complete(instance) for instance in small_suite]
+    assert lines == [_drawing_every_time(model, instance) for instance in small_suite]
+    perfect = [PerfectOracle().complete(instance).text for instance in small_suite]
+    assert ([line.text for line in lines] != perfect) == bool(q or r)
 
 
 def test_lossy_omissions_are_binomial(pack, f2):

@@ -277,6 +277,10 @@ PIPE_ROWS = [
     ("| :) | ok |", [":)", "ok"], False),
     ("|  |  |", ["", ""], False),
     ("|", None, False),
+    ("||", [""], False),
+    ("| Messi", ["Messi"], False),
+    ("  Messi |  ", ["Messi"], False),
+    ("\t|\xa0Messi\xa0| 10 |\x85", ["Messi", "10"], False),
 ]
 
 
